@@ -3,8 +3,9 @@
 
 Runs Connected Components (delta iteration) and PageRank (bulk
 iteration) twice each — once on the in-process simulator and once on
-the multiprocess backend (one forked worker per partition, records
-shipped as pickled frames) — and shows that results *and* logical
+the multiprocess backend (a pool of one forked worker per partition,
+forked for the job and closed after it; records cross partitions as
+fabric frames) — and shows that results *and* logical
 counters are identical while only the physical costs differ.
 
 Run:  python examples/multiprocess_backend.py

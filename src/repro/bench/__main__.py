@@ -11,7 +11,7 @@ Examples::
     python -m repro.bench fig9 fig10
     python -m repro.bench all
     python -m repro.bench trace connected_components \
-        --backends simulated,multiprocess
+        --backends simulated,pool
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def _registry():
     return {
         "audit": ("Differential audit — engines agree, invariants hold",
                   audit.run),
-        "scaling": ("Backend scaling — multiprocess workers vs simulator",
+        "scaling": ("Backend scaling — pool workers vs simulator",
                     scaling.run),
         "dataplane": ("Data plane — batched vs record-at-a-time framing",
                       dataplane.run),
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backends", default=None, metavar="NAMES",
         help="comma-separated execution backends for the audit and trace "
-             "commands (e.g. 'simulated,multiprocess,pool')",
+             "commands (e.g. 'simulated,pool')",
     )
     parser.add_argument(
         "--workers", default=None, metavar="COUNTS",
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
             started = time.perf_counter()
             result = trace_mod.run(
                 workload,
-                backends=backends or ("simulated", "multiprocess"),
+                backends=backends or ("simulated", "pool"),
             )
             elapsed = time.perf_counter() - started
             report = result.report()

@@ -16,7 +16,7 @@ checking force-enabled, then asserts:
   ``local + remote`` shipped totals and superstep balance held (these
   raise during the run if violated);
 * **cross-backend equality** — with ``backends=("simulated",
-  "multiprocess")`` every engine additionally runs on real worker
+  "pool")`` every engine additionally runs on real worker
   processes, and both the *results* and the *logical counters*
   (records processed/shipped, solution accesses/updates, the whole
   per-superstep iteration log) must be identical to the simulator's,
@@ -340,7 +340,7 @@ def run(seeds=(7, 23), num_vertices: int = 160, avg_degree: float = 2.5,
     """Run the full differential audit; returns an :class:`AuditResult`.
 
     ``backends`` names the execution backends to audit (``"simulated"``,
-    ``"multiprocess"``, or instances).  With more than one, every
+    ``"pool"``, or instances).  With more than one, every
     (workload, engine, graph) cell runs once per backend and the later
     backends must reproduce the first backend's results and logical
     counters exactly.

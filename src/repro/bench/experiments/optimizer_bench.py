@@ -18,7 +18,7 @@ Two workloads, both end-to-end through the public environment API:
   on, the executor measures the workset at each superstep boundary and
   switches the probe edge to partition-hash at the crossover; with
   adaptivity off the broadcast plan runs to convergence.  The row runs
-  on the **multiprocess** backend and gates on the reduction in
+  on the **pool** backend and gates on the reduction in
   serialized bytes put on the wire — the paper's cost model is
   network-dominated, and that is where a ship-strategy switch pays.
   Wall-clock is reported but not gated: in this pure-Python runtime the
@@ -192,7 +192,7 @@ def _cc_forced_broadcast(env, num_vertices: int, edges):
 
 def _run_cc(num_vertices: int, edges, parallelism: int, adaptive: bool):
     env = _environment(parallelism, adaptive=adaptive,
-                       backend="multiprocess")
+                       backend="pool")
     out = _cc_forced_broadcast(env, num_vertices, edges)
     gc.collect()
     started = time.perf_counter()
@@ -247,7 +247,7 @@ def run(join_left: int = 600_000, join_right: int = 60_000,
          join_left + join_right,
          lambda on: _run_pushdown(join_left, join_right, parallelism, on),
          False),
-        ("adaptive rescue (forced broadcast CC, multiprocess)", "bytes",
+        ("adaptive rescue (forced broadcast CC, pool)", "bytes",
          cc_vertices + len(cc_edges),
          lambda on: _run_cc(cc_vertices, cc_edges, parallelism, on),
          True),
@@ -285,7 +285,7 @@ def run(join_left: int = 600_000, join_right: int = 60_000,
         payload = {
             "experiment": "optimizer",
             "meta": bench_meta(
-                backend="simulated+multiprocess",
+                backend="simulated+pool",
                 parallelism=parallelism,
                 rounds=rounds,
                 adaptive="v2-vs-baseline",
@@ -303,7 +303,7 @@ def run(join_left: int = 600_000, join_right: int = 60_000,
                 "without declared read fields (the only thing pushdown "
                 "legality keys on) and gates on wall-clock.  Row 2 "
                 "forces path-bundle delta-CC onto a static "
-                "broadcast-probe plan on the multiprocess backend and "
+                "broadcast-probe plan on the pool backend and "
                 "lets the adaptive executor rescue it mid-iteration; it "
                 "gates on the serialized wire-byte reduction (the "
                 "network-dominated cost the paper optimizes), reporting "

@@ -1,15 +1,16 @@
-"""Backend scaling: multiprocess and pool workers vs the simulator.
+"""Backend scaling: pool workers vs the simulator.
 
 Runs bulk PageRank on the largest seeded dataset (``twitter``) at
-increasing worker counts on all three execution backends, and records
-wall clocks plus speedup curves relative to one worker.  At every width
-every backend's result must equal the simulator's bit for bit (the
-backends share partitioning, so the float-sum orders match).
+increasing worker counts on the simulator and the worker pool, and
+records wall clocks plus speedup curves relative to one worker.  At
+every width every backend's result must equal the simulator's bit for
+bit (the backends share partitioning, so the float-sum orders match).
 
 The **pool** backend is measured twice: a *cold* run whose wall clock
-includes forking the pool, and a *warm* run on the already-running pool
-— the regime the persistent pool exists for (one pool serves many
-jobs).  The warm curve is the one the monotone-speedup gate judges.
+includes forking the pool (what every ``backend="multiprocess"`` job
+pays), and a *warm* run on the already-running pool — the regime the
+persistent pool exists for (one pool serves many jobs).  The warm curve
+is the one the monotone-speedup gate judges.
 
 Honesty notes:
 
@@ -94,7 +95,6 @@ class ScalingResult:
         table_rows = [
             [row["workers"],
              format_seconds(row["simulated_s"]),
-             format_seconds(row["multiprocess_s"]),
              format_seconds(row["pool_s"]),
              format_seconds(row["pool_warm_s"]),
              f"{row['pool_warm_speedup_vs_1_worker']:.2f}x",
@@ -106,9 +106,8 @@ class ScalingResult:
             f"Backend scaling — PageRank({self.iterations} it.) on "
             f"{self.dataset} ({self.num_vertices} vertices, "
             f"{self.num_edges} edges), host_cpus={self.host_cpus}",
-            ["workers", "simulated", "multiprocess", "pool (cold)",
-             "pool (warm)", "warm speedup vs 1", "oversub.",
-             "results identical"],
+            ["workers", "simulated", "pool (cold)", "pool (warm)",
+             "warm speedup vs 1", "oversub.", "results identical"],
             table_rows,
         )
         notes = [
@@ -160,10 +159,6 @@ def run(dataset: str = "twitter", iterations: int = 4,
             lambda: ExecutionEnvironment(workers, backend="simulated"),
             g, iterations,
         )
-        multiprocess_s, multiprocess = _time_run(
-            lambda: ExecutionEnvironment(workers, backend="multiprocess"),
-            g, iterations,
-        )
         # one persistent pool serves both pool measurements: the cold
         # run pays the fork, the warm run measures the steady state
         pool_backend = PoolBackend()
@@ -178,29 +173,24 @@ def run(dataset: str = "twitter", iterations: int = 4,
             )
         finally:
             pool_backend.close()
-        for name, seconds in (("multiprocess", multiprocess_s),
-                              ("pool", pool_s), ("pool_warm", pool_warm_s)):
+        for name, seconds in (("pool", pool_s), ("pool_warm", pool_warm_s)):
             base.setdefault(name, seconds)
         result.rows.append({
             "workers": workers,
             "simulated_s": simulated_s,
-            "multiprocess_s": multiprocess_s,
             "pool_s": pool_s,
             "pool_warm_s": pool_warm_s,
-            "speedup_vs_1_worker": base["multiprocess"] / multiprocess_s,
             "pool_speedup_vs_1_worker": base["pool"] / pool_s,
             "pool_warm_speedup_vs_1_worker": base["pool_warm"] / pool_warm_s,
             "oversubscribed": workers > host_cpus,
-            "results_match": (
-                simulated == multiprocess == pool_cold == pool_warm
-            ),
+            "results_match": simulated == pool_cold == pool_warm,
         })
 
     if save_artifact:
         payload = {
             "experiment": "backend_scaling",
             "meta": bench_meta(
-                backend="simulated+multiprocess+pool",
+                backend="simulated+pool",
                 worker_counts=list(worker_counts),
                 pagerank_iterations=iterations,
             ),
@@ -217,8 +207,7 @@ def run(dataset: str = "twitter", iterations: int = 4,
                 "monotone-speedup gate excludes them; pool_warm_s times "
                 "a job on an already-running pool (the persistent-pool "
                 "steady state); results_match asserts bitwise equality "
-                "across simulated, multiprocess, and pool backends at "
-                "each width"
+                "across the simulated and pool backends at each width"
             ),
             "rows": result.rows,
         }

@@ -152,7 +152,7 @@ def _comparable_result(result):
 
 
 def run(workload: str = "connected_components",
-        backends=("simulated", "multiprocess"), seed: int = 7,
+        backends=("simulated", "pool"), seed: int = 7,
         num_vertices: int = 120, avg_degree: float = 2.5,
         parallelism: int = 4, save: bool = True) -> TraceResult:
     """Trace ``workload`` on every backend; compare the span trees.

@@ -1,21 +1,20 @@
 """Pluggable execution backends: the simulator and real worker processes.
 
 An :class:`ExecutionBackend` decides *where* a compiled plan (or a
-driver program) runs; the plans themselves are backend-agnostic.
+driver program) runs; the plans themselves are backend-agnostic.  There
+are two implementations:
 
 * :class:`SimulatedBackend` — the reference: the executor interprets
-  all partitions inside the calling process, exactly as before this
-  subsystem existed.
-* :class:`MultiprocessBackend` — a real shared-nothing engine in
-  miniature: one forked worker process per partition, records crossing
-  partitions as pickled frames over a :class:`~repro.cluster.fabric.Fabric`,
-  supersteps synchronized by collective barriers.  Workers are forked
-  *after* plan compilation so UDF closures transfer by inheritance;
-  only records are serialized.
-* :class:`~repro.cluster.pool.PoolBackend` (in its own module) — the
-  persistent variant: workers fork once and serve many jobs, frames
-  travel through shared-memory rings, and jobs cross by value through
-  the closure-capable :mod:`~repro.cluster.codec`.
+  all partitions inside the calling process.
+* :class:`~repro.cluster.pool.PoolBackend` (in its own module) — a real
+  shared-nothing engine in miniature: one forked worker process per
+  partition, records crossing partitions as frames over a
+  :class:`~repro.cluster.fabric.Fabric`, supersteps synchronized by
+  collective barriers, jobs crossing by value through the
+  closure-capable :mod:`~repro.cluster.codec`.  Backend ``"pool"`` keeps
+  its workers across jobs; backend ``"multiprocess"``
+  (:class:`~repro.cluster.pool.MultiprocessBackend`) is the same pool
+  forked for one job and closed after it.
 
 Every backend runs the *same* executor code — a worker simply sees
 localized datasets (its slot populated, peers' slots empty) and a
@@ -27,14 +26,9 @@ and, by construction, identical — to a simulated run.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import queue as queue_module
 import time
-import traceback
 
-from repro.cluster.context import LOCAL, WorkerCluster
-from repro.cluster.fabric import Fabric
+from repro.cluster.context import LOCAL
 
 
 class WorkerCrash(RuntimeError):
@@ -46,7 +40,7 @@ class ExecutionBackend:
 
     name = "abstract"
     #: per-worker trace timelines of the last ``run_program`` call, when
-    #: the program's collectors carried tracers (multiprocess only)
+    #: the program's collectors carried tracers (SPMD backends only)
     last_worker_traces = None
 
     def execute_plan(self, env, exec_plan):
@@ -120,78 +114,10 @@ class _ExecutorShim:
         self.iteration_summaries = iteration_summaries
 
 
-class MultiprocessBackend(ExecutionBackend):
-    """One worker process per partition over pickled shipping channels."""
-
-    name = "multiprocess"
-
-    def __init__(self, timeout: float = 120.0):
-        self.timeout = timeout
-
-    # ------------------------------------------------------------------
-
-    def execute_plan(self, env, exec_plan):
-        from repro.runtime.executor import Executor
-        from repro.runtime.metrics import MetricsCollector
-
-        def body(cluster):
-            # fresh per-worker collector (＋checker, per the session config)
-            env.metrics = MetricsCollector()
-            if env.config.check_invariants:
-                from repro.runtime.invariants import attach_checker
-                attach_checker(env.metrics)
-            if env.config.trace:
-                from repro.observability import attach_tracer
-                attach_tracer(env.metrics, rank=cluster.rank)
-            registry = None
-            if env.config.telemetry:
-                from repro.observability.telemetry import attach_telemetry
-                registry = attach_telemetry(env.metrics, rank=cluster.rank)
-                wall_started = time.perf_counter()
-                cpu_started = time.process_time()
-            env.cluster = cluster
-            env.last_checkpoint_store = None
-            executor = Executor(env)
-            results = executor.run(exec_plan)
-            payload = {
-                "results": results,
-                "metrics": env.metrics,
-                "summaries": executor.iteration_summaries,
-                "checkpoint_store": env.last_checkpoint_store,
-            }
-            if registry is not None:
-                from repro.observability.telemetry import (
-                    job_resources_from_metrics,
-                )
-                env.metrics.telemetry = None
-                payload["telemetry"] = registry.snapshot()
-                payload["resources"] = job_resources_from_metrics(
-                    job=None, rank=cluster.rank,
-                    wall_s=time.perf_counter() - wall_started,
-                    cpu_s=time.process_time() - cpu_started,
-                    metrics=env.metrics,
-                )
-            return payload
-
-        payloads = _run_spmd(body, env.parallelism, self.timeout)
-        return absorb_plan_payloads(env, payloads)
-
-    def run_program(self, program, parallelism):
-        def body(cluster):
-            result, metrics = program(cluster)
-            return {"results": result, "metrics": metrics}
-
-        payloads = _run_spmd(body, parallelism, self.timeout)
-        merged, timelines = _merge_worker_metrics(payloads)
-        self.last_worker_traces = timelines
-        return payloads[0]["results"], merged
-
-
 def absorb_plan_payloads(env, payloads):
     """Fold per-worker ``execute_plan`` payloads into the parent's env.
 
-    Shared by every SPMD backend (forked-per-job and persistent-pool):
-    merges worker collectors superstep-aligned into ``env.metrics``,
+    Merges worker collectors superstep-aligned into ``env.metrics``,
     surfaces iteration summaries and checkpoint stores, and rebuilds
     each sink's record list.
     """
@@ -248,96 +174,6 @@ def _merge_worker_metrics(payloads):
     return merged, timelines
 
 
-def _spmd_child(body, fabric, rank, size):
-    endpoint = fabric.endpoint(rank)
-    try:
-        cluster = WorkerCluster(endpoint, size)
-        payload = body(cluster)
-        metrics = payload.get("metrics")
-        if metrics is not None:
-            # control-plane traffic (barrier votes, allgathers) that no
-            # instrumented site attributed; route it through the hook so
-            # the total still equals the endpoint's wire counter
-            leftover = endpoint.bytes_sent - metrics.bytes_shipped
-            if leftover > 0:
-                metrics.add_bytes_shipped(leftover)
-            # same reconciliation for the zero-copy column counters:
-            # exchanges outside an instrumented ship site (microstep
-            # routing) still show up in the job's physical totals
-            zc_cols = (
-                endpoint.columns_zero_copied - metrics.columns_zero_copied
-            )
-            zc_bytes = (
-                endpoint.bytes_zero_copied - metrics.bytes_zero_copied
-            )
-            if zc_cols > 0 or zc_bytes > 0:
-                metrics.add_zero_copied(max(zc_cols, 0), max(zc_bytes, 0))
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        fabric.results.put(("ok", rank, blob))
-    except BaseException:
-        fabric.results.put(("error", rank, traceback.format_exc()))
-
-
-def _run_spmd(body, size, timeout):
-    """Fork ``size`` workers running ``body(cluster)``; gather payloads."""
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-        raise RuntimeError(
-            "the multiprocess backend needs the 'fork' start method "
-            "(UDF closures transfer by inheritance, not pickling)"
-        ) from exc
-    fabric = Fabric(size, mp_context, timeout)
-    workers = []
-    for rank in range(size):
-        process = mp_context.Process(
-            target=_spmd_child, args=(body, fabric, rank, size), daemon=True
-        )
-        process.start()
-        workers.append(process)
-
-    payloads: dict[int, dict] = {}
-    # overall gather deadline: generous slack over the fabric timeout so
-    # in-worker FabricTimeouts surface first, but the parent can never
-    # spin forever on a worker that will not report
-    deadline = time.monotonic() + timeout * 1.5 + 5.0
-    try:
-        while len(payloads) < size:
-            try:
-                kind, rank, data = fabric.results.get(timeout=0.25)
-            except queue_module.Empty:
-                # a worker that is dead without a result is a crash no
-                # matter its exit code — a silent ``exit(0)`` would
-                # otherwise hang this gather loop forever
-                dead = [
-                    w.name for r, w in enumerate(workers)
-                    if r not in payloads and not w.is_alive()
-                ]
-                if dead:
-                    raise WorkerCrash(
-                        f"worker(s) {', '.join(dead)} died without "
-                        "reporting a result"
-                    )
-                if time.monotonic() >= deadline:
-                    missing = sorted(
-                        r for r in range(size) if r not in payloads
-                    )
-                    raise WorkerCrash(
-                        f"gave up waiting for worker(s) {missing} after "
-                        f"{timeout:.0f}s: no result and no exit"
-                    )
-                continue
-            if kind == "error":
-                raise WorkerCrash(
-                    f"worker {rank} failed:\n{data}"
-                )
-            payloads[rank] = pickle.loads(data)
-    finally:
-        reap_workers(workers, incomplete=len(payloads) < size)
-        fabric.close()
-    return [payloads[rank] for rank in range(size)]
-
-
 def reap_workers(workers, incomplete: bool = True,
                  join_timeout: float = 5.0) -> None:
     """Terminate and join worker processes, escalating to ``kill``.
@@ -358,11 +194,9 @@ def reap_workers(workers, incomplete: bool = True,
 
 
 #: registry for the ``Environment(backend=...)`` / CLI string spellings;
-#: :mod:`repro.cluster.pool` registers ``"pool"`` on import
-BACKENDS = {
-    "simulated": SimulatedBackend,
-    "multiprocess": MultiprocessBackend,
-}
+#: :mod:`repro.cluster.pool` registers ``"pool"`` and ``"multiprocess"``
+#: on import
+BACKENDS = {"simulated": SimulatedBackend}
 
 
 def resolve_backend(spec) -> ExecutionBackend:
@@ -371,8 +205,8 @@ def resolve_backend(spec) -> ExecutionBackend:
         return SimulatedBackend()
     if isinstance(spec, str):
         if spec not in BACKENDS:
-            # the pool backend lives in its own module (it imports this
-            # one); pull it in so its registration is always visible
+            # the SPMD backends live in their own module (it imports
+            # this one); pull it in so their registration is visible
             import repro.cluster.pool  # noqa: F401
         try:
             return BACKENDS[spec]()

@@ -1,11 +1,10 @@
 """Job codec: pickling jobs whose closures stock pickle rejects.
 
-The multiprocess backend forks workers *after* plan compilation, so UDF
-closures transfer to them by address-space inheritance and never meet a
-pickler.  A persistent worker pool cannot rely on that trick: its
-workers are forked once and then receive successive jobs over a queue,
-so every job — driver bodies, plan UDFs, termination predicates, CPO
-comparators — must cross the process boundary *by value*.
+Pool workers are forked once and then receive jobs over a queue, so
+every job — driver bodies, plan UDFs, termination predicates, CPO
+comparators — must cross the process boundary *by value* (there is no
+fork-after-compilation path on which closures could transfer by
+address-space inheritance).
 
 Stock pickle refuses lambdas and nested functions (it serializes
 functions by importable reference).  :class:`JobPickler` extends it with

@@ -1,25 +1,25 @@
-"""Persistent shared-memory worker pool: fork once, run many jobs.
+"""The SPMD worker runtime: a shared-memory worker pool.
 
-The :class:`~repro.cluster.backends.MultiprocessBackend` forks a fresh
-set of workers for **every** job and pays a full pickle round-trip for
-every frame — which is why `BENCH_backend_scaling.json` showed the
-distributed backend *losing* to the in-process simulator.  This module
-keeps the same SPMD execution model (same executor, same collectives,
-same bitwise-equivalence guarantees) but fixes the runtime plumbing:
+Every job that leaves the calling process runs here — one worker loop
+(:func:`_pool_worker`), one plan-job body (:class:`_PlanJob`), one
+gather loop (:meth:`WorkerPool._gather`) — on the same executor, the
+same collectives and the same bitwise-equivalence guarantees as the
+in-process simulator:
 
-* **Workers are long-lived.**  A :class:`WorkerPool` forks its workers
-  once; successive ``execute_plan`` / ``run_program`` jobs (and all
-  their supersteps) are dispatched to the same processes over per-worker
-  job queues.  Jobs cross by value through the closure-capable
-  :mod:`~repro.cluster.codec` — the one thing fork-inheritance used to
-  provide.
+* **Workers outlive a job.**  A :class:`WorkerPool` forks its workers
+  once; ``execute_plan`` / ``run_program`` jobs (and all their
+  supersteps) are dispatched to those processes over per-worker job
+  queues.  Jobs cross by value through the closure-capable
+  :mod:`~repro.cluster.codec`.
 * **Frames travel through shared memory.**  The pool's
   :class:`~repro.cluster.fabric.Fabric` allocates its reusable
   shared-memory frame rings before forking, so cross-worker record
   batches move as one memcpy plus a tiny control message, with explicit
   slot ownership handoff and receives drained opportunistically (see
   :mod:`repro.cluster.fabric`).
-* **Crashes are bounded, not hung.**  The gather loop treats any
+* **Crashes are bounded, not hung.**  The gather loop waits for every
+  rank's report (bounded by the fabric timeout) and raises the first
+  error to *arrive* as the root cause; it treats any
   dead-without-result worker as a crash regardless of exit code,
   enforces an overall deadline, and escalates ``terminate`` → ``kill``
   on teardown.  A job that fails *cleanly* on every rank (a Python
@@ -28,14 +28,18 @@ same bitwise-equivalence guarantees) but fixes the runtime plumbing:
   queue and the next job runs without re-forking; job epochs stop any
   leftover frames from leaking into it.
 
-Registered as backend ``"pool"``:
+Two backend names select the pool's lifetime, nothing else:
 
-    env = ExecutionEnvironment(4, backend="pool")
+    env = ExecutionEnvironment(4, backend="pool")          # persistent
+    env = ExecutionEnvironment(4, backend="multiprocess")  # one-shot
 
-One pool is created lazily per backend instance (so per
-``ExecutionEnvironment`` when resolved from the string spelling) and
-survives across that environment's jobs; sharing one
+``"pool"`` (:class:`PoolBackend`) creates one pool lazily per backend
+instance (so per ``ExecutionEnvironment`` when resolved from the string
+spelling) and keeps it across that environment's jobs; sharing one
 :class:`PoolBackend` instance across environments shares the pool.
+``"multiprocess"`` (:class:`MultiprocessBackend`) forks a pool of
+``parallelism`` workers for each job and closes it when the job returns
+or raises.
 """
 
 from __future__ import annotations
@@ -320,51 +324,42 @@ class WorkerPool:
                        force=force)
 
 
-class _WorkerSession:
-    """The slice of an ``ExecutionEnvironment`` a pool worker needs.
+class _PlanJob:
+    """A compiled plan plus the session its worker-side executor reads.
 
     The parent's environment holds the backend — and through it the
-    pool's process handles — so it never crosses the wire; this shim
-    carries exactly the attributes the :class:`Executor` reads.
+    pool's process handles — so it never crosses the wire.  This job is
+    decoded afresh in every worker, so it doubles as that worker's
+    session: ``__init__`` lists every attribute the :class:`Executor`
+    reads from one.
     """
 
-    def __init__(self, job, cluster, metrics):
-        self.parallelism = job.parallelism
-        self.config = job.config
-        self.cluster = cluster
-        self.metrics = metrics
-        self.checkpoint_interval = job.checkpoint_interval
-        self.failure_injector = job.failure_injector
+    def __init__(self, exec_plan, env):
+        self.exec_plan = exec_plan
+        self.parallelism = env.parallelism
+        self.config = env.config
+        self.checkpoint_interval = env.checkpoint_interval
+        self.failure_injector = env.failure_injector
         # pickled as a non-owning, path-only view of the parent's spill
         # directory: the worker allocates files inside the parent tree
         # (which sweeps them) but can never delete it
-        self.storage_session = job.storage_session
+        self.storage_session = env.storage_session
+        # worker-local: bound when the job runs
+        self.cluster = None
+        self.metrics = None
         self.last_checkpoint_store = None
-        self.last_executor = None
-
-
-class _PlanJob:
-    """A compiled plan plus the session knobs its execution needs."""
-
-    def __init__(self, exec_plan, parallelism, config, checkpoint_interval,
-                 failure_injector, storage_session=None):
-        self.exec_plan = exec_plan
-        self.parallelism = parallelism
-        self.config = config
-        self.checkpoint_interval = checkpoint_interval
-        self.failure_injector = failure_injector
-        self.storage_session = storage_session
         #: non-None marks this a telemetry job: the worker loop starts
         #: its heartbeat sender at this cadence before calling the body
         self.heartbeat_interval = (
-            config.heartbeat_interval_s if config.telemetry else None
+            env.config.heartbeat_interval_s if env.config.telemetry else None
         )
 
     def __call__(self, cluster):
         from repro.runtime.executor import Executor
         from repro.runtime.metrics import MetricsCollector
 
-        metrics = MetricsCollector()
+        self.cluster = cluster
+        self.metrics = metrics = MetricsCollector()
         if self.config.check_invariants:
             from repro.runtime.invariants import attach_checker
             attach_checker(metrics)
@@ -379,14 +374,13 @@ class _PlanJob:
             )
             wall_started = time.perf_counter()
             cpu_started = time.process_time()
-        session = _WorkerSession(self, cluster, metrics)
-        executor = Executor(session)
+        executor = Executor(self)
         results = executor.run(self.exec_plan)
         payload = {
             "results": results,
             "metrics": metrics,
             "summaries": executor.iteration_summaries,
-            "checkpoint_store": session.last_checkpoint_store,
+            "checkpoint_store": self.last_checkpoint_store,
         }
         if registry is not None:
             from repro.observability.telemetry import (
@@ -454,23 +448,35 @@ class PoolBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
 
+    def _run_job(self, size: int, job):
+        return self._ensure_pool(size).run_job(job)
+
     def execute_plan(self, env, exec_plan):
-        job = _PlanJob(
-            exec_plan, env.parallelism, env.config,
-            getattr(env, "checkpoint_interval", 0),
-            getattr(env, "failure_injector", None),
-            storage_session=getattr(env, "storage_session", None),
-        )
-        payloads = self._ensure_pool(env.parallelism).run_job(job)
+        payloads = self._run_job(env.parallelism, _PlanJob(exec_plan, env))
         return absorb_plan_payloads(env, payloads)
 
     def run_program(self, program, parallelism):
-        payloads = self._ensure_pool(parallelism).run_job(
-            _ProgramJob(program)
-        )
+        payloads = self._run_job(parallelism, _ProgramJob(program))
         merged, timelines = _merge_worker_metrics(payloads)
         self.last_worker_traces = timelines
         return payloads[0]["results"], merged
 
 
+class MultiprocessBackend(PoolBackend):
+    """The pool, cold: forked for one job and closed after it.
+
+    Nothing survives the job — no worker process, no shared-memory
+    segment — whether it returns or raises.
+    """
+
+    name = "multiprocess"
+
+    def _run_job(self, size: int, job):
+        try:
+            return super()._run_job(size, job)
+        finally:
+            self.close()
+
+
 BACKENDS["pool"] = PoolBackend
+BACKENDS["multiprocess"] = MultiprocessBackend

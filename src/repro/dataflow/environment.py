@@ -90,16 +90,12 @@ class ExecutionEnvironment:
         self.optimize = optimize
         self.cost_weights = cost_weights
         from repro.cluster import resolve_backend
-        from repro.cluster.context import LOCAL
         from repro.runtime.config import RuntimeConfig
         from repro.runtime.metrics import MetricsCollector
         #: where plans execute: ``None``/"simulated" keeps the in-process
-        #: reference backend; "multiprocess" forks one worker per
-        #: partition (see :mod:`repro.cluster`)
+        #: reference backend; "pool" / "multiprocess" run one forked
+        #: worker per partition (see :mod:`repro.cluster`)
         self.backend = resolve_backend(backend)
-        #: the calling process's cluster context; the multiprocess
-        #: backend overrides this inside each forked worker
-        self.cluster = LOCAL
         #: runtime switches; ``config.check_invariants`` (on by default
         #: under pytest) attaches the conservation-law audit layer of
         #: :mod:`repro.runtime.invariants` to this session's metrics
@@ -108,9 +104,9 @@ class ExecutionEnvironment:
         if self.config.check_invariants:
             from repro.runtime.invariants import attach_checker
             attach_checker(self.metrics)
-        #: the session's tracer when ``config.trace`` is set; the
-        #: multiprocess backend additionally attaches per-worker tracers
-        #: and leaves their timelines in ``last_worker_traces``
+        #: the session's tracer when ``config.trace`` is set; the SPMD
+        #: backends additionally attach per-worker tracers and leave
+        #: their timelines in ``last_worker_traces``
         self.tracer = None
         if self.config.trace:
             from repro.observability import attach_tracer
@@ -160,7 +156,7 @@ class ExecutionEnvironment:
         self.last_checkpoint_store = None
         #: out-of-core substrate (repro.storage): the session's spill
         #: directory, created lazily — eagerly before a run when
-        #: ``config.memory_budget_bytes`` is set, so forked workers nest
+        #: ``config.memory_budget_bytes`` is set, so pool workers nest
         #: their scratch space inside it — and removed by close()
         self.storage_session = None
         self._part_store = None
@@ -264,8 +260,8 @@ class ExecutionEnvironment:
 
     def _execute_plan(self, plan: LogicalPlan):
         if self.config.memory_budget_bytes:
-            # created before the backend may fork, so every worker's
-            # spill directory nests inside this session's tree
+            # created before the job ships, so every worker's spill
+            # directory nests inside this session's tree
             self._ensure_storage_session()
         exec_plan = self._compile(plan)
         self._job_seq += 1
@@ -425,8 +421,8 @@ class ExecutionEnvironment:
     def trace_timelines(self):
         """Labelled ``(name, tracer)`` timelines of the last traced run.
 
-        The simulated backend has one driver timeline; the multiprocess
-        backend exports each worker's own timeline (the driver's merged
+        The simulated backend has one driver timeline; the SPMD
+        backends export each worker's own timeline (the driver's merged
         tree would duplicate every worker span).
         """
         if self.tracer is None:

@@ -27,18 +27,19 @@ __all__ = [
 ]
 
 
-def _calibrated_weights(env) -> CostWeights:
-    """Default weights tuned to the session's data-plane batch size.
+def session_weights(env) -> CostWeights:
+    """The session's cost weights: explicit ``env.cost_weights``, else
+    the defaults tuned to its data-plane batch size.
 
     The per-batch framing overhead amortizes over
     ``RuntimeConfig.batch_size``, so a record-at-a-time session
     (``batch_size=1``) prices every shipped record at the full
     per-frame cost while the default batched plane pays almost none.
-    Explicit ``env.cost_weights`` always win — this only fills in the
-    default.
     """
     import dataclasses
 
+    if env.cost_weights:
+        return env.cost_weights
     config = getattr(env, "config", None)
     if config is None:
         return DEFAULT_WEIGHTS
@@ -68,7 +69,7 @@ def optimize_plan(logical_plan, env) -> ExecutionPlan:
 
 
 def _optimize_plan(logical_plan, env, tracer) -> ExecutionPlan:
-    weights = env.cost_weights or _calibrated_weights(env)
+    weights = session_weights(env)
     # measured truth from previous runs in this environment (optimizer
     # v2): the observer is only attached when RuntimeConfig.adaptive is
     # on, so REPRO_ADAPTIVE=0 sees the static defaults

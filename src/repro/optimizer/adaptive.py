@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from repro.dataflow.contracts import Contract
 from repro.dataflow.graph import dynamic_path_nodes, iteration_body_nodes
-from repro.optimizer import costs
+from repro.optimizer import costs, session_weights
 from repro.optimizer.statistics import Statistics
 from repro.runtime.plan import AdaptiveSpec, LocalStrategy, ShipKind
 
@@ -110,10 +110,13 @@ def annotate_adaptive(exec_plan, env) -> None:
     Called by ``ExecutionEnvironment._compile`` after plan overrides are
     applied (so the specs describe the plan that will actually run,
     forced experiment plans included) and before chain fusion.  The
-    specs are recorded unconditionally — the *plan* is identical with
-    adaptivity on or off; the executor consults ``config.adaptive``.
+    specs — and the cost weights their re-costing uses, which therefore
+    reach every SPMD worker inside the plan — are recorded
+    unconditionally: the *plan* is identical with adaptivity on or off;
+    the executor consults ``config.adaptive``.
     """
     logical_plan = exec_plan.logical_plan
+    exec_plan.adaptive_weights = session_weights(env)
     observer = getattr(env, "observer", None)
     stats = Statistics(
         observed=getattr(observer, "sizes", None),

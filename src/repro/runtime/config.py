@@ -1,11 +1,10 @@
 """Runtime configuration flags shared by all engines.
 
 The simulated dataflow engine, the Spark-like engine, and the Pregel-like
-engine all accept a :class:`RuntimeConfig`.  It carries two switches:
-``check_invariants``, which attaches the debug-mode audit layer of
-:mod:`repro.runtime.invariants` to the engine's metric collector, and
-``trace``, which attaches the span tracer of
-:mod:`repro.observability`.
+engine all accept a :class:`RuntimeConfig`; its docstring describes each
+switch.  Fields that have a ``REPRO_*`` environment variable read their
+default from it through the two parsers below (:func:`_env_flag`,
+:func:`_env_number`); an explicitly passed value always wins.
 
 Invariant checking defaults to **on under pytest** (so the entire test
 suite dogfoods the conservation laws) and off otherwise (benchmark runs
@@ -16,6 +15,7 @@ forces checking on, ``0/false/no/off`` forces it off.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -24,205 +24,44 @@ _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("0", "false", "no", "off", "")
 
 
-def invariant_checking_default() -> bool:
-    """True when invariant checks should be active by default."""
-    override = os.environ.get("REPRO_CHECK_INVARIANTS")
-    if override is not None:
-        value = override.strip().lower()
-        if value in _TRUTHY:
-            return True
-        if value in _FALSY:
-            return False
-        raise ValueError(
-            f"REPRO_CHECK_INVARIANTS must be one of {_TRUTHY + _FALSY}, "
-            f"got {override!r}"
-        )
-    return "pytest" in sys.modules
-
-
-def batch_size_default() -> int:
-    """Records per :class:`~repro.common.batch.RecordBatch` on the data
-    plane; ``REPRO_BATCH_SIZE`` overrides (``1`` = record-at-a-time)."""
-    override = os.environ.get("REPRO_BATCH_SIZE")
+def _env_flag(name: str, default: bool) -> bool:
+    """``default`` when ``name`` is unset, else its flag spelling's value."""
+    override = os.environ.get(name)
     if override is None:
-        return 1024
-    try:
-        value = int(override)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH_SIZE must be a positive integer, got {override!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_BATCH_SIZE must be >= 1, got {value}"
-        )
-    return value
-
-
-def chaining_default() -> bool:
-    """Operator chain fusion is on unless ``REPRO_NO_CHAIN`` disables it.
-
-    ``REPRO_NO_CHAIN`` is an escape hatch: a truthy value (``1/true/
-    yes/on``) turns fusion *off* (every operator materializes and every
-    forward edge ships, the pre-fusion behaviour), a falsy value keeps
-    it on.  Results and logical counters are identical in both modes.
-    """
-    override = os.environ.get("REPRO_NO_CHAIN")
-    if override is None:
-        return True
-    value = override.strip().lower()
-    if value in _TRUTHY:
-        return False
-    if value in _FALSY:
-        return True
-    raise ValueError(
-        f"REPRO_NO_CHAIN must be one of {_TRUTHY + _FALSY}, "
-        f"got {override!r}"
-    )
-
-
-def columnar_default() -> bool:
-    """The columnar data plane is on unless ``REPRO_COLUMNAR=0``.
-
-    ``REPRO_COLUMNAR`` is the escape hatch for the struct-of-arrays
-    :class:`~repro.common.batch.RecordBatch` layout and its vectorized
-    kernels (hash-scatter, join index computation, sort permutations,
-    columnar fabric/spill framing).  A falsy value (``0/false/no/off``)
-    restores the row-chunk paths everywhere; a truthy value (or unset)
-    keeps the columnar paths on.  Results and logical counters are
-    bitwise identical in both modes — the cross-backend audit runs both.
-    """
-    override = os.environ.get("REPRO_COLUMNAR")
-    if override is None:
-        return True
+        return default
     value = override.strip().lower()
     if value in _TRUTHY:
         return True
     if value in _FALSY:
         return False
     raise ValueError(
-        f"REPRO_COLUMNAR must be one of {_TRUTHY + _FALSY}, "
-        f"got {override!r}"
+        f"{name} must be one of {_TRUTHY + _FALSY}, got {override!r}"
     )
 
 
-def adaptive_default() -> bool:
-    """Adaptive re-optimization is on unless ``REPRO_ADAPTIVE=0``.
-
-    ``REPRO_ADAPTIVE`` is the escape hatch for the statistics-driven
-    runtime layer: mid-iteration ship-strategy switches decided from
-    *measured* superstep cardinalities (see
-    :mod:`repro.optimizer.adaptive`).  A falsy value (``0/false/no/
-    off``) pins every iteration to its statically chosen plan; a truthy
-    value (or unset) lets the executor re-cost the dynamic path at
-    superstep boundaries.  Results, logical counters, and span-tree
-    structure are identical in both modes — plan switches are physical
-    optimizations, audited like the columnar and chaining planes.
-    """
-    override = os.environ.get("REPRO_ADAPTIVE")
-    if override is None:
-        return True
-    value = override.strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise ValueError(
-        f"REPRO_ADAPTIVE must be one of {_TRUTHY + _FALSY}, "
-        f"got {override!r}"
-    )
-
-
-def memory_budget_default() -> int | None:
-    """Per-process memory budget in bytes; ``None`` means unbounded.
-
-    ``REPRO_MEMORY_BUDGET`` overrides: a positive integer (bytes)
-    activates the out-of-core spill substrate of :mod:`repro.storage`
-    for every session that does not set the field explicitly; an empty
-    value or ``0`` keeps execution fully in-memory.
-    """
-    override = os.environ.get("REPRO_MEMORY_BUDGET")
+def _env_number(name: str, default, cast, above):
+    """``cast`` of ``name``'s value, which must be finite and ``> above``;
+    ``default`` when the variable is unset or blank."""
+    override = os.environ.get(name)
     if override is None or not override.strip():
-        return None
+        return default
     try:
-        value = int(override)
+        value = cast(override)
     except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > above):
         raise ValueError(
-            f"REPRO_MEMORY_BUDGET must be an integer byte count, "
+            f"{name} must be a finite {cast.__name__} above {above}, "
             f"got {override!r}"
-        ) from None
-    if value == 0:
-        return None
-    if value < 0:
-        raise ValueError(
-            f"REPRO_MEMORY_BUDGET must be >= 0, got {value}"
         )
     return value
 
 
-def tracing_default() -> bool:
-    """Tracing is opt-in: off unless ``REPRO_TRACE`` enables it.
-
-    ``REPRO_TRACE`` accepts a truthy/falsy flag *or* a file path: any
-    value outside the flag spellings turns tracing on and names the
-    JSONL event log to write (see :func:`trace_path_default`).
-    """
-    override = os.environ.get("REPRO_TRACE")
-    if override is None:
-        return False
-    return override.strip().lower() not in _FALSY
-
-
-def trace_path_default() -> str | None:
-    """The JSONL path carried by ``REPRO_TRACE``, if it names one."""
-    override = os.environ.get("REPRO_TRACE")
-    if override is None:
-        return None
-    value = override.strip()
-    if value.lower() in _TRUTHY or value.lower() in _FALSY:
-        return None
-    return value
-
-
-def telemetry_default() -> bool:
-    """Live telemetry is opt-in: off unless ``REPRO_TELEMETRY`` enables it.
-
-    Any of ``1/true/yes/on`` turns the metric registry, heartbeats, and
-    resource ledger on; ``0/false/no/off`` (or unset) keeps every
-    instrumented site on the plain ``None``-check fast path.
-    """
-    override = os.environ.get("REPRO_TELEMETRY")
-    if override is None:
-        return False
-    value = override.strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise ValueError(
-        f"REPRO_TELEMETRY must be one of {_TRUTHY + _FALSY}, "
-        f"got {override!r}"
-    )
-
-
-def heartbeat_interval_default() -> float:
-    """Seconds between worker heartbeats; ``REPRO_HEARTBEAT_INTERVAL``
-    overrides (only meaningful when telemetry is on)."""
-    override = os.environ.get("REPRO_HEARTBEAT_INTERVAL")
-    if override is None:
-        return 0.5
-    try:
-        value = float(override)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_HEARTBEAT_INTERVAL must be a positive number, "
-            f"got {override!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_HEARTBEAT_INTERVAL must be > 0, got {value}"
-        )
-    return value
+def _trace_path() -> str | None:
+    """The JSONL path ``REPRO_TRACE`` names, unless it spells a flag
+    (the flag-or-path rule is in :class:`RuntimeConfig`'s docstring)."""
+    value = os.environ.get("REPRO_TRACE", "").strip()
+    return None if value.lower() in _TRUTHY + _FALSY else value
 
 
 @dataclass
@@ -251,10 +90,11 @@ class RuntimeConfig:
     into per-chunk frames.  ``1`` is the degenerate record-at-a-time
     mode (every record pays the full per-batch framing overhead);
     results and logical counters are identical at every setting.
+    ``REPRO_BATCH_SIZE`` supplies the default (1024 when unset).
 
     ``max_frame_bytes`` — upper bound on one serialized fabric frame;
     a batch chunk whose pickle exceeds it is bisected before transport
-    (multiprocess backend only — the simulator never serializes).
+    (SPMD backends only — the simulator never serializes).
 
     ``async_poll_batch`` — how many queue elements one partition drains
     per polling round in asynchronous delta iterations (interleaving
@@ -287,7 +127,8 @@ class RuntimeConfig:
     solution set in a disk-backed index.  Results and logical counters
     are bitwise identical at every setting; only the physical
     ``records_spilled`` / ``bytes_spilled`` counters differ.
-    ``REPRO_MEMORY_BUDGET`` supplies the default.
+    ``REPRO_MEMORY_BUDGET`` (bytes) supplies the default; an empty
+    value or ``0`` keeps execution fully in-memory.
 
     ``telemetry`` — attach a live
     :class:`~repro.observability.telemetry.MetricRegistry` to the
@@ -302,7 +143,8 @@ class RuntimeConfig:
     enforces bitwise identity.
 
     ``heartbeat_interval_s`` — cadence of pool-worker heartbeats when
-    telemetry is on; ``REPRO_HEARTBEAT_INTERVAL`` supplies the default.
+    telemetry is on, a positive finite number of seconds;
+    ``REPRO_HEARTBEAT_INTERVAL`` supplies the default (0.5 when unset).
 
     ``adaptive`` — allow the executor to re-cost an iteration's dynamic
     data path with *measured* superstep cardinalities and switch ship
@@ -317,24 +159,39 @@ class RuntimeConfig:
     ``plan_switches`` counter.
     """
 
-    check_invariants: bool = field(default_factory=invariant_checking_default)
-    trace: bool = field(default_factory=tracing_default)
-    trace_path: str | None = field(default_factory=trace_path_default)
-    batch_size: int = field(default_factory=batch_size_default)
+    check_invariants: bool = field(default_factory=lambda: _env_flag(
+        "REPRO_CHECK_INVARIANTS", "pytest" in sys.modules))
+    trace: bool = field(default_factory=lambda: (
+        _trace_path() is not None or _env_flag("REPRO_TRACE", False)))
+    trace_path: str | None = field(default_factory=_trace_path)
+    batch_size: int = field(default_factory=lambda: _env_number(
+        "REPRO_BATCH_SIZE", 1024, int, above=0))
     max_frame_bytes: int = 1 << 20
     async_poll_batch: int = 64
-    chaining: bool = field(default_factory=chaining_default)
-    columnar: bool = field(default_factory=columnar_default)
+    # an escape hatch, hence inverted: a truthy value turns fusion *off*
+    chaining: bool = field(default_factory=lambda: not _env_flag(
+        "REPRO_NO_CHAIN", False))
+    columnar: bool = field(default_factory=lambda: _env_flag(
+        "REPRO_COLUMNAR", True))
+    # 0 spells "unbounded", like leaving the variable unset
     memory_budget_bytes: int | None = field(
-        default_factory=memory_budget_default
-    )
-    telemetry: bool = field(default_factory=telemetry_default)
-    heartbeat_interval_s: float = field(
-        default_factory=heartbeat_interval_default
-    )
-    adaptive: bool = field(default_factory=adaptive_default)
+        default_factory=lambda: _env_number(
+            "REPRO_MEMORY_BUDGET", None, int, above=-1) or None)
+    telemetry: bool = field(default_factory=lambda: _env_flag(
+        "REPRO_TELEMETRY", False))
+    heartbeat_interval_s: float = field(default_factory=lambda: _env_number(
+        "REPRO_HEARTBEAT_INTERVAL", 0.5, float, above=0))
+    adaptive: bool = field(default_factory=lambda: _env_flag(
+        "REPRO_ADAPTIVE", True))
 
     def __post_init__(self):
+        for name in ("check_invariants", "trace", "chaining", "columnar",
+                     "telemetry", "adaptive"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(
+                    f"RuntimeConfig.{name} must be a bool, got {value!r}"
+                )
         for name in ("batch_size", "max_frame_bytes", "async_poll_batch"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -345,32 +202,14 @@ class RuntimeConfig:
                 raise ValueError(
                     f"RuntimeConfig.{name} must be >= 1, got {value}"
                 )
-        if not isinstance(self.chaining, bool):
-            raise TypeError(
-                f"RuntimeConfig.chaining must be a bool, "
-                f"got {self.chaining!r}"
-            )
-        if not isinstance(self.columnar, bool):
-            raise TypeError(
-                f"RuntimeConfig.columnar must be a bool, "
-                f"got {self.columnar!r}"
-            )
-        if not isinstance(self.adaptive, bool):
-            raise TypeError(
-                f"RuntimeConfig.adaptive must be a bool, "
-                f"got {self.adaptive!r}"
-            )
-        if not isinstance(self.telemetry, bool):
-            raise TypeError(
-                f"RuntimeConfig.telemetry must be a bool, "
-                f"got {self.telemetry!r}"
-            )
         interval = self.heartbeat_interval_s
+        # nan would spin the heartbeat thread, inf overflow its wait
         if isinstance(interval, bool) or \
-                not isinstance(interval, (int, float)) or interval <= 0:
+                not isinstance(interval, (int, float)) or \
+                not (math.isfinite(interval) and interval > 0):
             raise ValueError(
                 f"RuntimeConfig.heartbeat_interval_s must be a positive "
-                f"number, got {interval!r}"
+                f"finite number, got {interval!r}"
             )
         budget = self.memory_budget_bytes
         if budget is not None:

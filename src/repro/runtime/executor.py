@@ -118,7 +118,7 @@ class Executor:
         #: bitwise identical with it on or off
         self.columnar = self.config.columnar
         #: where this executor runs: the local simulator context, or one
-        #: SPMD worker's view of its forked peers (multiprocess backend)
+        #: SPMD worker's view of its forked peers (pool backends)
         self.cluster = getattr(env, "cluster", None) or LOCAL
         #: out-of-core substrate: a SpillManager when a memory budget is
         #: configured (every keyed driver and the solution set then run
@@ -512,21 +512,6 @@ class Executor:
     # ------------------------------------------------------------------
     # adaptive mid-iteration plan switching (repro.optimizer.adaptive)
 
-    def _adaptive_weights(self):
-        """Cost weights for superstep-boundary re-costing.
-
-        Deterministic across SPMD workers: explicit ``env.cost_weights``
-        and the config both ship to workers with the environment.
-        """
-        weights = getattr(self, "_adaptive_weights_cache", None)
-        if weights is None:
-            weights = getattr(self.env, "cost_weights", None)
-            if weights is None:
-                from repro.optimizer import _calibrated_weights
-                weights = _calibrated_weights(self.env)
-            self._adaptive_weights_cache = weights
-        return weights
-
     def _probe_adaptive(self, node, state, tables, sides, build_left,
                         probe_idx, step_memo, scope):
         """Probe phase of an adaptively eligible match.
@@ -550,7 +535,7 @@ class Executor:
             superstep = open_step.superstep if open_step is not None else 1
             from repro.optimizer.adaptive import decide
             if decide(spec, n_probe, superstep, self.parallelism,
-                      self._adaptive_weights()):
+                      self.plan.adaptive_weights):
                 self._switch_plan(node, state, superstep, scope)
         if not state.switched:
             strategy = self.plan.annotation(node).ship.get(probe_idx, FORWARD)
@@ -1384,7 +1369,7 @@ class Executor:
         return detector.terminated, rounds
 
     # ------------------------------------------------------------------
-    # SPMD microstep execution (multiprocess backend)
+    # SPMD microstep execution (pool backends)
 
     def _spmd_micro_supersteps(self, node, scope, index, route_key,
                                route_fields, to_delta, to_workset):
@@ -1522,7 +1507,7 @@ class Executor:
                 getattr(self.env, "failure_injector", None) is not None:
             raise InvalidPlanError(
                 "checkpoint/failure injection is not supported for "
-                "async delta iterations on the multiprocess backend — "
+                "async delta iterations on the SPMD backends — "
                 "use mode='superstep' or 'microstep', or the simulated "
                 "backend"
             )

@@ -29,8 +29,8 @@ class IterationStats:
     delta_size: int = 0
     solution_accesses: int = 0
     solution_updates: int = 0
-    #: serialized bytes this superstep put on the wire (multiprocess
-    #: backend only — the simulator never serializes records)
+    #: serialized bytes this superstep put on the wire (SPMD backends
+    #: only — the simulator never serializes records)
     bytes_shipped: int = 0
     #: :class:`~repro.common.batch.RecordBatch` chunks the channels
     #: framed this superstep (physical, like bytes: the chunking depends
@@ -44,8 +44,8 @@ class IterationStats:
     #: bytes written to spill files this superstep
     bytes_spilled: int = 0
     #: fixed-width column buffers that crossed the shm ring as raw
-    #: memcpy this superstep (physical: only the pool/multiprocess
-    #: backends' columnar frames take the zero-copy path)
+    #: memcpy this superstep (physical: only the worker pool's
+    #: columnar frames take the zero-copy path)
     columns_zero_copied: int = 0
     #: payload bytes of those zero-copied buffers
     bytes_zero_copied: int = 0
@@ -91,8 +91,8 @@ class MetricsCollector:
     supersteps: int = 0
     cache_hits: int = 0
     cache_builds: int = 0
-    #: serialized bytes actually put on the wire (multiprocess backend
-    #: only; the in-process simulator never serializes records)
+    #: serialized bytes actually put on the wire (SPMD backends only;
+    #: the in-process simulator never serializes records)
     bytes_shipped: int = 0
     #: RecordBatch chunks framed by the shipping channels (physical:
     #: per-worker localization changes how records fall into chunks)

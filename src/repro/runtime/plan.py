@@ -177,6 +177,10 @@ class ExecutionPlan:
     #: ``RuntimeConfig.adaptive`` is on — the *plan* is identical in both
     #: modes, only the executor consults the flag
     adaptive: dict[int, AdaptiveSpec] = field(default_factory=dict)
+    #: cost weights the superstep-boundary re-costing of those specs uses
+    #: (explicit ``env.cost_weights``, else calibrated to the config);
+    #: resolved driver-side so every SPMD worker decides on the same ones
+    adaptive_weights: object = None  # CostWeights
     #: filters pushed below a match's input ship, keyed by MATCH node id
     #: (see :mod:`repro.optimizer.pushdown`): the executor applies the
     #: filter's predicate to that input side *before* shipping, so only

@@ -12,10 +12,10 @@ triggers:
   worker-side views nest *inside* the parent directory, so a worker
   killed mid-spill can only ever strand files the parent will remove.
 
-Ownership is pinned to the creating pid: a forked worker inheriting the
-session object (multiprocess backend) or receiving it by value (pool
-jobs pickle sessions as non-owning views) never removes the parent's
-directory, no matter how it exits.
+Ownership is pinned to the creating pid: a pool worker forked while
+the session exists inherits the object, and every job receives it by
+value (sessions pickle as non-owning views) — neither ever removes the
+parent's directory, no matter how the worker exits.
 """
 
 from __future__ import annotations

@@ -49,9 +49,7 @@ class TestScalingExperiment:
         def row(workers, speedup, oversubscribed):
             return {
                 "workers": workers,
-                "simulated_s": 1.0, "multiprocess_s": 1.0,
-                "pool_s": 1.0, "pool_warm_s": 1.0,
-                "speedup_vs_1_worker": 1.0,
+                "simulated_s": 1.0, "pool_s": 1.0, "pool_warm_s": 1.0,
                 "pool_speedup_vs_1_worker": 1.0,
                 "pool_warm_speedup_vs_1_worker": speedup,
                 "oversubscribed": oversubscribed,

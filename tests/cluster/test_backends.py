@@ -1,7 +1,11 @@
-"""Backend resolution, SPMD collectives, and worker-crash reporting."""
+"""Backend resolution, SPMD collectives, and the one-shot pool lifecycle."""
+
+import multiprocessing
+import os
 
 import pytest
 
+from repro import ExecutionEnvironment
 from repro.cluster import (
     LOCAL,
     MultiprocessBackend,
@@ -84,3 +88,43 @@ class TestRunProgram:
 
         with pytest.raises(WorkerCrash, match="worker 1 exploded"):
             MultiprocessBackend(timeout=30.0).run_program(program, 2)
+
+
+class TestOneShotLifecycle:
+    """``multiprocess`` is the pool forked for one job: nothing outlives
+    the job — no worker process, no shared-memory segment — whether it
+    returns or raises."""
+
+    @staticmethod
+    def _leftovers():
+        return (set(multiprocessing.active_children()),
+                set(os.listdir("/dev/shm")))
+
+    def _assert_nothing_new_since(self, before, env):
+        children, segments = self._leftovers()
+        assert children - before[0] == set()
+        assert segments - before[1] == set()
+        assert env.backend.pool is None
+
+    def test_nothing_survives_a_successful_collect(self):
+        before = self._leftovers()
+        env = ExecutionEnvironment(2, backend="multiprocess")
+        out = env.from_iterable(range(100)).map(lambda x: x + 1).collect()
+        assert sorted(out) == list(range(1, 101))
+        self._assert_nothing_new_since(before, env)
+        # and the environment forks afresh for its next job
+        assert len(env.from_iterable(range(5)).collect()) == 5
+        self._assert_nothing_new_since(before, env)
+
+    @pytest.mark.parametrize("crash,message", [
+        (lambda x: 1 // 0, "ZeroDivisionError"),    # every rank reports
+        (lambda x: os._exit(0), "died without"),    # no rank reports
+    ])
+    def test_nothing_survives_a_worker_crash(self, crash, message):
+        before = self._leftovers()
+        env = ExecutionEnvironment(
+            2, backend=MultiprocessBackend(timeout=20.0)
+        )
+        with pytest.raises(WorkerCrash, match=message):
+            env.from_iterable(range(100)).map(crash).collect()
+        self._assert_nothing_new_since(before, env)

@@ -2,8 +2,9 @@
 
 These tests hold real forked workers to the simulator's exact results
 and *logical* counters — the property the differential audit enforces
-at scale (``python -m repro.bench audit --backends
-simulated,multiprocess``).  Kept small here so CI stays quick.
+at scale (``python -m repro.bench audit --backends simulated,pool``;
+``multiprocess`` is that pool forked per job).  Kept small here so CI
+stays quick.
 """
 
 import pytest

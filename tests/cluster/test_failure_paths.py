@@ -1,10 +1,11 @@
-"""Failure paths on both SPMD backends: crashes bounded, never hung.
+"""Failure paths of the SPMD worker pool: crashes bounded, never hung.
 
 The regression fixed here: a worker that exits with code 0 *without*
 posting a result used to never be counted as dead (the liveness check
 required ``exitcode != 0``), so the parent's gather loop spun forever.
-Every test in this file is bounded by wall clock — against the old
-``_run_spmd`` logic the silent-exit cases hang instead of raising.
+Every test in this file is bounded by wall clock.  ``multiprocess`` is
+the same pool and the same gather loop, closed after one job (its
+lifecycle is checked in test_backends.py).
 """
 
 import os
@@ -12,7 +13,7 @@ import time
 
 import pytest
 
-from repro.cluster import MultiprocessBackend, PoolBackend, WorkerCrash
+from repro.cluster import PoolBackend, WorkerCrash
 
 #: generous bound for "raised promptly, did not sit out a fabric timeout"
 PROMPT_S = 30.0
@@ -38,30 +39,6 @@ def _stall_peer(cluster):
     if cluster.rank == 0:
         cluster.recv_from(1, tag="never-sent")
     return cluster.rank, None
-
-
-class TestMultiprocessFailurePaths:
-    def test_silent_exit_zero_raises_instead_of_hanging(self):
-        backend = MultiprocessBackend(timeout=20.0)
-        started = time.monotonic()
-        with pytest.raises(WorkerCrash, match="died without"):
-            backend.run_program(_silent_exit, 2)
-        assert time.monotonic() - started < PROMPT_S
-
-    def test_mid_superstep_crash_carries_remote_traceback(self):
-        backend = MultiprocessBackend(timeout=20.0)
-        with pytest.raises(WorkerCrash) as exc_info:
-            backend.run_program(_crash_mid_superstep, 2)
-        message = str(exc_info.value)
-        assert "rank 1 exploded mid-superstep" in message
-        assert "Traceback" in message
-
-    def test_stalled_peer_surfaces_fabric_timeout(self):
-        backend = MultiprocessBackend(timeout=2.0)
-        started = time.monotonic()
-        with pytest.raises(WorkerCrash, match="FabricTimeout"):
-            backend.run_program(_stall_peer, 2)
-        assert time.monotonic() - started < PROMPT_S
 
 
 class TestPoolFailurePaths:

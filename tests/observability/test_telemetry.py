@@ -181,16 +181,6 @@ def test_telemetry_off_by_default():
         env.telemetry_text()
 
 
-def test_env_default_parsing(monkeypatch):
-    monkeypatch.setenv("REPRO_TELEMETRY", "yes")
-    assert RuntimeConfig().telemetry is True
-    monkeypatch.setenv("REPRO_TELEMETRY", "off")
-    assert RuntimeConfig().telemetry is False
-    monkeypatch.setenv("REPRO_TELEMETRY", "maybe")
-    with pytest.raises(ValueError):
-        RuntimeConfig()
-
-
 def test_attach_telemetry_idempotent():
     metrics = MetricsCollector()
     registry = attach_telemetry(metrics, rank=3)

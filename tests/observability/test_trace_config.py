@@ -1,39 +1,14 @@
-"""REPRO_TRACE switch semantics and the env-driven JSONL event log."""
+"""Trace wiring on the environment and the JSONL event log.
+
+(``REPRO_TRACE`` parsing is covered by tests/runtime/test_config_env.py.)
+"""
 
 import json
-
-import pytest
 
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
 from repro.graphs import erdos_renyi
 from repro.runtime.config import RuntimeConfig
-
-
-class TestReproTraceEnv:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        config = RuntimeConfig()
-        assert config.trace is False
-        assert config.trace_path is None
-
-    @pytest.mark.parametrize("value", ["1", "true", "on"])
-    def test_truthy_enables_without_path(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TRACE", value)
-        config = RuntimeConfig()
-        assert config.trace is True
-        assert config.trace_path is None
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", ""])
-    def test_falsy_disables(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TRACE", value)
-        assert RuntimeConfig().trace is False
-
-    def test_path_value_enables_and_names_the_log(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "/tmp/run.jsonl")
-        config = RuntimeConfig()
-        assert config.trace is True
-        assert config.trace_path == "/tmp/run.jsonl"
 
 
 class TestEnvironmentWiring:

@@ -11,11 +11,14 @@ switch directions, including switches forced mid-iteration at arbitrary
 supersteps the cost model would never pick.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionEnvironment
+from repro.optimizer.costs import CostWeights
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.plan import (
     BROADCAST,
@@ -111,7 +114,7 @@ def _run(backend, adaptive, n, shape, force=None, trace=False):
     return result, snap, switches, structure
 
 
-@pytest.mark.parametrize("backend", ["simulated", "multiprocess", "pool"])
+@pytest.mark.parametrize("backend", ["simulated", "pool"])
 @pytest.mark.parametrize("shape,force", [("A", 3), ("B", 2)])
 def test_forced_switch_parity(backend, shape, force):
     r_off, s_off, sw_off, _ = _run(backend, False, 50, shape)
@@ -131,6 +134,27 @@ def test_honest_crossover_switch_parity(backend):
     assert sw_off == 0 and sw_on >= 1
     assert r_on == r_off
     assert s_on == s_off
+
+
+def test_explicit_cost_weights_reach_spmd_workers():
+    # a prohibitive hash-build price vetoes the honest switch of the
+    # case above; the veto must hold inside every worker too (pool
+    # workers used to re-cost with the default weights and switch)
+    weights = dataclasses.replace(CostWeights(), hash_build=1e9)
+    switches, shipped = {}, {}
+    for backend in ("simulated", "multiprocess", "pool"):
+        env = ExecutionEnvironment(
+            4, backend=backend, cost_weights=weights,
+            config=RuntimeConfig(adaptive=True),
+        )
+        try:
+            _build_cc(env, 400, "A").collect()
+            switches[backend] = env.metrics.plan_switches
+            shipped[backend] = env.metrics.bytes_shipped
+        finally:
+            env.close()
+    assert switches == {"simulated": 0, "multiprocess": 0, "pool": 0}
+    assert shipped["multiprocess"] == shipped["pool"] > 0
 
 
 def test_switch_spans_structurally_identical():

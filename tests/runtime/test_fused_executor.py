@@ -4,7 +4,7 @@ import pytest
 
 from repro import ExecutionEnvironment
 from repro.bench.audit import _comparable_counters
-from repro.runtime.config import RuntimeConfig, chaining_default
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import _IterationScope
 from repro.runtime.plan import FusedChain
 
@@ -315,25 +315,6 @@ class TestStepMemoEviction:
         assert fused == unfused
         assert _comparable_counters(fused_env.metrics) == \
             _comparable_counters(unfused_env.metrics)
-
-
-class TestChainingConfig:
-    def test_env_var_disables_chaining(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CHAIN", "1")
-        assert chaining_default() is False
-        monkeypatch.setenv("REPRO_NO_CHAIN", "off")
-        assert chaining_default() is True
-        monkeypatch.delenv("REPRO_NO_CHAIN")
-        assert chaining_default() is True
-
-    def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CHAIN", "maybe")
-        with pytest.raises(ValueError, match="REPRO_NO_CHAIN"):
-            chaining_default()
-
-    def test_non_bool_chaining_rejected(self):
-        with pytest.raises(TypeError, match="chaining"):
-            RuntimeConfig(chaining=1)
 
 
 class TestFusedChainStructure:
