@@ -1,22 +1,31 @@
 """Cluster contexts: where one piece of code runs, and who its peers are.
 
-The same executor / driver / master code runs in two settings:
+The same executor / driver / master code runs in two settings, which
+differ in *which partitions a context owns*:
 
 * the **local** setting — one process simulates all ``parallelism``
-  partitions (``LOCAL``, a :class:`LocalCluster`), collectives are
-  identities and datasets at rest hold every partition's records;
+  partitions (``LOCAL``, a :class:`LocalCluster`): it owns every
+  partition, collectives are identities and datasets at rest hold every
+  partition's records;
 * the **SPMD** setting — one forked worker process per partition
-  (:class:`WorkerCluster`); datasets at rest are *localized* (the
-  length-``parallelism`` partition list has only slot ``rank``
-  populated), and cross-partition movement happens through real
-  collectives over the pickled-frame fabric.
+  (:class:`WorkerCluster`): rank ``r`` owns partition ``r`` only,
+  datasets at rest are *localized* (the length-``parallelism`` partition
+  list has only slot ``rank`` populated), and cross-partition movement
+  happens through real collectives over the pickled-frame fabric.
+
+Callers stay ignorant of the setting by asking two questions only:
+:meth:`~ClusterContext.owned_partitions` ("which slots do I compute?")
+and :meth:`~ClusterContext.route` ("deliver what I produced for
+partition *t* to whoever owns *t*").  Neither the iteration drivers,
+the adaptive probes nor the Pregel master read ``is_local``.
 
 The collectives are designed so that the SPMD execution is *bitwise
 identical* to the simulator in every record ordering: ``exchange``
-returns frames indexed by source rank, and every merge concatenates in
-ascending rank order — exactly the partition-scan order the in-process
-channels use.  That property is what lets the differential audit hold
-the multiprocess backend to identical logical counters and results.
+returns frames indexed by source rank, and ``route`` and every merge
+concatenate in ascending rank order — exactly the partition-scan order
+the in-process channels use.  That property is what lets the
+differential audit hold the multiprocess backend to identical logical
+counters and results.
 """
 
 from __future__ import annotations
@@ -96,6 +105,15 @@ class ClusterContext:
         receivers can rebuild keyed batches without re-extracting."""
         raise NotImplementedError
 
+    def route(self, frames, **framing):
+        """Deliver ``frames[t]`` — what this context produced for
+        partition ``t`` — to ``t``'s owner; returns a partition list.
+
+        Every *owned* slot of the result holds all contexts' frames for
+        it, concatenated in ascending source-rank order; slots owned by
+        a peer are empty.  ``framing`` is passed to :meth:`exchange`."""
+        raise NotImplementedError
+
     def allreduce_sum(self, value):
         raise NotImplementedError
 
@@ -125,6 +143,10 @@ class LocalCluster(ClusterContext):
     def exchange(self, frames, batch_size=None, max_frame_bytes=None,
                  columnar=False, key_fields=None):
         raise RuntimeError("the local cluster has no peers to exchange with")
+
+    def route(self, frames, **framing):
+        # the only source, and the owner of every target
+        return frames
 
     def allreduce_sum(self, value):
         return value
@@ -340,6 +362,15 @@ class WorkerCluster(ClusterContext):
             else:
                 records.extend(message[1])
             chunks += 1
+
+    def route(self, frames, **framing):
+        out = [[] for _ in frames]
+        out[self.rank] = [
+            record
+            for frame in self.exchange(frames, **framing)
+            for record in frame
+        ]
+        return out
 
     def allgather(self, value):
         tag = self._next_tag()

@@ -11,8 +11,17 @@ package holds the machinery behind them:
 * :mod:`repro.iterations.microstep` — static eligibility analysis for
   microstep execution (Section 5.2).
 * :mod:`repro.iterations.termination` — termination detection for
-  synchronous (empty workset vote) and asynchronous (acknowledgement
-  counting) execution.
+  asynchronous (acknowledgement counting) execution.
+* :mod:`repro.iterations.supersteps` — the superstep protocol (barrier vote,
+  per-superstep log, step function, restore-and-replay) that every
+  superstep-structured iteration runs through.
+* :mod:`repro.iterations.microstep_runtime` — record-at-a-time execution
+  of delta iterations: pipeline compilation, the queue drain, the
+  superstep-buffered and asynchronous loops, the SPMD token ring.
+
+The last two are the runtime half, imported by the executor; this
+package init deliberately does not import them (see the import-cycle
+note in :mod:`repro.iterations.supersteps`).
 """
 
 from repro.iterations.fixpoint import (
@@ -23,15 +32,11 @@ from repro.iterations.fixpoint import (
 )
 from repro.iterations.microstep import MicrostepReport, analyze_microstep
 from repro.iterations.solution_set import SolutionSetIndex
-from repro.iterations.termination import (
-    AsyncTerminationDetector,
-    EmptyWorksetVote,
-)
+from repro.iterations.termination import AsyncTerminationDetector
 from repro.iterations.vertex_centric import run_vertex_centric
 
 __all__ = [
     "AsyncTerminationDetector",
-    "EmptyWorksetVote",
     "FixpointResult",
     "MicrostepReport",
     "SolutionSetIndex",

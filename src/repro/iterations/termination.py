@@ -2,7 +2,9 @@
 
 Synchronous supersteps use the simple voting scheme of Section 5.3: at
 the superstep barrier every partition reports its produced-workset size,
-and the iteration ends when the global sum is zero.
+and the iteration ends when the global sum is zero.  That vote needs no
+class of its own — it is one ``cluster.allreduce_sum``, taken as the
+``pending()`` callback of :func:`repro.iterations.supersteps.run_supersteps`.
 
 Asynchronous microstep execution has no barrier, so we implement a
 message-acknowledgement detector in the spirit of Lai/Tseng/Dong [27]:
@@ -12,34 +14,6 @@ when all partitions are idle and no message is unacknowledged.
 """
 
 from __future__ import annotations
-
-
-class EmptyWorksetVote:
-    """Barrier-time vote: all partitions report their next-workset sizes."""
-
-    def __init__(self, parallelism: int):
-        self.parallelism = parallelism
-        self._votes: dict[int, int] = {}
-
-    def vote(self, partition: int, produced: int):
-        if not 0 <= partition < self.parallelism:
-            raise ValueError(f"partition {partition} out of range")
-        self._votes[partition] = produced
-
-    @property
-    def complete(self) -> bool:
-        return len(self._votes) == self.parallelism
-
-    def decide(self) -> bool:
-        """True iff the iteration should terminate (all votes are zero)."""
-        if not self.complete:
-            raise RuntimeError(
-                f"only {len(self._votes)}/{self.parallelism} partitions voted"
-            )
-        return all(v == 0 for v in self._votes.values())
-
-    def reset(self):
-        self._votes.clear()
 
 
 class AsyncTerminationDetector:
@@ -68,6 +42,12 @@ class AsyncTerminationDetector:
 
     def set_idle(self, partition: int, idle: bool):
         self._idle[partition] = idle
+
+    @property
+    def sent_count(self) -> int:
+        """Elements enqueued so far (the async loops size their round
+        cap from the seeded count)."""
+        return self._sent
 
     @property
     def in_flight(self) -> int:

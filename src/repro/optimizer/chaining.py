@@ -31,7 +31,7 @@ bitwise identical to unfused execution:
   at the chain head's inputs keeps working unchanged;
 * the surrounding delta iteration (if any) executes in ``superstep``
   mode — microstep and async bodies use the per-record pipeline of
-  :func:`repro.runtime.executor._compile_chain` instead.
+  :func:`repro.iterations.microstep_runtime._compile_chain` instead.
 
 A chain may additionally absorb the per-record combine pass of a
 combinable Reduce tail: when the spine's sole consumer is a REDUCE

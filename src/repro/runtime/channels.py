@@ -282,8 +282,8 @@ def _ship_spmd(partitions, strategy, parallelism, metrics, cluster,
     """One SPMD worker's side of a ship: frame, exchange, reassemble.
 
     The worker owns only ``partitions[rank]`` (the other slots are empty
-    under localization).  It frames its records per the strategy, runs
-    the cluster's all-to-all exchange, and rebuilds its slot by
+    under localization).  It frames its records per the strategy and
+    hands the frames to ``cluster.route``, which rebuilds its slot by
     concatenating received frames in ascending source-rank order — the
     same order the in-process channels produce by scanning source
     partitions, which is what keeps SPMD results and counters bitwise
@@ -333,14 +333,10 @@ def _ship_spmd(partitions, strategy, parallelism, metrics, cluster,
     bytes_before = cluster.bytes_sent
     zc_cols_before = cluster.columns_zero_copied
     zc_bytes_before = cluster.bytes_zero_copied
-    received_frames = cluster.exchange(
+    out = cluster.route(
         frames, batch_size=batch_size, max_frame_bytes=max_frame_bytes,
         columnar=columnar, key_fields=getattr(strategy, "key_fields", None),
     )
-    out = empty_partitions(parallelism)
-    out[rank] = [
-        record for frame in received_frames for record in frame
-    ]
     if metrics is not None:
         metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
         metrics.add_zero_copied(

@@ -19,23 +19,25 @@ Three execution modes are supported, mirroring Section 5.3:
   for the next superstep (the buffering queues of Figure 6).
 * ``async`` — per-element execution without barriers: queues pass records
   through FIFO; termination is detected by acknowledgement counting.
+
+This module supplies the step functions that evaluate the plan (one bulk
+step, one Δ superstep); the superstep protocol around them is
+:func:`repro.iterations.supersteps.run_supersteps`, and the two per-element
+modes live in :mod:`repro.iterations.microstep_runtime`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.cluster.context import LOCAL
 from repro.common.batch import RecordBatch
-from repro.common.errors import InvalidPlanError, MicrostepViolation
+from repro.common.errors import InvalidPlanError
 from repro.common.keys import KeyExtractor
 from repro.dataflow.contracts import Contract
 from repro.dataflow.graph import dynamic_path_nodes, iteration_body_nodes
-from repro.iterations.microstep import analyze_microstep
+# module objects, not names: see repro.iterations.supersteps
+from repro.iterations import microstep_runtime, supersteps
 from repro.iterations.solution_set import SolutionSetIndex
-from repro.iterations.termination import AsyncTerminationDetector
 from repro.runtime import channels, drivers, fusion
-from repro.common.hashing import partition_index
 from repro.runtime.plan import (
     BROADCAST,
     FORWARD,
@@ -342,39 +344,48 @@ class Executor:
     # shipping with constant-path edge caching
 
     def _shipped_inputs(self, node, step_memo, scope, default=FORWARD):
-        ann = self.plan.annotation(node)
         pushed = self.plan.pushed_filters.get(node.id)
         shipped = []
         for idx, producer in enumerate(node.inputs):
             if producer.contract is Contract.SOLUTION_SET:
                 shipped.append(None)
                 continue
-            strategy = ann.ship.get(idx, default)
-            cacheable = self._edge_is_constant(node, producer, scope)
-            cache_key = (node.id, idx)
-            if cacheable and cache_key in scope.edge_cache:
-                self.metrics.add_cache_hit()
-                shipped.append(scope.edge_cache[cache_key])
-                continue
-            parts = self._evaluate(producer, step_memo, scope)
+            predicate = None
             if pushed is not None and pushed.side == idx:
-                # filter pushdown: drop records the post-join filter
-                # would discard anyway, before they pay ship and probe
-                # cost.  Silent by design — the filter node still runs
-                # post-join (filters are idempotent), so operator spans
-                # and logical counters sit where the un-pushed plan has
-                # them (see repro.optimizer.pushdown)
                 predicate = pushed.filter_node.udf
-                parts = [
-                    [record for record in part if predicate(record)]
-                    for part in parts
-                ]
-            routed = self._ship(parts, strategy)
-            if cacheable:
-                scope.edge_cache[cache_key] = routed
-                self.metrics.add_cache_build()
-            shipped.append(routed)
+            shipped.append(self._ship_one_input(
+                node, idx, step_memo, scope, default, predicate
+            ))
         return shipped
+
+    def _ship_one_input(self, node, idx, step_memo, scope, default=FORWARD,
+                        predicate=None):
+        """Evaluate and ship input ``idx``, through the edge cache where
+        the edge is constant (Section 4.3)."""
+        strategy = self.plan.annotation(node).ship.get(idx, default)
+        producer = node.inputs[idx]
+        cacheable = self._edge_is_constant(node, producer, scope)
+        cache_key = (node.id, idx)
+        if cacheable and cache_key in scope.edge_cache:
+            self.metrics.add_cache_hit()
+            return scope.edge_cache[cache_key]
+        parts = self._evaluate(producer, step_memo, scope)
+        if predicate is not None:
+            # filter pushdown: drop records the post-join filter
+            # would discard anyway, before they pay ship and probe
+            # cost.  Silent by design — the filter node still runs
+            # post-join (filters are idempotent), so operator spans
+            # and logical counters sit where the un-pushed plan has
+            # them (see repro.optimizer.pushdown)
+            parts = [
+                [record for record in part if predicate(record)]
+                for part in parts
+            ]
+        routed = self._ship(parts, strategy)
+        if cacheable:
+            scope.edge_cache[cache_key] = routed
+            self.metrics.add_cache_build()
+        return routed
 
     def _edge_is_constant(self, consumer, producer, scope) -> bool:
         """True if the producer's data is constant across supersteps while
@@ -572,8 +583,7 @@ class Executor:
                     f"{node.name}: adaptive switch before the constant "
                     "build edge was cached"
                 )
-            routed = self._silent_rehash(cached, spec.build_key,
-                                         tag_origin=True)
+            routed = self._silent_rehash(cached, spec.build_key)
             key_of = KeyExtractor(spec.build_key)
             tagged_tables = []
             for part in routed:
@@ -586,13 +596,13 @@ class Executor:
             state.tables = tagged_tables
         state.switched = True
 
-    def _silent_rehash(self, partitions, key_fields, tag_origin=False):
+    def _silent_rehash(self, partitions, key_fields):
         """Hash-route records without spans, logical counters, or audits.
 
-        The invisible data movement behind an adaptive switch.  With
-        ``tag_origin`` each routed entry is ``(origin_partition,
-        record)``; origin-major, position-minor arrival order is
-        preserved on both backends (sources are visited in rank order).
+        The invisible data movement behind an adaptive switch.  Each
+        routed entry is ``(origin_partition, record)``; origin-major,
+        position-minor arrival order is preserved in both settings
+        (``route`` concatenates sources in rank order).
         """
         out = [[] for _ in range(self.parallelism)]
         for origin, part in enumerate(partitions):
@@ -600,23 +610,12 @@ class Executor:
                 continue
             batch = RecordBatch.wrap(list(part), key_fields)
             targets = batch.partition_targets(self.parallelism)
-            if tag_origin:
-                for target, record in zip(targets, batch.records):
-                    out[target].append((origin, record))
-            else:
-                for target, record in zip(targets, batch.records):
-                    out[target].append(record)
-        if self.cluster.is_local or self.cluster.size <= 1:
-            return out
-        received = self.cluster.exchange(
+            for target, record in zip(targets, batch.records):
+                out[target].append((origin, record))
+        return self.cluster.route(
             out, batch_size=self.batch_size,
             max_frame_bytes=self.max_frame_bytes,
         )
-        merged = [[] for _ in range(self.parallelism)]
-        merged[self.cluster.rank] = [
-            record for frame in received for record in frame
-        ]
-        return merged
 
     def _probe_switched_hash(self, node, state, parts, n_here, n_probe,
                              build_left):
@@ -653,14 +652,11 @@ class Executor:
         fn = node.udf
         flat = getattr(node, "flat", False)
         key_of = KeyExtractor(spec.probe_key)
-        is_local = self.cluster.is_local
-        rank = self.cluster.rank
         buckets = [[] for _ in range(parallelism)]
-        for p in range(parallelism):
-            if is_local or p == rank:
-                # the baseline plan probes the full replica at every
-                # partition this worker owns
-                self.metrics.add_processed(node.name, n_probe)
+        for p in self.cluster.owned_partitions(parallelism):
+            # the baseline plan probes the full replica at every
+            # partition this context owns
+            self.metrics.add_processed(node.name, n_probe)
             part = routed[p]
             if not part:
                 continue
@@ -678,21 +674,13 @@ class Executor:
                             buckets[origin].append((tag, item))
                     else:
                         buckets[origin].append((tag, result))
-        if is_local or self.cluster.size <= 1:
-            out = []
-            for q in range(parallelism):
-                entries = buckets[q]
-                entries.sort(key=lambda e: e[0])
-                out.append([item for _tag, item in entries])
-            return out
-        received = self.cluster.exchange(
+        out = []
+        for entries in self.cluster.route(
             buckets, batch_size=self.batch_size,
             max_frame_bytes=self.max_frame_bytes,
-        )
-        mine = [entry for frame in received for entry in frame]
-        mine.sort(key=lambda e: e[0])
-        out = [[] for _ in range(parallelism)]
-        out[rank] = [item for _tag, item in mine]
+        ):
+            entries.sort(key=lambda e: e[0])
+            out.append([item for _tag, item in entries])
         return out
 
     def _probe_switched_broadcast(self, node, state, tables, parts,
@@ -731,23 +719,20 @@ class Executor:
             count_as=partition_on(spec.probe_key),
             baseline_split=(baseline_local, total - baseline_local),
         )
-        if not self.cluster.is_local:
-            # every worker broadcast its own records; the baseline
-            # processed count at this worker's partition is the number
-            # of records — across all workers — whose key it owns
-            # (element-wise allreduce of the target-count vectors)
-            rank = self.cluster.rank
-            vectors = self.cluster.allgather(owned_counts)
-            globally_owned = sum(vector[rank] for vector in vectors)
-            owned_counts = [0] * parallelism
-            owned_counts[rank] = globally_owned
+        # every context broadcast its own records; the baseline
+        # processed count at an owned partition is the number of
+        # records — across all contexts — whose key it owns
+        # (element-wise allreduce of the target-count vectors)
+        vectors = self.cluster.allgather(owned_counts)
         fn = node.udf
         flat = getattr(node, "flat", False)
         key_of = KeyExtractor(spec.probe_key)
-        out = []
-        for p in range(parallelism):
-            self.metrics.add_processed(node.name, owned_counts[p])
-            results = []
+        out = [[] for _ in range(parallelism)]
+        for p in self.cluster.owned_partitions(parallelism):
+            self.metrics.add_processed(
+                node.name, sum(vector[p] for vector in vectors)
+            )
+            results = out[p]
             lookup = tables[p].get
             for record in routed[p]:
                 for build in lookup(key_of(record), ()):
@@ -759,24 +744,7 @@ class Executor:
                         drivers._emit_join_result(
                             fn(record, build), flat, results
                         )
-            out.append(results)
         return out
-
-    def _ship_one_input(self, node, idx, step_memo, scope, default=FORWARD):
-        ann = self.plan.annotation(node)
-        strategy = ann.ship.get(idx, default)
-        producer = node.inputs[idx]
-        cacheable = self._edge_is_constant(node, producer, scope)
-        cache_key = (node.id, idx)
-        if cacheable and cache_key in scope.edge_cache:
-            self.metrics.add_cache_hit()
-            return scope.edge_cache[cache_key]
-        parts = self._evaluate(producer, step_memo, scope)
-        routed = self._ship(parts, strategy)
-        if cacheable:
-            scope.edge_cache[cache_key] = routed
-            self.metrics.add_cache_build()
-        return routed
 
     # ------------------------------------------------------------------
     # stateful solution-set operators (Section 5.3)
@@ -845,116 +813,72 @@ class Executor:
         return out
 
     # ------------------------------------------------------------------
-    # recovery wiring (Section 4.2)
-
-    def _recovery_hooks(self):
-        """(checkpoint store or None, failure injector or None) per env."""
-        from repro.runtime.recovery import CheckpointStore
-
-        store = None
-        interval = getattr(self.env, "checkpoint_interval", 0)
-        if interval:
-            part_store = None
-            if self.spill is not None:
-                from repro.storage.partstore import PartStore
-
-                # parts live inside the spill session, so checkpoint
-                # files share the session's cleanup guarantees
-                part_store = PartStore(
-                    self.spill.session.subdir("checkpoints")
-                )
-            store = CheckpointStore(interval, part_store=part_store)
-            self.env.last_checkpoint_store = store
-        injector = getattr(self.env, "failure_injector", None)
-        return store, injector
-
-    # ------------------------------------------------------------------
     # bulk iterations (Section 4)
 
     def _run_bulk_iteration(self, node, outer_memo, outer_scope):
-        from repro.runtime.recovery import SimulatedFailure
-
-        current = self._evaluate(node.inputs[0], outer_memo, outer_scope)
-        scope = _IterationScope(node, bindings={node.placeholder.id: current})
+        placeholder_id = node.placeholder.id
+        bindings = {
+            placeholder_id: self._evaluate(
+                node.inputs[0], outer_memo, outer_scope
+            )
+        }
+        scope = _IterationScope(node, bindings=bindings)
         scope.parent = outer_scope
 
-        store, injector = self._recovery_hooks()
+        def restore(checkpoint):
+            bindings[placeholder_id] = checkpoint.state
 
-        converged = False
-        steps = 0
-        step = 1
-        while step <= node.max_iterations:
-            if store is not None and store.due(step):
-                store.take(step, current, None)
-            steps = max(steps, step)
-            self.metrics.begin_superstep(step)
-            try:
-                if injector is not None:
-                    injector(step)
-                step_memo = {}
-                scope.step_refcounts = dict(
-                    self._step_refcount_template(scope)
+        def body(step):
+            current = bindings[placeholder_id]
+            step_memo = {}
+            scope.step_refcounts = dict(self._step_refcount_template(scope))
+            new_parts = self._evaluate(node.body_output, step_memo, scope)
+            stop = False
+            if node.termination is not None:
+                term_parts = self._evaluate(
+                    node.termination, step_memo, scope
                 )
-                new_parts = self._evaluate(node.body_output, step_memo, scope)
-                stop = False
-                if node.termination is not None:
-                    term_parts = self._evaluate(
-                        node.termination, step_memo, scope
+                # barrier vote: the criterion's global record count
+                stop = self.cluster.allreduce_sum(
+                    sum(len(p) for p in term_parts)
+                ) == 0
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "iteration:termination", category="iteration",
+                        stop=stop,
                     )
-                    # barrier vote: the criterion's global record count
-                    stop = self.cluster.allreduce_sum(
-                        sum(len(p) for p in term_parts)
-                    ) == 0
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "iteration:termination", category="iteration",
-                            stop=stop,
-                        )
-                elif node.convergence_check is not None:
-                    stop = node.convergence_check(
-                        self.cluster.merge_global(current),
-                        self.cluster.merge_global(new_parts),
+            elif node.convergence_check is not None:
+                stop = node.convergence_check(
+                    self.cluster.merge_global(current),
+                    self.cluster.merge_global(new_parts),
+                )
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "iteration:convergence", category="iteration",
+                        stop=stop,
                     )
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "iteration:convergence", category="iteration",
-                            stop=stop,
-                        )
-            except SimulatedFailure as failure:
-                self.metrics.end_superstep()
-                if store is None:
-                    raise RuntimeError(
-                        "machine failure without checkpointing enabled"
-                    ) from failure
-                checkpoint = store.restore(failure.superstep)
-                current = checkpoint.state
-                scope.bindings[node.placeholder.id] = current
-                step = checkpoint.superstep
-                continue
             if self.telemetry is not None:
                 self._superstep_memo_nodes = len(step_memo)
-            self.metrics.end_superstep(
-                delta_size=sum(len(p) for p in new_parts)
-            )
-            current = new_parts
-            scope.bindings[node.placeholder.id] = current
-            step += 1
-            if stop:
-                converged = True
-                break
+            bindings[placeholder_id] = new_parts
+            return stop, {"delta_size": sum(len(p) for p in new_parts)}
+
+        converged, steps = supersteps.run_supersteps(
+            self, node.max_iterations, None,
+            lambda: (bindings[placeholder_id], None), restore, body,
+        )
         fixed_trip_count = (
             node.termination is None and node.convergence_check is None
         )
         self.iteration_summaries.append(
             IterationSummary(node.name, steps, converged or fixed_trip_count)
         )
-        return current
+        return bindings[placeholder_id]
 
     # ------------------------------------------------------------------
     # delta iterations (Section 5)
 
     def _run_delta_iteration(self, node, outer_memo, outer_scope):
-        mode = self.plan.iteration_modes.get(node.id) or self._resolve_mode(node)
+        mode = self.plan.iteration_modes[node.id]
         sol_parts = self._evaluate(node.inputs[0], outer_memo, outer_scope)
         # route the initial solution set into its index partitioning
         routed = self._ship(sol_parts, partition_on(node.solution_key))
@@ -991,81 +915,54 @@ class Executor:
         if mode == "superstep":
             converged, steps = self._delta_supersteps(node, scope, index)
         else:
-            converged, steps = self._delta_microsteps(
-                node, scope, index, synchronous=(mode == "microstep")
+            converged, steps = microstep_runtime.run_microsteps(
+                self, node, scope, index, synchronous=(mode == "microstep")
             )
         self.iteration_summaries.append(
             IterationSummary(node.name, steps, converged)
         )
         return index.to_partitions()
 
-    def _resolve_mode(self, node) -> str:
-        mode = node.mode
-        if mode == "auto":
-            report = analyze_microstep(node)
-            return "microstep" if report.eligible else "superstep"
-        if mode in ("microstep", "async"):
-            analyze_microstep(node).raise_if_ineligible()
-        return mode
-
     def _delta_supersteps(self, node, scope, index):
-        from repro.runtime.recovery import SimulatedFailure
+        bindings = scope.bindings
+        workset_id = node.workset_placeholder.id
 
-        store, injector = self._recovery_hooks()
-
-        converged = False
-        steps = 0
-        step = 1
-        while step <= node.max_iterations:
-            workset = scope.bindings[node.workset_placeholder.id]
+        def vote():
             # barrier vote (Section 5.3): global workset size
-            workset_size = self.cluster.allreduce_sum(
-                sum(len(p) for p in workset)
+            return self.cluster.allreduce_sum(
+                sum(len(p) for p in bindings[workset_id])
             )
+
+        def pending():
+            workset_size = vote()
             if self.tracer is not None:
                 self.tracer.instant(
                     "iteration:workset-vote", category="iteration",
                     size=workset_size,
                 )
-            if workset_size == 0:
-                converged = True
-                break
-            if store is not None and store.due(step):
-                store.take(step, index._partitions, workset)
-            steps = max(steps, step)
-            self.metrics.begin_superstep(step)
-            try:
-                if injector is not None:
-                    injector(step)
-                next_workset, applied = self._delta_one_superstep(
-                    node, scope, index
-                )
-            except SimulatedFailure as failure:
-                # recovery (Section 4.2): restore the latest logged
-                # superstep and replay from there
-                self.metrics.end_superstep()
-                if store is None:
-                    raise RuntimeError(
-                        "machine failure without checkpointing enabled"
-                    ) from failure
-                checkpoint = store.restore(failure.superstep)
-                index._partitions = checkpoint.state
-                scope.bindings[node.workset_placeholder.id] = (
-                    checkpoint.workset
-                )
-                step = checkpoint.superstep
-                continue
-            next_size = sum(len(p) for p in next_workset)
-            self.metrics.end_superstep(
-                workset_size=next_size, delta_size=applied
+            return workset_size
+
+        def restore(checkpoint):
+            index._partitions = checkpoint.state
+            bindings[workset_id] = checkpoint.workset
+
+        def body(step):
+            next_workset, applied = self._delta_one_superstep(
+                node, scope, index
             )
-            scope.bindings[node.workset_placeholder.id] = next_workset
-            step += 1
-        else:
-            converged = self.cluster.allreduce_sum(sum(
-                len(p) for p in scope.bindings[node.workset_placeholder.id]
-            )) == 0
-        return converged, steps
+            bindings[workset_id] = next_workset
+            return False, {
+                "workset_size": sum(len(p) for p in next_workset),
+                "delta_size": applied,
+            }
+
+        converged, steps = supersteps.run_supersteps(
+            self, node.max_iterations, pending,
+            lambda: (index._partitions, bindings[workset_id]),
+            restore, body,
+        )
+        # out of supersteps: one last vote, outside the traced protocol
+        return converged or vote() == 0, steps
 
     def _delta_one_superstep(self, node, scope, index):
         """Evaluate Δ once: returns (next workset, applied delta count)."""
@@ -1129,651 +1026,3 @@ class Executor:
                 accepted=applied, replaced=replaced,
             )
         return applied
-
-    # ------------------------------------------------------------------
-    # microstep execution (Section 5.2, Figure 6)
-
-    def _delta_microsteps(self, node, scope, index, synchronous):
-        report = analyze_microstep(node).raise_if_ineligible()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "microstep:analysis", category="iteration",
-                **report.span_attributes(),
-            )
-        # chain compilation ships the constant sides (Match/Cross build
-        # tables) — under SPMD every worker runs these collectives in
-        # lockstep before any queue exists
-        to_delta = _compile_chain(self, node, scope, report.chain_to_delta)
-        to_workset = _compile_chain(self, node, scope, report.chain_to_workset)
-        route_fields = report.workset_route_fields or node.solution_key
-        route_key = KeyExtractor(route_fields)
-
-        if not self.cluster.is_local and self.cluster.size > 1:
-            if synchronous:
-                return self._spmd_micro_supersteps(
-                    node, scope, index, route_key, route_fields,
-                    to_delta, to_workset,
-                )
-            return self._spmd_micro_async(
-                node, scope, index, route_key, to_delta, to_workset
-            )
-
-        queues = [deque() for _ in range(self.parallelism)]
-        detector = AsyncTerminationDetector(self.parallelism)
-
-        def enqueue(record, source_partition):
-            target = partition_index(route_key(record), self.parallelism)
-            queues[target].append(record)
-            detector.sent()
-            if target == source_partition:
-                self.metrics.add_shipped(local=1, remote=0)
-            else:
-                self.metrics.add_shipped(local=0, remote=1)
-
-        # seed the queues batch-at-a-time: one hash vector per chunk,
-        # same queue contents and counter totals as per-record enqueue
-        initial = scope.bindings[node.workset_placeholder.id]
-        for p, part in enumerate(initial):
-            if not part:
-                continue
-            for chunk in RecordBatch.wrap(part, route_fields).split(
-                self.batch_size
-            ):
-                targets = chunk.partition_targets(
-                    self.parallelism, columnar_mode=self.columnar
-                )
-                for target, record in zip(targets, chunk.records):
-                    queues[target].append(record)
-                detector.sent(len(targets))
-                here = targets.count(p)
-                self.metrics.add_shipped(
-                    local=here, remote=len(targets) - here
-                )
-
-        if synchronous:
-            return self._micro_supersteps(node, index, queues, route_key,
-                                          to_delta, to_workset)
-        return self._micro_async(node, index, queues, detector,
-                                 to_delta, to_workset, enqueue)
-
-    def _drain_queue(self, queue, partition, index, to_delta, to_workset,
-                     emit, limit=None):
-        """Process up to ``limit`` elements of one partition's queue.
-
-        This is the microstep hot loop; per-element work is kept to the
-        compiled pipeline stages and the immediate ∪̇ point update.
-        Returns the number of elements processed.
-        """
-        processed = 0
-        apply_record = index.apply_record
-        popleft = queue.popleft
-        if len(to_delta) == 1 and len(to_workset) == 1:
-            # fast path for the common shape (one update operator, one
-            # workset operator — e.g. the CC/SSSP Match plans)
-            delta_stage = to_delta[0]
-            workset_stage = to_workset[0]
-            while queue and (limit is None or processed < limit):
-                record = popleft()
-                processed += 1
-                for delta_record in delta_stage(partition, record):
-                    accepted = apply_record(delta_record)
-                    if accepted is None:
-                        continue
-                    for produced in workset_stage(partition, accepted):
-                        emit(produced, partition)
-            return processed
-        while queue and (limit is None or processed < limit):
-            record = popleft()
-            processed += 1
-            deltas = _run_chain(to_delta, partition, [record])
-            for delta_record in deltas:
-                accepted = apply_record(delta_record)
-                if accepted is None:
-                    continue
-                for produced in _run_chain(to_workset, partition, [accepted]):
-                    emit(produced, partition)
-        return processed
-
-    def _micro_supersteps(self, node, index, queues, route_key,
-                          to_delta, to_workset):
-        """Per-element processing with superstep-buffered queues (Fig. 6).
-
-        Supports the same checkpoint/recovery protocol as the batch
-        modes: a snapshot logs the solution-set partitions plus the
-        buffered queues, and a failure replays from the latest log.
-        """
-        from repro.runtime.recovery import SimulatedFailure
-
-        store, injector = self._recovery_hooks()
-
-        steps = 0
-        label = f"{node.name}.microstep"
-        parallelism = self.parallelism
-        step = 1
-        while step <= node.max_iterations:
-            pending = sum(len(q) for q in queues)
-            if pending == 0:
-                return True, steps
-            if store is not None and store.due(step):
-                store.take(step, index._partitions,
-                           [list(q) for q in queues])
-            steps = max(steps, step)
-            self.metrics.begin_superstep(step)
-            buffers = [[] for _ in range(parallelism)]
-            shipped = [0, 0]  # local, remote
-
-            def emit(record, source):
-                target = partition_index(route_key(record), parallelism)
-                buffers[target].append(record)
-                shipped[target != source] += 1
-
-            updates_before = self.metrics.solution_updates
-            try:
-                if injector is not None:
-                    injector(step)
-                for p in range(parallelism):
-                    count = self._drain_queue(
-                        queues[p], p, index, to_delta, to_workset, emit
-                    )
-                    self.metrics.add_processed(label, count)
-            except SimulatedFailure as failure:
-                self.metrics.end_superstep()
-                if store is None:
-                    raise RuntimeError(
-                        "machine failure without checkpointing enabled"
-                    ) from failure
-                checkpoint = store.restore(failure.superstep)
-                index._partitions = checkpoint.state
-                for p in range(parallelism):
-                    queues[p].clear()
-                    queues[p].extend(checkpoint.workset[p])
-                step = checkpoint.superstep
-                continue
-            self.metrics.add_shipped(local=shipped[0], remote=shipped[1])
-            next_size = sum(len(b) for b in buffers)
-            self.metrics.end_superstep(
-                workset_size=next_size,
-                delta_size=self.metrics.solution_updates - updates_before,
-            )
-            for p in range(parallelism):
-                queues[p].extend(buffers[p])
-            step += 1
-        return sum(len(q) for q in queues) == 0, steps
-
-    def _micro_async(self, node, index, queues, detector,
-                     to_delta, to_workset, enqueue):
-        """Fully asynchronous FIFO execution with termination detection.
-
-        Partitions are polled round-robin, each draining a bounded batch
-        per poll — an interleaving that a real asynchronous cluster could
-        produce.  Rounds are recorded as pseudo-supersteps for reporting.
-
-        Checkpoints snapshot the solution-set partitions plus the queues
-        *and* the termination detector's counters — restoring the queues
-        without the matching sent/acked state would deadlock or
-        terminate early.
-        """
-        from repro.runtime.recovery import SimulatedFailure
-
-        store, injector = self._recovery_hooks()
-
-        batch = self.config.async_poll_batch
-        rounds = 0
-        label = f"{node.name}.microstep"
-        max_rounds = node.max_iterations * max(
-            1, (sum(len(q) for q in queues) or 1)
-        )
-        while not detector.terminated:
-            rounds += 1
-            if rounds > max_rounds:
-                break
-            if store is not None and store.due(rounds):
-                store.take(
-                    rounds, index._partitions,
-                    ([list(q) for q in queues], detector.snapshot_state()),
-                )
-            self.metrics.begin_superstep(rounds)
-            updates_before = self.metrics.solution_updates
-            try:
-                if injector is not None:
-                    injector(rounds)
-                for p in range(self.parallelism):
-                    queue = queues[p]
-                    detector.set_idle(p, False)
-                    taken = self._drain_queue(
-                        queue, p, index, to_delta, to_workset, enqueue,
-                        limit=batch,
-                    )
-                    self.metrics.add_processed(label, taken)
-                    detector.acked(taken)
-                    detector.set_idle(p, len(queue) == 0)
-            except SimulatedFailure as failure:
-                self.metrics.end_superstep()
-                if store is None:
-                    raise RuntimeError(
-                        "machine failure without checkpointing enabled"
-                    ) from failure
-                checkpoint = store.restore(failure.superstep)
-                index._partitions = checkpoint.state
-                saved_queues, detector_state = checkpoint.workset
-                for p in range(self.parallelism):
-                    queues[p].clear()
-                    queues[p].extend(saved_queues[p])
-                detector.restore_state(detector_state)
-                rounds = checkpoint.superstep - 1
-                continue
-            self.metrics.end_superstep(
-                workset_size=sum(len(q) for q in queues),
-                delta_size=self.metrics.solution_updates - updates_before,
-            )
-        return detector.terminated, rounds
-
-    # ------------------------------------------------------------------
-    # SPMD microstep execution (pool backends)
-
-    def _spmd_micro_supersteps(self, node, scope, index, route_key,
-                               route_fields, to_delta, to_workset):
-        """One worker's side of microstep-with-supersteps execution.
-
-        The worker owns one buffering queue; produced records are framed
-        by their routing key and exchanged at the superstep barrier.
-        Concatenating received frames in source-rank order reproduces the
-        simulator's queue contents record for record.
-        """
-        from repro.runtime.recovery import SimulatedFailure
-
-        cluster = self.cluster
-        rank = cluster.rank
-        parallelism = self.parallelism
-        label = f"{node.name}.microstep"
-
-        store, injector = self._recovery_hooks()
-
-        # seeding: route the localized initial workset through one
-        # exchange so the queue starts in source-ascending order — own
-        # records travel through the worker's own frame slot, exactly
-        # where the simulator's partition scan would place them
-        initial = scope.bindings[node.workset_placeholder.id]
-        frames = [[] for _ in range(parallelism)]
-        seed_local = seed_remote = 0
-        if initial[rank]:
-            for chunk in RecordBatch.wrap(initial[rank], route_fields).split(
-                self.batch_size
-            ):
-                targets = chunk.partition_targets(
-                    parallelism, columnar_mode=self.columnar
-                )
-                for target, record in zip(targets, chunk.records):
-                    frames[target].append(record)
-                here = targets.count(rank)
-                seed_local += here
-                seed_remote += len(targets) - here
-        queue = deque()
-        bytes_before = cluster.bytes_sent
-        for frame in cluster.exchange(
-            frames, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes,
-            columnar=self.columnar, key_fields=route_fields,
-        ):
-            queue.extend(frame)
-        self.metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
-        self.metrics.add_shipped(local=seed_local, remote=seed_remote)
-
-        steps = 0
-        step = 1
-        while step <= node.max_iterations:
-            pending = cluster.allreduce_sum(len(queue))
-            if pending == 0:
-                return True, steps
-            if store is not None and store.due(step):
-                store.take(step, index._partitions, list(queue))
-            steps = max(steps, step)
-            self.metrics.begin_superstep(step)
-            buffers = [[] for _ in range(parallelism)]
-            shipped = [0, 0]  # local, remote
-
-            def emit(record, source):
-                target = partition_index(route_key(record), parallelism)
-                buffers[target].append(record)
-                shipped[target != source] += 1
-
-            updates_before = self.metrics.solution_updates
-            try:
-                # the injector fires in every worker at the same
-                # superstep, before any communication — all workers take
-                # the restore path together, no straggler blocks a
-                # collective
-                if injector is not None:
-                    injector(step)
-                count = self._drain_queue(
-                    queue, rank, index, to_delta, to_workset, emit
-                )
-                self.metrics.add_processed(label, count)
-            except SimulatedFailure as failure:
-                self.metrics.end_superstep()
-                if store is None:
-                    raise RuntimeError(
-                        "machine failure without checkpointing enabled"
-                    ) from failure
-                checkpoint = store.restore(failure.superstep)
-                index._partitions = checkpoint.state
-                queue.clear()
-                queue.extend(checkpoint.workset)
-                step = checkpoint.superstep
-                continue
-            self.metrics.add_shipped(local=shipped[0], remote=shipped[1])
-            bytes_before = cluster.bytes_sent
-            for frame in cluster.exchange(
-                buffers, batch_size=self.batch_size,
-                max_frame_bytes=self.max_frame_bytes,
-                columnar=self.columnar, key_fields=route_fields,
-            ):
-                queue.extend(frame)
-            self.metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
-            self.metrics.end_superstep(
-                workset_size=sum(len(b) for b in buffers),
-                delta_size=self.metrics.solution_updates - updates_before,
-            )
-            step += 1
-        return cluster.allreduce_sum(len(queue)) == 0, steps
-
-    def _spmd_micro_async(self, node, scope, index, route_key,
-                          to_delta, to_workset):
-        """One worker's side of asynchronous execution: a token ring.
-
-        Workers take turns in rank order; the circulating token carries
-        the in-flight records (tagged with the round they were emitted
-        in), the termination detector's counters, and the round number.
-        Exactly one worker is active at a time, so the execution is a
-        deterministic serialization of the asynchronous protocol — and a
-        record-for-record replay of the simulator's round-robin polling:
-        a record emitted by worker ``s`` in round ``k`` reaches worker
-        ``r`` within round ``k`` iff ``s < r``, which is precisely when
-        the simulator's partition scan would have made it visible.
-
-        Each worker's round-``k`` superstep stays open until its round-
-        ``k+1`` turn: only then have the late (higher-rank) round-``k``
-        emissions arrived, so only then is the end-of-round queue length
-        known.  The stop token closes the last open supersteps.
-        """
-        cluster = self.cluster
-        rank = cluster.rank
-        size = cluster.size
-        parallelism = self.parallelism
-        label = f"{node.name}.microstep"
-        batch = self.config.async_poll_batch
-
-        if getattr(self.env, "checkpoint_interval", 0) or \
-                getattr(self.env, "failure_injector", None) is not None:
-            raise InvalidPlanError(
-                "checkpoint/failure injection is not supported for "
-                "async delta iterations on the SPMD backends — "
-                "use mode='superstep' or 'microstep', or the simulated "
-                "backend"
-            )
-
-        detector = AsyncTerminationDetector(parallelism)
-        queue = deque()
-        open_round = None
-        last_updates = 0
-
-        def ring_send(target, token):
-            """Pass the token on, attributing its wire bytes here."""
-            bytes_before = cluster.bytes_sent
-            cluster.send_to(target, token, tag="ring")
-            self.metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
-
-        def take_mine(pending, max_seq):
-            """Pop records destined to this rank with seq <= max_seq,
-            preserving the token's chronological order."""
-            mine, rest = [], []
-            for entry in pending:
-                if entry[2] == rank and entry[0] <= max_seq:
-                    mine.append(entry[3])
-                else:
-                    rest.append(entry)
-            pending[:] = rest
-            return mine
-
-        def my_turn(token, round_number):
-            """Stage A: settle the previous round; stage B: run this one."""
-            nonlocal open_round, last_updates
-            pending = token["pending"]
-            # stage A — ingest last round's late emissions, then close
-            # the superstep they belong to at its true queue length
-            queue.extend(take_mine(pending, round_number - 1))
-            if open_round is not None:
-                self.metrics.end_superstep(
-                    workset_size=len(queue), delta_size=last_updates
-                )
-                open_round = None
-            # stage B — ingest this round's earlier emissions and drain
-            queue.extend(take_mine(pending, round_number))
-            detector.restore_state(token["detector"])
-            self.metrics.begin_superstep(round_number)
-            open_round = round_number
-            detector.set_idle(rank, False)
-            shipped = [0, 0]  # local, remote
-
-            def emit(record, source):
-                target = partition_index(route_key(record), parallelism)
-                detector.sent()
-                shipped[target != source] += 1
-                if target == rank:
-                    queue.append(record)
-                else:
-                    pending.append((round_number, rank, target, record))
-
-            updates_before = self.metrics.solution_updates
-            taken = self._drain_queue(
-                queue, rank, index, to_delta, to_workset, emit, limit=batch
-            )
-            self.metrics.add_processed(label, taken)
-            self.metrics.add_shipped(local=shipped[0], remote=shipped[1])
-            detector.acked(taken)
-            detector.set_idle(rank, len(queue) == 0)
-            last_updates = self.metrics.solution_updates - updates_before
-            token["detector"] = detector.snapshot_state()
-
-        def seed_turn(token):
-            """Ingest earlier ranks' seeds, then route the local ones."""
-            pending = token["pending"]
-            queue.extend(take_mine(pending, 0))
-            detector.restore_state(token["detector"])
-            shipped = [0, 0]
-            for record in scope.bindings[node.workset_placeholder.id][rank]:
-                target = partition_index(route_key(record), parallelism)
-                detector.sent()
-                shipped[target != rank] += 1
-                if target == rank:
-                    queue.append(record)
-                else:
-                    pending.append((0, rank, target, record))
-            self.metrics.add_shipped(local=shipped[0], remote=shipped[1])
-            token["detector"] = detector.snapshot_state()
-
-        def stop_turn(token):
-            """Drain remaining deliveries and close the open superstep."""
-            queue.extend(take_mine(token["pending"], token["round"]))
-            if open_round is not None:
-                self.metrics.end_superstep(
-                    workset_size=len(queue), delta_size=last_updates
-                )
-
-        next_rank = (rank + 1) % size
-        prev_rank = (rank - 1) % size
-        if rank == 0:
-            token = {"phase": "seed", "pending": [],
-                     "detector": detector.snapshot_state()}
-            seed_turn(token)
-            ring_send(next_rank, token)
-            token = cluster.recv_from(prev_rank, tag="ring")
-            detector.restore_state(token["detector"])
-            # mirrors the simulator's cap on detector-starved runs
-            max_rounds = node.max_iterations * max(1, detector._sent or 1)
-            rounds = 0
-            while True:
-                if detector.terminated:
-                    terminated = True
-                    break
-                rounds += 1
-                if rounds > max_rounds:
-                    terminated = False
-                    break
-                token["phase"] = "round"
-                token["round"] = rounds
-                my_turn(token, rounds)
-                ring_send(next_rank, token)
-                token = cluster.recv_from(prev_rank, tag="ring")
-                detector.restore_state(token["detector"])
-            token["phase"] = "stop"
-            token["round"] = rounds
-            token["terminated"] = terminated
-            stop_turn(token)
-            ring_send(next_rank, token)
-            cluster.recv_from(prev_rank, tag="ring")
-            return terminated, rounds
-        while True:
-            token = cluster.recv_from(prev_rank, tag="ring")
-            phase = token["phase"]
-            if phase == "seed":
-                seed_turn(token)
-            elif phase == "round":
-                my_turn(token, token["round"])
-            else:  # stop
-                stop_turn(token)
-                terminated = token["terminated"]
-                rounds = token["round"]
-                ring_send(next_rank, token)
-                return terminated, rounds
-            ring_send(next_rank, token)
-
-
-# ----------------------------------------------------------------------
-# microstep pipeline compilation
-
-
-def _compile_chain(executor, iteration, scope, chain):
-    """Compile a record-at-a-time operator chain into per-record stages.
-
-    Constant-side inputs of binary operators (e.g. the topology table N)
-    are shipped once per their plan annotation and materialized as
-    per-partition hash tables (Match) or record lists (Cross).
-    """
-    stages = []
-    chain_ids = {op.id for op in chain}
-    for op in chain:
-        stages.append(_compile_stage(executor, iteration, scope, op, chain_ids))
-    return stages
-
-
-def _compile_stage(executor, iteration, scope, op, chain_ids):
-    contract = op.contract
-    metrics = executor.metrics
-    if contract is Contract.MAP:
-        fn = op.udf
-        return lambda p, rec: (fn(rec),)
-    if contract is Contract.FLAT_MAP:
-        fn = op.udf
-        return lambda p, rec: tuple(fn(rec))
-    if contract is Contract.FILTER:
-        fn = op.udf
-        return lambda p, rec: (rec,) if fn(rec) else ()
-    if contract is Contract.SOLUTION_JOIN:
-        index = scope.solution_index
-        probe_key = KeyExtractor(op.key_fields[0])
-        fn = op.udf
-        flat = getattr(op, "flat", False)
-
-        def solution_stage(p, rec):
-            stored = index.lookup(p, probe_key(rec))
-            if stored is None:
-                return ()
-            result = fn(rec, stored)
-            if result is None:
-                return ()
-            return tuple(result) if flat else (result,)
-
-        return solution_stage
-    if contract is Contract.MATCH:
-        return _compile_match_stage(executor, scope, op, chain_ids)
-    if contract is Contract.CROSS:
-        return _compile_cross_stage(executor, scope, op, chain_ids)
-    raise MicrostepViolation(
-        f"{op.name}: contract {contract.value} cannot run as a microstep stage"
-    )
-
-
-def _dynamic_input_of(scope, op) -> int:
-    """The input slot carrying the per-record (dynamic-path) stream.
-
-    Placeholders and all dynamic-path nodes — including the delta output,
-    which seeds the workset chain — qualify; the other side is constant.
-    """
-    first = op.inputs[0]
-    if first.is_placeholder() or first.id in scope.dynamic_ids:
-        return 0
-    return 1
-
-
-def _compile_match_stage(executor, scope, op, chain_ids):
-    dyn_idx = _dynamic_input_of(scope, op)
-    const_idx = 1 - dyn_idx
-    shipped = executor._ship_one_input(op, const_idx, scope.iter_memo, scope)
-    tables = []
-    for part in shipped:
-        table: dict = {}
-        for records, keys in drivers._key_chunks(
-            part, op.key_fields[const_idx], executor.batch_size
-        ):
-            for k, record in zip(keys, records):
-                table.setdefault(k, []).append(record)
-        tables.append(table)
-    dyn_key = KeyExtractor(op.key_fields[dyn_idx])
-    fn = op.udf
-    flat = getattr(op, "flat", False)
-
-    def match_stage(p, rec):
-        out = []
-        for other in tables[p].get(dyn_key(rec), ()):
-            pair = (other, rec) if const_idx == 0 else (rec, other)
-            result = fn(*pair)
-            if result is None:
-                continue
-            if flat:
-                out.extend(result)
-            else:
-                out.append(result)
-        return out
-
-    return match_stage
-
-
-def _compile_cross_stage(executor, scope, op, chain_ids):
-    dyn_idx = _dynamic_input_of(scope, op)
-    const_idx = 1 - dyn_idx
-    shipped = executor._ship_one_input(op, const_idx, scope.iter_memo, scope)
-    fn = op.udf
-
-    def cross_stage(p, rec):
-        out = []
-        for other in shipped[p]:
-            pair = (other, rec) if const_idx == 0 else (rec, other)
-            result = fn(*pair)
-            if result is not None:
-                out.append(result)
-        return out
-
-    return cross_stage
-
-
-def _run_chain(stages, partition, records):
-    current = records
-    for stage in stages:
-        produced = []
-        for record in current:
-            produced.extend(stage(partition, record))
-        current = produced
-        if not current:
-            break
-    return current

@@ -47,9 +47,9 @@ class PregelMaster:
         self.initial_state = initial_state
         self.combiner = combiner
         self.parallelism = parallelism
-        #: under the multiprocess backend each worker runs a replicated
-        #: master over its own vertex range, exchanging messages and
-        #: halting votes through this cluster context
+        #: on an SPMD backend each worker runs a replicated master over
+        #: its own vertex range, routing messages and taking halting
+        #: votes through this cluster context
         self.cluster = cluster or LOCAL
         from repro.runtime.config import RuntimeConfig
         #: data-plane framing bounds for the SPMD message exchange
@@ -82,26 +82,20 @@ class PregelMaster:
     def run(self, max_supersteps: int = 1_000_000) -> dict[int, object]:
         """Execute to convergence; returns {vertex id: final state}.
 
-        The same loop serves both settings: locally one master computes
-        every partition; under SPMD each worker computes only its own
-        vertex range, ships ``(target, value)`` messages through the
-        cluster's all-to-all exchange, and agrees on activity/halting
-        through barrier votes.  Frames are reassembled in ascending
-        sender order, so message fold order — and therefore every state
-        and counter — matches the local master exactly.
+        The same loop serves both settings: a master computes the vertex
+        ranges of the partitions its cluster context owns (all of them
+        locally, one per SPMD worker), hands ``(target, value)``
+        messages to ``cluster.route``, and agrees on activity/halting
+        through barrier votes.  Routed frames arrive in ascending sender
+        order, so message fold order — and therefore every state and
+        counter — is the same in both settings.
         """
         n = self.graph.num_vertices
         cluster = self.cluster
-        spmd = not cluster.is_local and cluster.size > 1
-        if spmd:
-            my_parts = (cluster.rank,)
-            my_vertices = [
-                v for v in range(n)
-                if self._partition_of(v) == cluster.rank
-            ]
-        else:
-            my_parts = range(self.parallelism)
-            my_vertices = list(range(n))
+        my_parts = cluster.owned_partitions(self.parallelism)
+        my_vertices = [
+            v for v in range(n) if self._partition_of(v) in my_parts
+        ]
         states = [self.initial_state(v) for v in range(n)]
         halted = [False] * n
         # inbox per vertex for the *current* superstep
@@ -155,7 +149,7 @@ class PregelMaster:
             bytes_before = cluster.bytes_sent
             next_inbox: dict[int, list] = defaultdict(list)
             total_messages = 0
-            frames = [[] for _ in range(self.parallelism)] if spmd else None
+            frames = [[] for _ in range(self.parallelism)]
             for p in my_parts:
                 outbox = outboxes[p]
                 if self.combiner is not None:
@@ -172,26 +166,22 @@ class PregelMaster:
                 local = remote = 0
                 for target, value in deliveries:
                     target_part = self._partition_of(target)
-                    if spmd:
-                        frames[target_part].append((target, value))
-                    else:
-                        next_inbox[target].append(value)
+                    frames[target_part].append((target, value))
                     if target_part == p:
                         local += 1
                     else:
                         remote += 1
                 self.metrics.add_shipped(local=local, remote=remote)
                 total_messages += local + remote
-            if spmd:
-                # ascending sender order = the local master's partition
-                # scan, so per-target message order is identical; frames
-                # travel as size-bounded batch chunks over the fabric
-                for frame in cluster.exchange(
-                    frames, batch_size=self.config.batch_size,
-                    max_frame_bytes=self.config.max_frame_bytes,
-                ):
-                    for target, value in frame:
-                        next_inbox[target].append(value)
+            # ascending sender order = a scan over all partitions, so
+            # per-target message order is identical in both settings;
+            # between workers, frames travel as size-bounded batch chunks
+            for part in cluster.route(
+                frames, batch_size=self.config.batch_size,
+                max_frame_bytes=self.config.max_frame_bytes,
+            ):
+                for target, value in part:
+                    next_inbox[target].append(value)
             self.metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
             if route_span is not None:
                 tracer.end(route_span)
@@ -209,17 +199,15 @@ class PregelMaster:
             # global values vertices will read next superstep
             new_aggregated = {}
             if self.aggregators:
-                if spmd:
-                    # contiguous range partitioning: concatenating by
-                    # rank restores global vertex-id contribution order
-                    merged: dict[str, list] = defaultdict(list)
-                    for contribs in cluster.allgather(dict(aggregating)):
-                        for name, values in contribs.items():
-                            merged[name].extend(values)
-                    aggregating = merged
+                # contiguous range partitioning: concatenating by
+                # rank restores global vertex-id contribution order
+                merged: dict[str, list] = defaultdict(list)
+                for contribs in cluster.allgather(dict(aggregating)):
+                    for name, values in contribs.items():
+                        merged[name].extend(values)
                 for name, (initial, merge) in self.aggregators.items():
                     value = initial
-                    for contribution in aggregating.get(name, ()):
+                    for contribution in merged.get(name, ()):
                         value = merge(value, contribution)
                     new_aggregated[name] = value
             self.aggregated_values = new_aggregated
@@ -237,12 +225,11 @@ class PregelMaster:
                 self.converged = True
                 break
 
-        if spmd:
-            # every worker rebuilds the full final state vector
-            for pairs in cluster.allgather(
-                [(v, states[v]) for v in my_vertices]
-            ):
-                for v, state in pairs:
-                    states[v] = state
+        # every context rebuilds the full final state vector
+        for pairs in cluster.allgather(
+            [(v, states[v]) for v in my_vertices]
+        ):
+            for v, state in pairs:
+                states[v] = state
         self.metrics.verify_invariants()
         return {v: states[v] for v in range(n)}

@@ -9,6 +9,7 @@ from repro import ExecutionEnvironment
 from repro.cluster import (
     LOCAL,
     MultiprocessBackend,
+    PoolBackend,
     SimulatedBackend,
     WorkerCrash,
     resolve_backend,
@@ -79,6 +80,53 @@ class TestRunProgram:
         # coordinator's view: frame i came from source rank i, addressed
         # to rank 0
         assert result == [[(0, 0)], [(1, 0)], [(2, 0)]]
+
+    def test_local_route_is_the_identity(self):
+        # the local context owns every partition and is the only source
+        frames = [[(0, "a")], [], [(2, "b"), (2, "c")]]
+        assert LOCAL.owned_partitions(3) == range(3)
+        assert LOCAL.route(frames) is frames
+        assert LOCAL.route(frames, batch_size=1, max_frame_bytes=64) == [
+            [(0, "a")], [], [(2, "b"), (2, "c")]
+        ]
+
+    def test_route_fills_owned_slots_source_rank_major(self):
+        def program(cluster):
+            frames = [
+                [(cluster.rank, target, i) for i in range(2)]
+                for target in range(cluster.size)
+            ]
+            views = {
+                "owned": tuple(cluster.owned_partitions(cluster.size)),
+                "whole": cluster.route(frames),
+                "chunked": cluster.route(frames, batch_size=1),
+            }
+            return cluster.allgather(views), None
+
+        result, _metrics = MultiprocessBackend(timeout=30.0).run_program(
+            program, 3
+        )
+        for rank, views in enumerate(result):
+            expected = [[], [], []]
+            # every source's frame for this rank, sources ascending
+            expected[rank] = [
+                (source, rank, i) for source in range(3) for i in range(2)
+            ]
+            assert views["owned"] == (rank,)
+            assert views["whole"] == expected
+            assert views["chunked"] == expected
+
+    def test_route_on_a_pool_of_one(self):
+        def program(cluster):
+            return (tuple(cluster.owned_partitions(1)),
+                    cluster.route([[1, 2, 3]], batch_size=2)), None
+
+        backend = PoolBackend(timeout=30.0)
+        try:
+            result, _metrics = backend.run_program(program, 1)
+        finally:
+            backend.close()
+        assert result == ((0,), [[1, 2, 3]])
 
     def test_worker_exception_surfaces_as_crash_with_traceback(self):
         def program(cluster):

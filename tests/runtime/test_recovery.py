@@ -4,12 +4,28 @@ import pytest
 
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
+from repro.bench import audit
+from repro.cluster import PoolBackend
 from repro.graphs import erdos_renyi
 from repro.runtime.recovery import (
     CheckpointStore,
     FailureInjector,
     SimulatedFailure,
 )
+
+
+@pytest.fixture(scope="module")
+def backends():
+    """{name: backend spec}; one pool serves every recovery test here."""
+    pool = PoolBackend()
+    yield {"simulated": None, "pool": pool}
+    pool.close()
+
+
+def _replay_stats(env):
+    store = env.last_checkpoint_store
+    return (store.snapshots_taken, store.recoveries,
+            store.supersteps_replayed)
 
 
 class TestCheckpointStore:
@@ -99,21 +115,31 @@ class TestEndToEndRecovery:
             cc.cc_incremental(env, graph, variant="cogroup",
                               mode="superstep")
 
-    def test_bulk_iteration_recovers_too(self, graph):
-        """Section 4.2's logging applies to bulk iterations as well."""
+    @pytest.mark.parametrize("backend", ["simulated", "pool"])
+    def test_bulk_iteration_recovers_too(self, graph, backends, backend):
+        """Section 4.2's logging applies to bulk iterations as well —
+        and replays the same work wherever the plan is interpreted."""
         from repro.algorithms import pagerank as pr
 
         env_ok = ExecutionEnvironment(4)
         expected = pr.pagerank_bulk(env_ok, graph, iterations=8)
 
-        env = ExecutionEnvironment(4)
-        env.checkpoint_interval = 3
-        env.failure_injector = FailureInjector(5)
-        recovered = pr.pagerank_bulk(env, graph, iterations=8)
+        def recover(spec):
+            env = ExecutionEnvironment(4, backend=spec)
+            env.checkpoint_interval = 3
+            env.failure_injector = FailureInjector(5)
+            return env, pr.pagerank_bulk(env, graph, iterations=8)
+
+        env, recovered = recover(backends[backend])
         assert all(
             abs(recovered[k] - expected[k]) < 1e-12 for k in expected
         )
         assert env.last_checkpoint_store.recoveries == 1
+        sim_env, sim_recovered = recover(None)
+        assert recovered == sim_recovered
+        assert _replay_stats(env) == _replay_stats(sim_env)
+        assert (audit._comparable_counters(env.metrics)
+                == audit._comparable_counters(sim_env.metrics))
 
     def test_checkpoint_interval_trades_replay_for_snapshots(self, graph):
         env_fine, _r1 = self._run(graph, fail_at=4, interval=1)
@@ -150,50 +176,60 @@ class TestPickledCheckpoints:
         assert CheckpointStore(interval=1).latest is None
 
 
+#: (mode, variant, backend); the SPMD token ring has no superstep
+#: boundary to log at, so async recovery stays simulated-only
+RECOVERY_CASES = [
+    ("superstep", "cogroup", "simulated"),
+    ("superstep", "cogroup", "pool"),
+    ("microstep", "match", "simulated"),
+    ("microstep", "match", "pool"),
+    ("async", "match", "simulated"),
+]
+
+
 class TestRecoveryInEveryDeltaMode:
     """Satellite check: failure + restore works in all three execution
     modes of a delta iteration, replaying exactly the supersteps between
-    the latest checkpoint and the failure."""
+    the latest checkpoint and the failure — on a real backend too."""
 
     @pytest.fixture
     def graph(self):
         return erdos_renyi(120, 3.0, seed=41)
 
-    def _run(self, graph, mode, variant, fail_at=None, interval=0):
-        env = ExecutionEnvironment(4)
+    def _run(self, graph, mode, variant, fail_at=None, interval=0,
+             backend=None):
+        env = ExecutionEnvironment(4, backend=backend)
         env.checkpoint_interval = interval
         if fail_at is not None:
             env.failure_injector = FailureInjector(fail_at)
         result = cc.cc_incremental(env, graph, variant=variant, mode=mode)
         return env, result
 
-    @pytest.mark.parametrize("mode,variant", [
-        ("superstep", "cogroup"),
-        ("microstep", "match"),
-        ("async", "match"),
-    ])
-    def test_recovered_run_matches_and_replays_the_gap(self, graph, mode,
-                                                       variant):
+    @pytest.mark.parametrize("mode,variant,backend", RECOVERY_CASES)
+    def test_recovered_run_matches_and_replays_the_gap(
+            self, graph, backends, mode, variant, backend):
         _env, expected = self._run(graph, mode, variant)
         # checkpoints land on supersteps 1, 3, 5, ...; failing at 4
         # replays supersteps 3 and 4
         env, recovered = self._run(graph, mode, variant, fail_at=4,
-                                   interval=2)
+                                   interval=2, backend=backends[backend])
         assert recovered == expected
         store = env.last_checkpoint_store
         assert store.recoveries == 1
         assert store.supersteps_replayed == 4 - 3
 
-    @pytest.mark.parametrize("mode,variant", [
-        ("superstep", "cogroup"),
-        ("microstep", "match"),
-        ("async", "match"),
-    ])
-    def test_counters_after_recovery_include_replayed_work(self, graph,
-                                                           mode, variant):
+    @pytest.mark.parametrize("mode,variant,backend", RECOVERY_CASES)
+    def test_counters_after_recovery_include_replayed_work(
+            self, graph, backends, mode, variant, backend):
         env_ok, _expected = self._run(graph, mode, variant)
         env, _recovered = self._run(graph, mode, variant, fail_at=4,
-                                    interval=2)
+                                    interval=2, backend=backends[backend])
         # the recovered run redoes supersteps 3-4, so it logs strictly
         # more superstep entries than the failure-free run
         assert env.metrics.supersteps > env_ok.metrics.supersteps
+        # ... and the same ones, superstep for superstep, whichever
+        # backend replays them
+        sim_env, _ = self._run(graph, mode, variant, fail_at=4, interval=2)
+        assert _replay_stats(env) == _replay_stats(sim_env)
+        assert (audit._comparable_counters(env.metrics)
+                == audit._comparable_counters(sim_env.metrics))
