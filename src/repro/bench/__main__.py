@@ -37,8 +37,7 @@ def _registry():
                       dataplane.run),
         "chaining": ("Chain fusion — fused vs unfused forward pipelines",
                      chaining.run),
-        "optimizer": ("Optimizer v2 — pushdown and adaptive "
-                      "re-optimization vs static plans",
+        "optimizer": ("Optimizer v2 — filter pushdown below the ship",
                       optimizer_bench.run),
         "outofcore": ("Out-of-core — CC state ~10x the memory budget, "
                       "RSS-gated", outofcore.run),

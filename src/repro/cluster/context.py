@@ -16,8 +16,8 @@ differ in *which partitions a context owns*:
 Callers stay ignorant of the setting by asking two questions only:
 :meth:`~ClusterContext.owned_partitions` ("which slots do I compute?")
 and :meth:`~ClusterContext.route` ("deliver what I produced for
-partition *t* to whoever owns *t*").  Neither the iteration drivers,
-the adaptive probes nor the Pregel master read ``is_local``.
+partition *t* to whoever owns *t*").  Neither the iteration drivers
+nor the Pregel master read ``is_local``.
 
 The collectives are designed so that the SPMD execution is *bitwise
 identical* to the simulator in every record ordering: ``exchange``

@@ -22,10 +22,9 @@ def stable_hash(value) -> int:
     **Collision semantics for mixed-type keys.**  Numeric keys that
     compare equal hash equal, exactly as Python's ``hash`` does for
     dict keys: ``stable_hash(True) == stable_hash(1) ==
-    stable_hash(1.0)`` (bools are ints by value, and the float branch
-    delegates to ``hash``, which equals the int hash for whole
-    numbers).  This coincidence is *required*, not incidental — the
-    solution-set index stores records in plain dicts keyed by the key
+    stable_hash(1.0)`` (bools are ints by value, and whole floats take
+    their int value).  This coincidence is *required*, not incidental —
+    the solution-set index stores records in plain dicts keyed by the key
     value, so a partitioner that separated ``1`` from ``1.0`` would
     route a delta record to a partition whose dict would still treat
     the two as the same key, corrupting the ∪̇ accounting.  The
@@ -50,8 +49,10 @@ def stable_hash(value) -> int:
         for item in value:
             acc = (acc * 1000003) ^ stable_hash(item)
         return acc & 0x7FFFFFFF
-    if isinstance(value, float):
-        return hash(value)
+    if isinstance(value, float) and value.is_integer():
+        # not hash(): CPython reserves -1, so hash(-1.0) is -2 and
+        # would part -1.0 from -1
+        return int(value)
     return hash(value)
 
 

@@ -74,23 +74,11 @@ class DataSet:
     # ------------------------------------------------------------------
     # record-at-a-time operators
 
-    def map(self, fn, name=None, columnar_udf=None):
-        """Record-at-a-time transform.
-
-        ``columnar_udf`` optionally supplies an equivalent
-        struct-of-arrays transform ``fn(columns, length) -> (columns,
-        length)`` over ``[(typecode, buffer), ...]`` columns (see
-        :mod:`repro.common.columns`).  Under columnar execution, fused
-        chains apply it to chunks that columnarize — whole column
-        buffers at a time instead of one record per call — falling back
-        to ``fn`` rows otherwise.  The caller promises both produce
-        bitwise-identical records; the parity suite holds opt-ins to
-        that contract.
-        """
-        node = LogicalNode(Contract.MAP, [self._node], udf=fn, name=name)
-        if columnar_udf is not None:
-            node.columnar_udf = columnar_udf
-        return self._wrap(node)
+    def map(self, fn, name=None):
+        """Record-at-a-time transform."""
+        return self._wrap(
+            LogicalNode(Contract.MAP, [self._node], udf=fn, name=name)
+        )
 
     def flat_map(self, fn, name=None):
         return self._wrap(
@@ -336,9 +324,8 @@ class DataSet:
 
         The report shows, per operator, the local strategy and the
         estimated vs *observed* cardinality (measured by this
-        environment's previous runs when adaptivity is on), and per
-        edge the ship strategy plus any optimizer-v2 rewrites — pushed
-        filters and adaptive switch candidates.
+        environment's previous runs), and per edge the ship strategy
+        plus any pushed-down filter.
         """
         from repro.dataflow.graph import LogicalPlan
         from repro.optimizer.visualize import explain_plan

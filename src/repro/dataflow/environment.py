@@ -128,14 +128,9 @@ class ExecutionEnvironment:
         #: runtime cardinality observer (optimizer v2): after every run
         #: it derives observed per-operator cardinalities from the
         #: merged logical counters, and the next compilation in this
-        #: environment prefers them over the textbook defaults.  Only
-        #: attached when ``config.adaptive`` is on, so the
-        #: ``REPRO_ADAPTIVE=0`` escape hatch keeps observation fully
-        #: off-path
-        self.observer = None
-        if self.config.adaptive:
-            from repro.optimizer.observer import CardinalityObserver
-            self.observer = CardinalityObserver()
+        #: environment prefers them over the textbook defaults
+        from repro.optimizer.observer import CardinalityObserver
+        self.observer = CardinalityObserver()
         self._job_seq = 0
         self.last_worker_traces = None
         self._sinks: list[LogicalNode] = []
@@ -243,13 +238,6 @@ class ExecutionEnvironment:
                 ann.local = override["local"]
             if "combiner" in override:
                 ann.combiner = override["combiner"]
-        # adaptive eligibility is computed after overrides so the specs
-        # describe the plan that actually runs (experiments may force a
-        # specific baseline ship); it is recorded with adaptivity on or
-        # off — the executor consults config.adaptive, the plan itself
-        # is identical in both modes
-        from repro.optimizer.adaptive import annotate_adaptive
-        annotate_adaptive(exec_plan, self)
         # chain fusion runs last so it sees the final ship/dam/combiner
         # annotations, overrides included (an override that repartitions
         # a fused edge must break the chain)
@@ -270,8 +258,7 @@ class ExecutionEnvironment:
         # to set last_executor for introspection)
         results = self.backend.execute_plan(self, exec_plan)
         self.last_plan = exec_plan
-        if self.observer is not None:
-            self.observer.ingest(exec_plan, self.metrics)
+        self.observer.ingest(exec_plan, self.metrics)
         if self.tracer is not None and self.config.trace_path:
             from repro.observability import write_jsonl
             write_jsonl(

@@ -260,6 +260,10 @@ class MetricRegistry:
         """Register a superstep-boundary sampler (``() -> {name: value}``)."""
         self._probes.append(probe)
 
+    def remove_probe(self, probe) -> None:
+        """Unregister a sampler when the job that added it ends."""
+        self._probes.remove(probe)
+
     # ------------------------------------------------------------------
     # superstep hooks (called by MetricsCollector when attached)
 

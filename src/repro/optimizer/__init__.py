@@ -70,9 +70,7 @@ def optimize_plan(logical_plan, env) -> ExecutionPlan:
 
 def _optimize_plan(logical_plan, env, tracer) -> ExecutionPlan:
     weights = session_weights(env)
-    # measured truth from previous runs in this environment (optimizer
-    # v2): the observer is only attached when RuntimeConfig.adaptive is
-    # on, so REPRO_ADAPTIVE=0 sees the static defaults
+    # measured truth from previous runs in this environment (optimizer v2)
     observer = getattr(env, "observer", None)
     if observer is not None:
         stats = Statistics(observed=observer.sizes,

@@ -468,9 +468,7 @@ class Enumerator:
             # replica.  Every match pair is still emitted exactly once
             # (each resident record lives in one partition), and a small
             # *dynamic* probe side meets a constant build table that is
-            # built once and cached — the shape the adaptive layer can
-            # later re-ship as a hash join when the measured probe side
-            # outgrows the broadcast crossover.
+            # built once and cached.
             base = (
                 lc.cost + rc.cost + bw * bc_cost + ow * ocost
                 + ow * costs.hash_build_cost(other_size, self.weights)

@@ -23,16 +23,11 @@ Design constraints, in order:
   backends, so a warm environment compiles the same plan no matter
   where the previous run executed — the cross-backend audit holds even
   for multi-submission sessions.
-* **Off-path when disabled.**  The environment only instantiates an
-  observer when ``RuntimeConfig.adaptive`` is on; under
-  ``REPRO_ADAPTIVE=0`` no observation happens and every compilation
-  sees the static defaults.
 
 Iteration bodies are deliberately *excluded* from ingestion: their
 processed counts are summed over supersteps, which would mislead the
-static estimator.  The dynamic path is instead re-costed live, per
-superstep, by :mod:`repro.optimizer.adaptive`; the observer keeps the
-per-superstep workset/delta trajectory for inspection only.
+static estimator.  The per-superstep workset/delta trajectory stays in
+``metrics.iteration_log``.
 
 Observations are keyed by operator *name* so they survive program
 rebuilds (node ids do not).  Default names embed the node id — give
@@ -73,19 +68,13 @@ class CardinalityObserver:
     key_counts:
         Observed distinct-key counts per keyed-aggregation name (the
         aggregation's output size *is* its input's key count).
-    superstep_log:
-        ``(superstep, workset_size, delta_size)`` trajectory of the last
-        run's iterations, for explain()/visualize and the crossover
-        experiments — never fed back into static estimation.
     """
 
     def __init__(self):
         self._last_processed: Counter = Counter()
-        self._last_log_len = 0
         self.sizes: dict[str, float] = {}
         self.selectivities: dict[str, float] = {}
         self.key_counts: dict[str, int] = {}
-        self.superstep_log: list[tuple[int, int, int]] = []
         self.runs = 0
 
     def ingest(self, exec_plan, metrics) -> None:
@@ -103,13 +92,6 @@ class CardinalityObserver:
             for name, total in current.items()
         }
         self._last_processed = Counter(current)
-        new_steps = metrics.iteration_log[self._last_log_len:]
-        self._last_log_len = len(metrics.iteration_log)
-        if new_steps:
-            self.superstep_log = [
-                (s.superstep, s.workset_size, s.delta_size)
-                for s in new_steps
-            ]
 
         nodes = logical_plan.nodes()
         body_ids: set[int] = set()
@@ -150,5 +132,4 @@ class CardinalityObserver:
             "sizes": dict(self.sizes),
             "selectivities": dict(self.selectivities),
             "key_counts": dict(self.key_counts),
-            "superstep_log": list(self.superstep_log),
         }

@@ -19,9 +19,8 @@ provably safe for tuples-as-records:
   if both sides qualify the rewrite would be ambiguous and is skipped,
 * the match has **no other consumer** — another consumer sees the
   unfiltered join output, so the join must still produce it,
-* only the **outer region** is rewritten; dynamic edges inside
-  iteration bodies are re-costed live by :mod:`repro.optimizer.adaptive`
-  instead.
+* only the **outer region** is rewritten; iteration bodies keep the
+  plan the enumerator chose for them.
 
 Execution model: the executor applies the pushed predicate *silently*
 (no spans, no logical counters) to the chosen input side just before

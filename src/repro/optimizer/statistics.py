@@ -26,8 +26,8 @@ Three refinements over the textbook defaults (optimizer v2):
   ``FILTER_SELECTIVITY ** (CHAIN_BACKOFF ** d)``, so four stacked
   filters compose to ``≈0.27`` instead of ``0.0625``.
 * **Placeholder sizes** for iteration bodies are injected by the
-  enumerator (the dynamic path is re-costed per superstep by the
-  adaptive layer, not estimated here).
+  enumerator (the dynamic path is weighted by the expected iteration
+  count there, not estimated here).
 """
 
 from __future__ import annotations

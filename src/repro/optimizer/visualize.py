@@ -134,9 +134,8 @@ def explain_plan(exec_plan, env=None) -> str:
 
     One block per operator (outer region first, then each iteration
     body): the chosen local strategy, estimated vs observed
-    cardinality, and per input edge the chosen ship strategy plus any
-    optimizer-v2 rewrites riding on it — a pushed-down filter, or an
-    adaptive switch candidate with its baseline→switch strategies.
+    cardinality, and per input edge the chosen ship strategy plus a
+    pushed-down filter riding on it, if any.
     """
     stats = _plan_stats(env)
     observer = getattr(env, "observer", None) if env is not None else None
@@ -153,18 +152,11 @@ def explain_plan(exec_plan, env=None) -> str:
             f"{indent}{node.name} ({node.contract.value}): {local}{note}"
         )
         pushed = exec_plan.pushed_filters.get(node.id)
-        spec = exec_plan.adaptive.get(node.id)
         for idx, producer in enumerate(node.inputs):
             ship = ann.ship.get(idx) if ann is not None else None
-            marks = []
+            mark = ""
             if pushed is not None and pushed.side == idx:
-                marks.append(f"pushdown:{pushed.filter_node.name}")
-            if spec is not None and spec.probe_index == idx:
-                marks.append(
-                    f"adaptive:{spec.baseline_kind.value}"
-                    f"→{spec.switch_kind.value}"
-                )
-            mark = f"  [{', '.join(marks)}]" if marks else ""
+                mark = f"  [pushdown:{pushed.filter_node.name}]"
             lines.append(
                 f"{indent}  in{idx} ← {producer.name}: "
                 f"{ship.describe() if ship is not None else 'forward'}{mark}"

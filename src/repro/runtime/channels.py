@@ -59,8 +59,7 @@ def _chunk_count(n: int, batch_size) -> int:
 
 
 def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
-         batch_size=None, max_frame_bytes=None, columnar=False,
-         count_as=None, baseline_split=None):
+         batch_size=None, max_frame_bytes=None, columnar=False):
     """Move ``partitions`` according to ``strategy``; returns new partitions.
 
     Enforces the partition-count contract above: ``partitions`` must hold
@@ -83,18 +82,6 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
     row loop otherwise), and the SPMD exchange frames fixed-width
     columns as raw buffers.  Targets, output order, and the
     local/remote split are bitwise identical in both modes.
-
-    **Adaptive counter virtualization.**  When the executor performs a
-    mid-iteration plan switch (:mod:`repro.optimizer.adaptive`), the
-    *physical* routing follows ``strategy`` but the run must stay
-    observationally identical to the static baseline plan.  ``count_as``
-    names the baseline strategy: the channel span takes its kind (span
-    trees keep the baseline's structure) and ``baseline_split`` — the
-    ``(local, remote)`` attribution the baseline plan would have
-    recorded, computed by the caller — is what reaches
-    ``metrics.add_shipped``.  The invariant checker still audits the
-    *physical* strategy against the physically recomputed per-record
-    split, so conservation and placement laws keep their teeth.
     """
     if len(partitions) != parallelism:
         raise ValueError(
@@ -105,16 +92,12 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
         )
     kind = strategy.kind
     # one span covers the ship whichever path it takes, so traces have
-    # identical structure across the in-process and SPMD settings; a
-    # count_as override names the span by the *baseline* kind so plan
-    # switches leave the span tree untouched
-    span_kind = (count_as or strategy).kind
+    # identical structure across the in-process and SPMD settings
     tracer = metrics.tracer if metrics is not None else None
     span = None
     if tracer is not None:
         span = tracer.begin(
-            f"ship:{span_kind.value}", category="channel",
-            kind=span_kind.value,
+            f"ship:{kind.value}", category="channel", kind=kind.value,
             fanout=parallelism, batch_size=batch_size or 0,
         )
     try:
@@ -127,7 +110,7 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
             return _ship_spmd(
                 partitions, strategy, parallelism, metrics, cluster,
                 batch_size=batch_size, max_frame_bytes=max_frame_bytes,
-                columnar=columnar, baseline_split=baseline_split,
+                columnar=columnar,
             )
         if kind is ShipKind.FORWARD:
             out, local, remote = _ship_forward(partitions)
@@ -148,11 +131,7 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
         else:
             raise ValueError(f"unknown ship kind {kind}")
         if metrics is not None:
-            if baseline_split is not None:
-                metrics.add_shipped(local=baseline_split[0],
-                                    remote=baseline_split[1])
-            else:
-                metrics.add_shipped(local=local, remote=remote)
+            metrics.add_shipped(local=local, remote=remote)
             if batches:
                 metrics.add_batches_shipped(batches)
             checker = metrics.invariants
@@ -277,8 +256,7 @@ def _ship_gather(partitions, parallelism):
 
 
 def _ship_spmd(partitions, strategy, parallelism, metrics, cluster,
-               batch_size=None, max_frame_bytes=None, columnar=False,
-               baseline_split=None):
+               batch_size=None, max_frame_bytes=None, columnar=False):
     """One SPMD worker's side of a ship: frame, exchange, reassemble.
 
     The worker owns only ``partitions[rank]`` (the other slots are empty
@@ -343,11 +321,7 @@ def _ship_spmd(partitions, strategy, parallelism, metrics, cluster,
             cluster.columns_zero_copied - zc_cols_before,
             cluster.bytes_zero_copied - zc_bytes_before,
         )
-        if baseline_split is not None:
-            metrics.add_shipped(local=baseline_split[0],
-                                remote=baseline_split[1])
-        else:
-            metrics.add_shipped(local=local, remote=remote)
+        metrics.add_shipped(local=local, remote=remote)
         if batches:
             metrics.add_batches_shipped(batches)
         if checker is not None:

@@ -145,18 +145,6 @@ class RuntimeConfig:
     ``heartbeat_interval_s`` — cadence of pool-worker heartbeats when
     telemetry is on, a positive finite number of seconds;
     ``REPRO_HEARTBEAT_INTERVAL`` supplies the default (0.5 when unset).
-
-    ``adaptive`` — allow the executor to re-cost an iteration's dynamic
-    data path with *measured* superstep cardinalities and switch ship
-    strategies mid-iteration (broadcast→repartition once the workset
-    crosses the Figure 4 crossover, or the reverse for tiny deltas; see
-    :mod:`repro.optimizer.adaptive`).  On by default;
-    ``REPRO_ADAPTIVE=0`` is the escape hatch that pins the static plan.
-    Switches are observationally invisible: results, logical counters,
-    and span-tree structure are bitwise identical with adaptivity on or
-    off and across every backend — a switch announces itself only
-    through a ``plan_switch`` instant marker and the physical
-    ``plan_switches`` counter.
     """
 
     check_invariants: bool = field(default_factory=lambda: _env_flag(
@@ -181,12 +169,10 @@ class RuntimeConfig:
         "REPRO_TELEMETRY", False))
     heartbeat_interval_s: float = field(default_factory=lambda: _env_number(
         "REPRO_HEARTBEAT_INTERVAL", 0.5, float, above=0))
-    adaptive: bool = field(default_factory=lambda: _env_flag(
-        "REPRO_ADAPTIVE", True))
 
     def __post_init__(self):
         for name in ("check_invariants", "trace", "chaining", "columnar",
-                     "telemetry", "adaptive"):
+                     "telemetry"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise TypeError(

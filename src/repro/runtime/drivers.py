@@ -254,22 +254,10 @@ class ColumnarBuildSide:
 # record-at-a-time drivers
 
 
-def run_map(node, inputs, metrics, columnar=False):
+def run_map(node, inputs, metrics):
     records = inputs[0]
     metrics.add_processed(node.name, len(records))
     fn = node.udf
-    if columnar:
-        column_fn = getattr(node, "columnar_udf", None)
-        if column_fn is not None and records:
-            cols = columnar_mod.columnarize(
-                records if isinstance(records, list) else list(records)
-            )
-            if cols is not None:
-                _arity, columns = cols
-                out_columns, out_length = column_fn(columns, len(records))
-                return columnar_mod.materialize_rows(
-                    out_columns, out_length
-                )
     return [fn(record) for record in records]
 
 
@@ -596,7 +584,7 @@ def _dispatch(node, local_strategy, inputs, metrics, batch_size=None,
               spill=None, columnar=False):
     contract = node.contract
     if contract is Contract.MAP:
-        return run_map(node, inputs, metrics, columnar=columnar)
+        return run_map(node, inputs, metrics)
     if contract is Contract.FLAT_MAP:
         return run_flat_map(node, inputs, metrics)
     if contract is Contract.FILTER:

@@ -38,35 +38,7 @@ from repro.dataflow.graph import dynamic_path_nodes, iteration_body_nodes
 from repro.iterations import microstep_runtime, supersteps
 from repro.iterations.solution_set import SolutionSetIndex
 from repro.runtime import channels, drivers, fusion
-from repro.runtime.plan import (
-    BROADCAST,
-    FORWARD,
-    GATHER,
-    LocalStrategy,
-    ShipKind,
-    partition_on,
-)
-
-
-class _AdaptiveMatchState:
-    """Mutable per-iteration state of one adaptively eligible match.
-
-    Created per :class:`~repro.runtime.plan.AdaptiveSpec` when a
-    superstep-mode delta iteration starts (and only when
-    ``RuntimeConfig.adaptive`` is on).  ``switched`` latches: the switch
-    is one-way — once the workset crosses the crossover it does not come
-    back, and the hysteresis in :func:`repro.optimizer.adaptive.decide`
-    keeps the decision from firing on noise.  ``tables`` holds the
-    origin-tagged build tables a broadcast→hash switch silently rebuilds
-    (key-partitioned, each entry ``(origin_partition, record)``).
-    """
-
-    __slots__ = ("spec", "switched", "tables")
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.switched = False
-        self.tables = None
+from repro.runtime.plan import FORWARD, GATHER, LocalStrategy, partition_on
 
 
 class _IterationScope:
@@ -81,9 +53,6 @@ class _IterationScope:
         self.iter_memo: dict[int, list] = {}
         self.edge_cache: dict = {}
         self.table_cache: dict = {}
-        #: {match id: _AdaptiveMatchState} — populated for superstep-mode
-        #: delta iterations when RuntimeConfig.adaptive is on
-        self.adaptive: dict = {}
 
 
 class IterationSummary:
@@ -152,14 +121,22 @@ class Executor:
         #: by the telemetry probe: how many dynamic-path nodes held
         #: materialized partitions at the barrier)
         self._superstep_memo_nodes = 0
-        if self.telemetry is not None:
-            self.telemetry.add_probe(self._telemetry_probe)
-            if self.spill is not None:
-                self.telemetry.add_probe(self.spill.telemetry_probe)
-            endpoint = getattr(self.cluster, "endpoint", None)
-            if endpoint is not None:
-                endpoint.enable_telemetry(self.telemetry)
-                self.telemetry.add_probe(endpoint.telemetry_probe)
+
+    def _telemetry_probes(self) -> list:
+        """This job's superstep-boundary samplers (none when telemetry
+        is off).  ``run`` registers them for its own duration only: the
+        session's registry outlives the job, and a probe left behind
+        would be polled by every later job and pin this executor."""
+        if self.telemetry is None:
+            return []
+        probes = [self._telemetry_probe]
+        if self.spill is not None:
+            probes.append(self.spill.telemetry_probe)
+        endpoint = getattr(self.cluster, "endpoint", None)
+        if endpoint is not None:
+            endpoint.enable_telemetry(self.telemetry)
+            probes.append(endpoint.telemetry_probe)
+        return probes
 
     def _telemetry_probe(self) -> dict:
         """Memo-residency gauges, polled at every superstep barrier."""
@@ -174,10 +151,17 @@ class Executor:
     def run(self, exec_plan) -> dict[int, list]:
         """Execute the plan; returns {sink node id: merged record list}."""
         self.plan = exec_plan
+        probes = self._telemetry_probes()
+        for probe in probes:
+            self.telemetry.add_probe(probe)
         results = {}
-        for sink in exec_plan.logical_plan.sinks:
-            parts = self._evaluate(sink, self._memo, scope=None)
-            results[sink.id] = channels.merge(parts)
+        try:
+            for sink in exec_plan.logical_plan.sinks:
+                parts = self._evaluate(sink, self._memo, scope=None)
+                results[sink.id] = channels.merge(parts)
+        finally:
+            for probe in probes:
+                self.telemetry.remove_probe(probe)
         # the run ends at a barrier, so the attribution totals must be
         # consistent: per-superstep counters + out-of-superstep remainder
         # sum to the global collector totals
@@ -472,13 +456,6 @@ class Executor:
             self.metrics.add_cache_hit()
 
         probe_idx = 1 - build_idx
-        adaptive_states = getattr(scope, "adaptive", None)
-        state = adaptive_states.get(node.id) if adaptive_states else None
-        if state is not None:
-            return self._probe_adaptive(
-                node, state, tables, sides, build_left, probe_idx,
-                step_memo, scope,
-            )
         probe_parts = self._ship_one_input(node, probe_idx, step_memo, scope)
         return self._probe_tables(
             node, tables, sides, build_left, probe_parts,
@@ -518,232 +495,6 @@ class Executor:
                                 fn(probe, build), flat, results
                             )
             out.append(results)
-        return out
-
-    # ------------------------------------------------------------------
-    # adaptive mid-iteration plan switching (repro.optimizer.adaptive)
-
-    def _probe_adaptive(self, node, state, tables, sides, build_left,
-                        probe_idx, step_memo, scope):
-        """Probe phase of an adaptively eligible match.
-
-        Re-costs the probe edge with its measured global cardinality at
-        every superstep boundary; past the crossover it switches the
-        physical ship strategy while staying observationally identical
-        to the static plan — bitwise results, baseline logical counters,
-        baseline span structure plus one ``plan_switch`` instant (see
-        :mod:`repro.optimizer.adaptive`).
-        """
-        spec = state.spec
-        # the probe edge is dynamic (never edge-cached), so evaluating
-        # here instead of through _ship_one_input reads the memo exactly
-        # as often as the baseline path does
-        parts = self._evaluate(node.inputs[probe_idx], step_memo, scope)
-        n_here = sum(len(p) for p in parts)
-        n_probe = self.cluster.allreduce_sum(n_here)
-        if not state.switched:
-            open_step = self.metrics._open_superstep
-            superstep = open_step.superstep if open_step is not None else 1
-            from repro.optimizer.adaptive import decide
-            if decide(spec, n_probe, superstep, self.parallelism,
-                      self.plan.adaptive_weights):
-                self._switch_plan(node, state, superstep, scope)
-        if not state.switched:
-            strategy = self.plan.annotation(node).ship.get(probe_idx, FORWARD)
-            probe_parts = self._ship(parts, strategy)
-            return self._probe_tables(
-                node, tables, sides, build_left, probe_parts,
-                node.key_fields[probe_idx],
-            )
-        if spec.baseline_kind is ShipKind.BROADCAST:
-            return self._probe_switched_hash(
-                node, state, parts, n_here, n_probe, build_left,
-            )
-        return self._probe_switched_broadcast(
-            node, state, tables, parts, build_left,
-        )
-
-    def _switch_plan(self, node, state, superstep, scope):
-        """Install the switched strategy (one-way, physical-only)."""
-        spec = state.spec
-        self.metrics.add_plan_switch(
-            node=node.name,
-            superstep=superstep,
-            baseline=spec.baseline_kind.value,
-            switched=spec.switch_kind.value,
-        )
-        if spec.baseline_kind is ShipKind.BROADCAST:
-            # rebuild the constant side's tables at their key owners,
-            # origin-tagged, from the cached build edge.  Silent: this
-            # is switch overhead, not plan work — no spans, no logical
-            # counters (wire bytes are still recorded, they're physical)
-            cached = scope.edge_cache.get((node.id, spec.build_index))
-            if cached is None:
-                raise InvalidPlanError(
-                    f"{node.name}: adaptive switch before the constant "
-                    "build edge was cached"
-                )
-            routed = self._silent_rehash(cached, spec.build_key)
-            key_of = KeyExtractor(spec.build_key)
-            tagged_tables = []
-            for part in routed:
-                table = {}
-                for origin, record in part:
-                    table.setdefault(key_of(record), []).append(
-                        (origin, record)
-                    )
-                tagged_tables.append(table)
-            state.tables = tagged_tables
-        state.switched = True
-
-    def _silent_rehash(self, partitions, key_fields):
-        """Hash-route records without spans, logical counters, or audits.
-
-        The invisible data movement behind an adaptive switch.  Each
-        routed entry is ``(origin_partition, record)``; origin-major,
-        position-minor arrival order is preserved in both settings
-        (``route`` concatenates sources in rank order).
-        """
-        out = [[] for _ in range(self.parallelism)]
-        for origin, part in enumerate(partitions):
-            if not part:
-                continue
-            batch = RecordBatch.wrap(list(part), key_fields)
-            targets = batch.partition_targets(self.parallelism)
-            for target, record in zip(targets, batch.records):
-                out[target].append((origin, record))
-        return self.cluster.route(
-            out, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes,
-        )
-
-    def _probe_switched_hash(self, node, state, parts, n_here, n_probe,
-                             build_left):
-        """Broadcast→hash switched probe with baseline re-assembly.
-
-        Probe records ship hash-on-key, tagged with their global
-        ``(source, position)``; each is probed once at its key's owner
-        against the origin-tagged tables, and every emission lands in a
-        bucket for the *origin* partition of its build record.  Routing
-        the buckets back and stable-sorting by tag reproduces the exact
-        partition contents and order of the baseline broadcast probe:
-        baseline output at partition q is (probe-global-order)-major /
-        (q's build-insertion-order)-minor, and both orders survive the
-        detour — probes keep their global order in the tags, and builds
-        of one origin keep their relative order inside every owner
-        table.  Counters are virtualized against the baseline plan: the
-        ship books broadcast local/remote splits, and every owned
-        partition books the full replica as processed.
-        """
-        spec = state.spec
-        parallelism = self.parallelism
-        tagged = [
-            [(src, pos) + tuple(record) for pos, record in enumerate(part)]
-            for src, part in enumerate(parts)
-        ]
-        shifted_key = tuple(f + 2 for f in spec.probe_key)
-        routed = channels.ship(
-            tagged, partition_on(shifted_key), parallelism, self.metrics,
-            cluster=self.cluster, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes, columnar=False,
-            count_as=BROADCAST,
-            baseline_split=(n_here, n_here * (parallelism - 1)),
-        )
-        fn = node.udf
-        flat = getattr(node, "flat", False)
-        key_of = KeyExtractor(spec.probe_key)
-        buckets = [[] for _ in range(parallelism)]
-        for p in self.cluster.owned_partitions(parallelism):
-            # the baseline plan probes the full replica at every
-            # partition this context owns
-            self.metrics.add_processed(node.name, n_probe)
-            part = routed[p]
-            if not part:
-                continue
-            lookup = state.tables[p].get
-            for entry in part:
-                tag = (entry[0], entry[1])
-                record = entry[2:]
-                for origin, build in lookup(key_of(record), ()):
-                    result = (fn(build, record) if build_left
-                              else fn(record, build))
-                    if result is None:
-                        continue
-                    if flat:
-                        for item in result:
-                            buckets[origin].append((tag, item))
-                    else:
-                        buckets[origin].append((tag, result))
-        out = []
-        for entries in self.cluster.route(
-            buckets, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes,
-        ):
-            entries.sort(key=lambda e: e[0])
-            out.append([item for _tag, item in entries])
-        return out
-
-    def _probe_switched_broadcast(self, node, state, tables, parts,
-                                  build_left):
-        """Hash→broadcast switched probe (``force_at_superstep`` only).
-
-        Sound because eligibility requires key-partitioned build tables:
-        a replicated probe record finds matches only at its key's owner
-        partition, so per-partition output equals the baseline
-        hash-routed probe in content *and* order (broadcast preserves
-        the global source-major record order the hash ship would deliver
-        owners a subsequence of).  Counters are virtualized against the
-        baseline hash plan: per-record local/remote splits and owned
-        counts are computed from the records' key owners before the
-        physical broadcast.
-        """
-        spec = state.spec
-        parallelism = self.parallelism
-        owned_counts = [0] * parallelism
-        baseline_local = 0
-        for src, part in enumerate(parts):
-            if not part:
-                continue
-            targets = RecordBatch.wrap(
-                list(part), spec.probe_key
-            ).partition_targets(parallelism)
-            for target in targets:
-                owned_counts[target] += 1
-                if target == src:
-                    baseline_local += 1
-        total = sum(owned_counts)
-        routed = channels.ship(
-            parts, BROADCAST, parallelism, self.metrics,
-            cluster=self.cluster, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes, columnar=False,
-            count_as=partition_on(spec.probe_key),
-            baseline_split=(baseline_local, total - baseline_local),
-        )
-        # every context broadcast its own records; the baseline
-        # processed count at an owned partition is the number of
-        # records — across all contexts — whose key it owns
-        # (element-wise allreduce of the target-count vectors)
-        vectors = self.cluster.allgather(owned_counts)
-        fn = node.udf
-        flat = getattr(node, "flat", False)
-        key_of = KeyExtractor(spec.probe_key)
-        out = [[] for _ in range(parallelism)]
-        for p in self.cluster.owned_partitions(parallelism):
-            self.metrics.add_processed(
-                node.name, sum(vector[p] for vector in vectors)
-            )
-            results = out[p]
-            lookup = tables[p].get
-            for record in routed[p]:
-                for build in lookup(key_of(record), ()):
-                    if build_left:
-                        drivers._emit_join_result(
-                            fn(build, record), flat, results
-                        )
-                    else:
-                        drivers._emit_join_result(
-                            fn(record, build), flat, results
-                        )
         return out
 
     # ------------------------------------------------------------------
@@ -906,12 +657,6 @@ class Executor:
             solution_index=index,
         )
         scope.parent = outer_scope
-        if mode == "superstep" and self.config.adaptive:
-            scope.adaptive = {
-                nid: _AdaptiveMatchState(spec)
-                for nid, spec in self.plan.adaptive.items()
-                if spec.iteration_id == node.id
-            }
         if mode == "superstep":
             converged, steps = self._delta_supersteps(node, scope, index)
         else:

@@ -30,7 +30,6 @@ execute separately.
 
 from __future__ import annotations
 
-from repro.common import columns as columns_mod
 from repro.dataflow.contracts import Contract
 
 
@@ -49,31 +48,11 @@ def chain_reads(chain):
     return reads
 
 
-def _stage_fn(node, columnar=False):
-    """A per-chunk transform for one unary record-wise operator.
-
-    Under columnar execution, a Map carrying a ``columnar_udf`` opt-in
-    (see :meth:`repro.dataflow.dataset.DataSet.map`) transforms whole
-    column buffers per chunk; chunks that don't columnarize — or nodes
-    without the opt-in — run the row UDF exactly as before.
-    """
+def _stage_fn(node):
+    """A per-chunk transform for one unary record-wise operator."""
     fn = node.udf
     contract = node.contract
     if contract is Contract.MAP:
-        column_fn = getattr(node, "columnar_udf", None)
-        if columnar and column_fn is not None:
-            def map_chunk_columnar(records):
-                cols = columns_mod.columnarize(records)
-                if cols is not None:
-                    _arity, columns = cols
-                    out_columns, out_length = column_fn(
-                        columns, len(records)
-                    )
-                    return columns_mod.materialize_rows(
-                        out_columns, out_length
-                    )
-                return [fn(r) for r in records]
-            return map_chunk_columnar
         return lambda records: [fn(r) for r in records]
     if contract is Contract.FILTER:
         return lambda records: [r for r in records if fn(r)]
@@ -87,7 +66,7 @@ def _stage_fn(node, columnar=False):
     raise AssertionError(f"{node.name}: not a fusable unary contract")
 
 
-def _compile_items(chain, columnar=False):
+def _compile_items(chain):
     """Split the spine into unions and maximal unary segments.
 
     Returns a list of items: ``("segment", [(spine index, chunk fn),
@@ -105,7 +84,7 @@ def _compile_items(chain, columnar=False):
             side = None if i == 0 else chain.spine_inputs[i - 1]
             items.append(("union", i, side))
         else:
-            segment.append((i, _stage_fn(node, columnar)))
+            segment.append((i, _stage_fn(node)))
     if segment:
         items.append(("segment", segment))
     return items
@@ -153,7 +132,7 @@ def _run(executor, chain, step_memo, scope, tracer):
                 node, 1 - chain.spine_inputs[i - 1], step_memo, scope
             )
 
-    items = _compile_items(chain, columnar=executor.columnar)
+    items = _compile_items(chain)
     combine = chain.combine_node
 
     # per-operator totals for counters and spans

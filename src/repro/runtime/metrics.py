@@ -107,9 +107,10 @@ class MetricsCollector:
     #: serializes, and chunk framing differs per backend)
     columns_zero_copied: int = 0
     bytes_zero_copied: int = 0
-    #: mid-iteration ship-strategy switches the adaptive layer performed
-    #: (physical, like cache counters: ``REPRO_ADAPTIVE=0`` runs have
-    #: zero, and SPMD workers each count their own lockstep switch)
+    #: always 0: mid-iteration plan switching was deleted (DESIGN.md §6).
+    #: ``benchmarks/perf/layers.py`` still reads this attribute by name
+    #: and a non-benchmark PR may not edit that directory; the benchmark
+    #: PR that drops its ``optimizer.plan_switches`` row drops this too
     plan_switches: int = 0
     iteration_log: list[IterationStats] = field(default_factory=list)
     #: optional :class:`~repro.runtime.invariants.InvariantChecker`; when
@@ -241,15 +242,6 @@ class MetricsCollector:
                                        in_step)
             self.invariants.on_counter("bytes_zero_copied", nbytes, in_step)
 
-    def add_plan_switch(self, **attributes):
-        """One adaptive mid-iteration plan switch; emits the
-        ``plan_switch`` instant marker the trace contract promises."""
-        self.plan_switches += 1
-        if self.tracer is not None:
-            self.tracer.instant(
-                "plan_switch", category="optimizer", **attributes
-            )
-
     # ------------------------------------------------------------------
     # superstep scoping
 
@@ -352,7 +344,6 @@ class MetricsCollector:
         self.bytes_spilled += other.bytes_spilled
         self.columns_zero_copied += other.columns_zero_copied
         self.bytes_zero_copied += other.bytes_zero_copied
-        self.plan_switches += other.plan_switches
         if align_supersteps:
             if len(self.iteration_log) != len(other.iteration_log) or \
                     self.supersteps != other.supersteps:
@@ -418,7 +409,6 @@ class MetricsCollector:
         self.bytes_spilled = 0
         self.columns_zero_copied = 0
         self.bytes_zero_copied = 0
-        self.plan_switches = 0
         self.iteration_log.clear()
         self._open_superstep = None
         self._superstep_span = None
@@ -446,6 +436,5 @@ class MetricsCollector:
             "bytes_spilled": self.bytes_spilled,
             "columns_zero_copied": self.columns_zero_copied,
             "bytes_zero_copied": self.bytes_zero_copied,
-            "plan_switches": self.plan_switches,
             "iteration_log": [s.as_dict() for s in self.iteration_log],
         }

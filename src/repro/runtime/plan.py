@@ -126,37 +126,6 @@ class FusedChain:
         return "chain[" + "→".join(parts) + "]"
 
 
-@dataclass(frozen=True)
-class AdaptiveSpec:
-    """Adaptive eligibility of one match inside a delta iteration.
-
-    The optimizer records, per eligible MATCH on the dynamic data path,
-    everything the executor needs to re-cost the probe edge at superstep
-    boundaries and switch its ship strategy mid-iteration (see
-    :mod:`repro.optimizer.adaptive`).  ``baseline_kind`` is the
-    statically chosen ship of the probe edge — the plan the switch must
-    stay observationally identical to; ``switch_kind`` is the physical
-    strategy a switch installs.  ``est_build_size`` is the optimizer's
-    estimate of the constant build side, used by the crossover rule.
-
-    ``force_at_superstep`` is a test hook: when set, the switch fires
-    unconditionally at that superstep regardless of the cost model, so
-    parity suites can exercise mid-iteration switches deterministically
-    (including directions the cost model would never pick).
-    """
-
-    iteration_id: int
-    node_id: int
-    probe_index: int
-    build_index: int
-    baseline_kind: ShipKind
-    switch_kind: ShipKind
-    probe_key: tuple[int, ...]
-    build_key: tuple[int, ...]
-    est_build_size: float = 0.0
-    force_at_superstep: int | None = None
-
-
 @dataclass
 class ExecutionPlan:
     """A logical plan plus every physical annotation needed to run it."""
@@ -172,15 +141,6 @@ class ExecutionPlan:
     #: ids of non-tail chain members — the executor never evaluates these
     #: directly (no memo entry, no operator span, no forward ship)
     fused_ids: frozenset[int] = frozenset()
-    #: adaptive-switch eligibility per MATCH node id (see
-    #: :class:`AdaptiveSpec`); populated by the optimizer whether or not
-    #: ``RuntimeConfig.adaptive`` is on — the *plan* is identical in both
-    #: modes, only the executor consults the flag
-    adaptive: dict[int, AdaptiveSpec] = field(default_factory=dict)
-    #: cost weights the superstep-boundary re-costing of those specs uses
-    #: (explicit ``env.cost_weights``, else calibrated to the config);
-    #: resolved driver-side so every SPMD worker decides on the same ones
-    adaptive_weights: object = None  # CostWeights
     #: filters pushed below a match's input ship, keyed by MATCH node id
     #: (see :mod:`repro.optimizer.pushdown`): the executor applies the
     #: filter's predicate to that input side *before* shipping, so only

@@ -60,7 +60,7 @@ class TestMixedTypeCollisionSemantics:
         assert stable_hash(False) == stable_hash(0) == stable_hash(0.0) == 0
 
     def test_whole_floats_follow_int_values(self):
-        for value in (2, 7, -5, 1000):
+        for value in (2, 7, -5, -1, 1000):
             assert stable_hash(float(value)) == stable_hash(value)
 
     @given(st.integers(min_value=-10**6, max_value=10**6),

@@ -1,6 +1,8 @@
 """Live telemetry: instruments, merges, exporters, and the off switch."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -231,6 +233,24 @@ def test_simulated_run_populates_registry_and_ledger():
     assert totals["jobs"] >= 1
     assert totals["peak_rss_bytes"] > 0
     assert "repro_executor_superstep" in env.telemetry_text()
+
+
+def test_probes_live_for_one_job_only():
+    """Fails at the parent commit: every job's executor left its probes
+    in the session registry, so job N polled N sets (N samples per gauge
+    per superstep) and each stale bound method pinned a finished
+    executor with its whole memo."""
+    env, _ = _run_cc("simulated", telemetry=True)
+    graph = erdos_renyi(120, 2.5, seed=11)
+    finished = weakref.ref(env.last_executor)
+    for _ in range(3):
+        cc.cc_incremental(env, graph, variant="cogroup", mode="superstep")
+        assert env.telemetry._probes == []
+    samples = [sample for sample in env.telemetry.series
+               if sample["name"] == "executor.memo_nodes"]
+    assert len(samples) == env.metrics.supersteps
+    gc.collect()
+    assert finished() is None
 
 
 def test_series_export_from_environment(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from repro import ExecutionEnvironment
 from repro.optimizer.visualize import plan_to_dot
-from repro.runtime.plan import BROADCAST, FORWARD, LocalStrategy
 
 
 def test_explain_shows_strategies_and_estimates(env):
@@ -29,7 +28,7 @@ def test_explain_marks_pushdown(env):
     assert "[pushdown:sel]" in report
 
 
-def test_explain_marks_adaptive_candidates_and_iteration_mode(env):
+def test_explain_shows_iteration_mode(env):
     edges = env.from_iterable(
         [(i, (i + 1) % 20) for i in range(20)], name="edges"
     )
@@ -43,13 +42,8 @@ def test_explain_marks_adaptive_candidates_and_iteration_mode(env):
         lambda k, cand, cur: [c for c in cand if not cur or c[1] < cur[0][1]],
         inner=False, name="upd",
     )
-    env.plan_overrides[j.node.id] = {
-        "ship": {0: BROADCAST, 1: FORWARD},
-        "local": LocalStrategy.HASH_BUILD_RIGHT,
-    }
     report = it.close(upd, upd).explain()
     assert "cc body (mode=superstep):" in report
-    assert "[adaptive:broadcast→partition_hash]" in report
 
 
 def test_explain_shows_observed_cardinalities_after_a_run(env):

@@ -8,9 +8,7 @@ measurements over the textbook defaults.
 
 import pytest
 
-from repro import ExecutionEnvironment
 from repro.optimizer.statistics import Statistics
-from repro.runtime.config import RuntimeConfig
 
 
 def _pipeline(env):
@@ -89,20 +87,9 @@ def test_iteration_bodies_are_excluded(env, small_random):
     it.close(upd, upd).collect()
     obs = env.observer
     # body operators are summed over supersteps — never ingested as
-    # static sizes; the trajectory is kept separately for inspection
+    # static sizes
     assert "expand" not in obs.sizes
     assert "bodyf" not in obs.selectivities
-    assert len(obs.superstep_log) >= 2
-    assert obs.superstep_log[0][0] == 1  # supersteps are 1-indexed
-
-
-def test_disabled_adaptivity_has_no_observer():
-    env = ExecutionEnvironment(
-        parallelism=2, config=RuntimeConfig(adaptive=False)
-    )
-    _pipeline(env).collect()
-    assert getattr(env, "observer", None) is None
-    env.close()
 
 
 def test_snapshot_is_plain_data(env):

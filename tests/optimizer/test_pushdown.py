@@ -126,8 +126,7 @@ def test_naive_plans_skip_pushdown(env_naive):
 
 
 def test_pushdown_inside_iteration_body_is_skipped(env):
-    # only the outer region is rewritten; dynamic-path filters belong to
-    # the adaptive re-optimizer, not the static pushdown pass
+    # only the outer region is rewritten
     verts = env.from_iterable([(i, i) for i in range(12)], name="v")
     edges = env.from_iterable(
         [(i, (i + 1) % 12) for i in range(12)], name="e"

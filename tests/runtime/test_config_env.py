@@ -15,7 +15,6 @@ FLAGS = [
     # an escape hatch: truthy turns the field *off*
     ("REPRO_NO_CHAIN", "chaining", True, False, True),
     ("REPRO_COLUMNAR", "columnar", True, True, False),
-    ("REPRO_ADAPTIVE", "adaptive", True, True, False),
     ("REPRO_TELEMETRY", "telemetry", False, True, False),
 ]
 
