@@ -27,8 +27,8 @@ checking force-enabled, then asserts:
 Run it via ``python -m repro.bench audit``, ``make verify-invariants``,
 or the ``verify_invariants``-marked pytest tests.  It is the
 fixture that makes counter bugfixes verifiable: re-introducing a known
-accounting bug (the ``apply_record`` probe undercount, the
-``_ship_hash`` locality mislabel) fails this audit instead of silently
+accounting bug (the ``apply_record`` probe undercount, the hash
+framer's locality mislabel) fails this audit instead of silently
 skewing Figures 2/7/9.
 """
 

@@ -11,20 +11,30 @@ differ in *which partitions a context owns*:
   (:class:`WorkerCluster`): rank ``r`` owns partition ``r`` only,
   datasets at rest are *localized* (the length-``parallelism`` partition
   list has only slot ``rank`` populated), and cross-partition movement
-  happens through real collectives over the pickled-frame fabric.
+  happens through real collectives over the fabric.
 
 Callers stay ignorant of the setting by asking two questions only:
 :meth:`~ClusterContext.owned_partitions` ("which slots do I compute?")
 and :meth:`~ClusterContext.route` ("deliver what I produced for
-partition *t* to whoever owns *t*").  Neither the iteration drivers
-nor the Pregel master read ``is_local``.
+partition *t* to whoever owns *t*").  There is no "am I local?"
+attribute to fork on.
+
+**One data-movement path**, three layers, each written once: a caller
+*frames* the partitions it owns into ``frames[target]``
+(:func:`repro.runtime.channels.frame`, the microstep buffers, the Pregel
+outboxes); ``route`` hands the frames to :meth:`~ClusterContext.exchange`,
+which streams each to its peer as bounded chunks — a pickled row run
+``("c", records)`` or a raw column frame ``("cols", header, buffers)`` —
+closed by an ``("e", n_chunks)`` terminator; and the fabric endpoint
+posts each chunk through its shared-memory ring or inline
+(:mod:`repro.cluster.fabric`).
 
 The collectives are designed so that the SPMD execution is *bitwise
 identical* to the simulator in every record ordering: ``exchange``
 returns frames indexed by source rank, and ``route`` and every merge
 concatenate in ascending rank order — exactly the partition-scan order
-the in-process channels use.  That property is what lets the
-differential audit hold the multiprocess backend to identical logical
+a context that owns every partition produces.  That property is what
+lets the differential audit hold the pool backends to identical logical
 counters and results.
 """
 
@@ -33,6 +43,7 @@ from __future__ import annotations
 import pickle
 
 from repro.common import columns as columns_mod
+from repro.common.batch import RecordBatch
 
 #: how many records the row-run sizer pickles to estimate bytes/record
 _SIZE_SAMPLE = 32
@@ -55,7 +66,6 @@ def _estimate_record_bytes(run) -> int:
 class ClusterContext:
     """Interface shared by the local simulator and SPMD workers."""
 
-    is_local: bool
     rank: int
     size: int
 
@@ -96,13 +106,11 @@ class ClusterContext:
         """All-to-all: send ``frames[t]`` to rank ``t``; return the frames
         received, indexed by source rank (own frame included in place).
 
-        With ``batch_size`` / ``max_frame_bytes`` set, each frame moves
-        as a stream of bounded chunks instead of one monolithic pickle
-        (see :meth:`WorkerCluster.exchange`); the reassembled result is
-        identical either way.  ``columnar`` ships fixed-width chunks as
-        raw column buffers (struct-of-arrays framing, zero payload
-        pickling on the shm path); ``key_fields`` tags those frames so
-        receivers can rebuild keyed batches without re-extracting."""
+        The keywords shape the wire framing only (chunk bounds and the
+        row or raw-column encoding, see :meth:`WorkerCluster.exchange`),
+        never the reassembled result; ``key_fields`` tags columnar
+        frames so receivers can rebuild keyed batches without
+        re-extracting."""
         raise NotImplementedError
 
     def route(self, frames, **framing):
@@ -112,6 +120,10 @@ class ClusterContext:
         Every *owned* slot of the result holds all contexts' frames for
         it, concatenated in ascending source-rank order; slots owned by
         a peer are empty.  ``framing`` is passed to :meth:`exchange`."""
+        raise NotImplementedError
+
+    def storage_view(self, session):
+        """The spill session this context's operators write under."""
         raise NotImplementedError
 
     def allreduce_sum(self, value):
@@ -130,7 +142,6 @@ class ClusterContext:
 class LocalCluster(ClusterContext):
     """The in-process setting: one context owns every partition."""
 
-    is_local = True
     rank = 0
     size = 1
 
@@ -140,13 +151,15 @@ class LocalCluster(ClusterContext):
     def localize(self, partitions):
         return partitions
 
-    def exchange(self, frames, batch_size=None, max_frame_bytes=None,
-                 columnar=False, key_fields=None):
+    def exchange(self, frames, **framing):
         raise RuntimeError("the local cluster has no peers to exchange with")
 
     def route(self, frames, **framing):
         # the only source, and the owner of every target
         return frames
+
+    def storage_view(self, session):
+        return session
 
     def allreduce_sum(self, value):
         return value
@@ -172,8 +185,6 @@ class WorkerCluster(ClusterContext):
     deterministic program, the n-th collective on one rank pairs with
     the n-th on every other — lockstep without a coordinator.
     """
-
-    is_local = False
 
     def __init__(self, endpoint, size: int):
         self.endpoint = endpoint
@@ -206,22 +217,25 @@ class WorkerCluster(ClusterContext):
             for index, part in enumerate(partitions)
         ]
 
+    def storage_view(self, session):
+        # each worker spills under its own subdirectory of the parent
+        # session, so parent cleanup sweeps workers that died mid-spill
+        return session.worker_view(self.rank)
+
     # ------------------------------------------------------------------
     # collectives
 
     def exchange(self, frames, batch_size=None, max_frame_bytes=None,
                  columnar=False, key_fields=None):
-        """All-to-all exchange; optionally chunked and columnar.
+        """All-to-all exchange as one chunk stream per peer.
 
-        The monolithic mode (both bounds ``None``) pickles each target
-        frame whole — one fabric frame per peer.  The chunked mode
-        splits each target frame into runs of ``batch_size`` records and
-        closes each stream with an ``("e", n_chunks)`` terminator the
-        receiver verifies.  Chunks of one ``(source, tag)`` stream
-        arrive in FIFO order, so reassembly by concatenation reproduces
-        the monolithic result exactly.
-
-        Sizing against ``max_frame_bytes`` never pickles a probe copy:
+        Each target frame is split into runs of ``batch_size`` records
+        (``None``: one run) and the stream is closed by an
+        ``("e", n_chunks)`` terminator the receiver verifies.  Chunks of
+        one ``(source, tag)`` stream arrive in FIFO order, so reassembly
+        by concatenation reproduces the frame exactly.  A run travels in
+        one of two encodings, sized against ``max_frame_bytes`` without
+        ever pickling a probe copy:
 
         * **columnar** runs (``columnar=True`` and every column of the
           chunk is fixed-width) know their payload size exactly from
@@ -241,54 +255,26 @@ class WorkerCluster(ClusterContext):
                 f"got {len(frames)}"
             )
         tag = self._next_tag()
-        chunked = (
-            batch_size is not None
-            or max_frame_bytes is not None
-            or columnar
-        )
-        for target in range(self.size):
+        for target, frame in enumerate(frames):
             if target == self.rank:
                 continue
-            if chunked:
-                self._send_chunked(
-                    target, tag, frames[target], batch_size,
-                    max_frame_bytes, columnar, key_fields,
-                )
-            else:
-                self.endpoint.send(target, tag, frames[target])
-        received = []
-        for source in range(self.size):
-            if source == self.rank:
-                received.append(list(frames[self.rank]))
-            elif chunked:
-                received.append(self._recv_chunked(source, tag))
-            else:
-                received.append(self.endpoint.recv(source, tag))
-        return received
+            sent = 0
+            if len(frame):
+                for chunk in RecordBatch.wrap(frame, key_fields).split(
+                    batch_size
+                ):
+                    sent += self._send_chunk(
+                        target, tag, chunk, max_frame_bytes, columnar
+                    )
+            self.endpoint.send(target, tag, ("e", sent))
+        return [
+            list(frames[source]) if source == self.rank
+            else self._recv_stream(source, tag)
+            for source in range(self.size)
+        ]
 
-    def _send_chunked(self, target, tag, frame, batch_size, max_frame_bytes,
-                      columnar=False, key_fields=None):
-        frame = list(frame)
-        sent = 0
-        if columnar and frame:
-            from repro.common.batch import RecordBatch
-
-            wrapped = RecordBatch.wrap(frame, key_fields)
-            for chunk in wrapped.split(batch_size):
-                sent += self._send_chunk(target, tag, chunk, max_frame_bytes)
-        elif frame:
-            if batch_size is None or batch_size >= len(frame):
-                runs = [frame]
-            else:
-                runs = [
-                    frame[i:i + batch_size]
-                    for i in range(0, len(frame), batch_size)
-                ]
-            for run in runs:
-                sent += self._send_run(target, tag, run, max_frame_bytes)
-        self.endpoint.send(target, tag, ("e", sent))
-
-    def _send_chunk(self, target, tag, chunk, max_frame_bytes) -> int:
+    def _send_chunk(self, target, tag, chunk, max_frame_bytes,
+                    columnar) -> int:
         """Ship one :class:`RecordBatch` chunk, columnar when possible.
 
         All-fixed-width chunks go out as raw column buffers; their exact
@@ -296,10 +282,9 @@ class WorkerCluster(ClusterContext):
         re-split arithmetically — no probe serialization.  Chunks with
         any object column fall back to the pickled row run.
         """
-        layout = chunk.columns()
-        length = len(chunk)
-        if layout is not None and length:
-            _length, cols = layout
+        layout = chunk.columns() if columnar else None
+        if layout is not None:
+            length, cols = layout
             nbytes = columns_mod.frame_nbytes(cols, length)
             if nbytes is not None:
                 if (
@@ -310,12 +295,12 @@ class WorkerCluster(ClusterContext):
                     pieces = -(-nbytes // max_frame_bytes)
                     rows = max(1, -(-length // pieces))
                     if rows < length:
-                        sent = 0
-                        for sub in chunk.split(rows):
-                            sent += self._send_chunk(
-                                target, tag, sub, max_frame_bytes
+                        return sum(
+                            self._send_chunk(
+                                target, tag, sub, max_frame_bytes, columnar
                             )
-                        return sent
+                            for sub in chunk.split(rows)
+                        )
                 header, buffers = columns_mod.encode_frame(
                     cols, length, chunk.key_fields
                 )
@@ -324,24 +309,18 @@ class WorkerCluster(ClusterContext):
         return self._send_run(target, tag, chunk.records, max_frame_bytes)
 
     def _send_run(self, target, tag, run, max_frame_bytes) -> int:
-        if max_frame_bytes is not None and len(run) > 1:
-            per_record = _estimate_record_bytes(run)
-            rows = max(1, max_frame_bytes // per_record)
-            if rows < len(run):
-                sent = 0
-                for i in range(0, len(run), rows):
-                    blob = pickle.dumps(
-                        ("c", run[i:i + rows]),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    self.endpoint.send_raw(target, tag, blob)
-                    sent += 1
-                return sent
-        blob = pickle.dumps(("c", run), protocol=pickle.HIGHEST_PROTOCOL)
-        self.endpoint.send_raw(target, tag, blob)
-        return 1
+        rows = len(run)
+        if max_frame_bytes is not None and rows > 1:
+            rows = min(
+                rows, max(1, max_frame_bytes // _estimate_record_bytes(run))
+            )
+        for i in range(0, len(run), rows):
+            self.endpoint.send_raw(target, tag, pickle.dumps(
+                ("c", run[i:i + rows]), protocol=pickle.HIGHEST_PROTOCOL
+            ))
+        return -(-len(run) // rows)
 
-    def _recv_chunked(self, source, tag) -> list:
+    def _recv_stream(self, source, tag) -> list:
         records: list = []
         chunks = 0
         while True:

@@ -119,17 +119,10 @@ class FrameRing:
     def release(self, slots):
         self._free.extend(slots)
 
-    def write(self, slot: int, data) -> None:
-        self._segments[slot].buf[: len(data)] = data
-
     def write_at(self, slot: int, offset: int, data) -> None:
-        """Copy ``data`` into ``slot`` starting at ``offset``.
-
-        Columnar frames lay several length-prefixed pieces (header,
-        then one raw buffer per column) contiguously across a slot run,
-        so the writer needs sub-slot positioning; :meth:`write` keeps
-        covering the whole-blob path.
-        """
+        """Copy ``data`` into ``slot`` starting at ``offset`` (a frame's
+        pieces lie contiguously across a slot run, so the writer needs
+        sub-slot positioning)."""
         self._segments[slot].buf[offset: offset + len(data)] = data
 
     def view(self, slot: int, nbytes: int) -> memoryview:
@@ -222,19 +215,9 @@ class Endpoint:
         self._rings = rings
         self._ring = rings[rank] if rings is not None else None
         self.shm_threshold = shm_threshold
-        #: the current job's epoch; frames from other epochs are dropped
-        self.epoch = 0
         #: frames that arrived before anyone asked for them, per stream
         self._pending: dict[tuple, deque] = {}
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.frames_sent = 0
-        self.frames_received = 0
-        #: fixed-width column buffers that reached the wire as raw
-        #: memcpy into a shared slot — never pickled (columnar frames
-        #: on the shm path only; inline fallbacks don't count)
-        self.columns_zero_copied = 0
-        self.bytes_zero_copied = 0
+        self.begin_job(0)
         #: live metric registry when telemetry is enabled, else None
         self.telemetry = None
         #: shm bytes announced but not yet acked, keyed by lead slot
@@ -284,12 +267,16 @@ class Endpoint:
         in-flight leftovers are dropped on receipt — their shared-memory
         slots still acked back to their owners.
         """
+        #: the current job's epoch; frames from other epochs are dropped
         self.epoch = epoch
         self._pending.clear()
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_sent = 0
         self.frames_received = 0
+        #: fixed-width column buffers that reached the wire as raw
+        #: memcpy into a shared slot — never pickled (columnar frames
+        #: on the shm path only; inline fallbacks don't count)
         self.columns_zero_copied = 0
         self.bytes_zero_copied = 0
 
@@ -309,34 +296,17 @@ class Endpoint:
         hands the blob straight here.  ``blob`` must unpickle to the
         frame payload, exactly as :meth:`send` would have produced.
         """
-        if target == self.rank:
-            raise ValueError("a worker does not send frames to itself")
+        posted = self._post(target, tag, "s", (blob,), len(blob))
         self.bytes_sent += len(blob)
         self.frames_sent += 1
         if self.telemetry is not None:
             self._t_bytes_sent.inc(len(blob))
-        if self._ring is not None and len(blob) >= self.shm_threshold:
-            slots = self._acquire_slots(len(blob))
-            if slots is not None:
-                view = memoryview(blob)
-                size = self._ring.slot_bytes
-                for index, slot in enumerate(slots):
-                    self._ring.write(slot, view[index * size:
-                                                (index + 1) * size])
-                if self.telemetry is not None:
-                    self._t_frames_shm.inc()
-                    self._inflight[slots[0]] = len(blob)
-                    self._inflight_bytes += len(blob)
-                self._mailboxes[target].put(
-                    ("s", self.epoch, self.rank, tag, len(blob), slots)
-                )
-                return
-            # large frame, but the whole ring cannot hold it: inline
+        if not posted:
             if self.telemetry is not None:
-                self._t_inline_fallbacks.inc()
-        if self.telemetry is not None:
-            self._t_frames_inline.inc()
-        self._mailboxes[target].put(("f", self.epoch, self.rank, tag, blob))
+                self._t_frames_inline.inc()
+            self._mailboxes[target].put(
+                ("f", self.epoch, self.rank, tag, blob)
+            )
 
     def send_columns(self, target: int, tag, header: bytes, buffers):
         """Send a struct-of-arrays frame without pickling its payload.
@@ -350,47 +320,60 @@ class Endpoint:
         counters record exactly those buffers.  Object-column buffers
         arrive here already pickled and are copied like any bytes.
 
-        Frames below the shm threshold — or hitting a full ring — ride
+        Frames below the shm threshold — or larger than the ring — ride
         the control queue as one pickled ``("cols", header, buffers)``
         frame instead: correct either way, but pickling bytes is still
         serialization, so the zero-copy counters stay untouched.
         """
-        if target == self.rank:
-            raise ValueError("a worker does not send frames to itself")
         pieces = [len(header).to_bytes(4, "big"), header]
         for buffer in buffers:
             pieces.append(len(buffer).to_bytes(4, "big"))
             pieces.append(buffer)
         nbytes = sum(len(piece) for piece in pieces)
-        if self._ring is not None and nbytes >= self.shm_threshold:
-            slots = self._acquire_slots(nbytes)
-            if slots is not None:
-                self._write_pieces(slots, pieces)
-                self.bytes_sent += nbytes
-                self.frames_sent += 1
-                for buffer in buffers:
-                    if isinstance(buffer, memoryview):
-                        self.columns_zero_copied += 1
-                        self.bytes_zero_copied += len(buffer)
-                if self.telemetry is not None:
-                    self._t_bytes_sent.inc(nbytes)
-                    self._t_frames_shm.inc()
-                    for buffer in buffers:
-                        if isinstance(buffer, memoryview):
-                            self._t_columns_zero_copied.inc()
-                            self._t_bytes_zero_copied.inc(len(buffer))
-                    self._inflight[slots[0]] = nbytes
-                    self._inflight_bytes += nbytes
-                self._mailboxes[target].put(
-                    ("c", self.epoch, self.rank, tag, nbytes, slots)
-                )
-                return
+        if not self._post(target, tag, "c", pieces, nbytes):
+            self.send(
+                target, tag,
+                ("cols", bytes(header), [bytes(b) for b in buffers]),
+            )
+            return
+        self.bytes_sent += nbytes
+        self.frames_sent += 1
+        raw = [len(b) for b in buffers if isinstance(b, memoryview)]
+        self.columns_zero_copied += len(raw)
+        self.bytes_zero_copied += sum(raw)
+        if self.telemetry is not None:
+            self._t_bytes_sent.inc(nbytes)
+            self._t_columns_zero_copied.inc(len(raw))
+            self._t_bytes_zero_copied.inc(sum(raw))
+
+    def _post(self, target: int, tag, kind: str, pieces, nbytes: int) -> bool:
+        """Post a frame's ``pieces`` through this rank's ring.
+
+        The one ring-or-inline decision: a frame of at least
+        ``shm_threshold`` bytes that the ring can hold is written across
+        a run of slots and announced to ``target`` as ``(kind, epoch,
+        source, tag, nbytes, slots)``.  Returns ``False`` — nothing
+        posted — when the frame must ride the control queue inline.
+        """
+        if target == self.rank:
+            raise ValueError("a worker does not send frames to itself")
+        if self._ring is None or nbytes < self.shm_threshold:
+            return False
+        slots = self._acquire_slots(nbytes)
+        if slots is None:
+            # large frame, but the whole ring cannot hold it: inline
             if self.telemetry is not None:
                 self._t_inline_fallbacks.inc()
-        self.send(
-            target, tag,
-            ("cols", bytes(header), [bytes(b) for b in buffers]),
+            return False
+        self._write_pieces(slots, pieces)
+        if self.telemetry is not None:
+            self._t_frames_shm.inc()
+            self._inflight[slots[0]] = nbytes
+            self._inflight_bytes += nbytes
+        self._mailboxes[target].put(
+            (kind, self.epoch, self.rank, tag, nbytes, slots)
         )
+        return True
 
     def _write_pieces(self, slots, pieces) -> None:
         """Lay ``pieces`` contiguously across a run of acquired slots."""
@@ -412,35 +395,18 @@ class Endpoint:
     def _acquire_slots(self, nbytes: int):
         """Free slots covering ``nbytes``, or ``None`` for inline fallback.
 
-        When every slot is in flight, drain our own mailbox — acks
-        return slots; early data frames are buffered, not lost — until
-        enough come back or the timeout expires.
+        When every slot is in flight, wait on our own mailbox — acks
+        return slots — until enough come back or the timeout expires.
         """
         ring = self._ring
         needed = -(-nbytes // ring.slot_bytes)
         if needed > len(ring):
             return None
-        slots = ring.try_acquire(needed)
-        if slots is not None:
-            return slots
-        deadline = time.monotonic() + self.timeout
-        inbox = self._mailboxes[self.rank]
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise FabricTimeout(
-                    f"worker {self.rank} timed out after "
-                    f"{self.timeout:.0f}s waiting to reclaim "
-                    "shared-memory frame slots (peer likely dead)"
-                )
-            try:
-                message = inbox.get(timeout=min(remaining, 1.0))
-            except queue_module.Empty:
-                continue
-            self._ingest(message)
-            slots = ring.try_acquire(needed)
-            if slots is not None:
-                return slots
+        return self._await(
+            lambda: ring.try_acquire(needed),
+            "waiting to reclaim shared-memory frame slots "
+            "(peer likely dead)",
+        )
 
     # ------------------------------------------------------------------
     # receiving
@@ -448,21 +414,33 @@ class Endpoint:
     def recv(self, source: int, tag):
         """Block until the next frame of stream ``(source, tag)`` arrives."""
         key = (source, tag)
+        bucket = self._await(
+            lambda: self._pending.get(key) or None,
+            f"waiting for frame {tag!r} from worker {source}",
+        )
+        payload = bucket.popleft()
+        # opportunistic drain: pull in whatever already arrived (acks,
+        # fast peers' frames) before handing compute back
+        self._drain(self._mailboxes[self.rank])
+        return payload
+
+    def _await(self, ready, what: str):
+        """Ingest this rank's mailbox until ``ready()`` returns a value.
+
+        Whoever waits, everything that arrives is handled: acks return
+        slots, early data frames are buffered, not lost.
+        """
         deadline = time.monotonic() + self.timeout
         inbox = self._mailboxes[self.rank]
         while True:
-            bucket = self._pending.get(key)
-            if bucket:
-                payload = bucket.popleft()
-                # opportunistic drain: pull in whatever already arrived
-                # (acks, fast peers' frames) before handing compute back
-                self._drain(inbox)
-                return payload
+            result = ready()
+            if result is not None:
+                return result
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise FabricTimeout(
-                    f"worker {self.rank} timed out after {self.timeout:.0f}s "
-                    f"waiting for frame {tag!r} from worker {source}"
+                    f"worker {self.rank} timed out after "
+                    f"{self.timeout:.0f}s {what}"
                 )
             try:
                 message = inbox.get(timeout=min(remaining, 1.0))
@@ -492,10 +470,10 @@ class Endpoint:
             _, epoch, src, tag, nbytes, slots = message
             payload = None
             if epoch == self.epoch:
-                if kind == "s":
-                    payload = self._load_shared(src, nbytes, slots)
-                else:
-                    payload = self._load_columns(src, nbytes, slots)
+                payload = self._load_slots(
+                    src, nbytes, slots,
+                    pickle.loads if kind == "s" else _parse_columns_wire,
+                )
             # handoff complete either way: return the slots to their owner
             self._mailboxes[src].put(("a", slots))
             if epoch != self.epoch:
@@ -510,38 +488,20 @@ class Endpoint:
         self.frames_received += 1
         self._pending.setdefault((src, tag), deque()).append(payload)
 
-    def _load_shared(self, src: int, nbytes: int, slots):
-        """Deserialize a frame straight out of the sender's ring."""
-        ring = self._rings[src]
-        if len(slots) == 1:
-            view = ring.view(slots[0], nbytes)
-            try:
-                return pickle.loads(view)
-            finally:
-                view.release()
-        parts = []
-        remaining = nbytes
-        for slot in slots:
-            take = min(remaining, ring.slot_bytes)
-            view = ring.view(slot, take)
-            parts.append(bytes(view))
-            view.release()
-            remaining -= take
-        return pickle.loads(b"".join(parts))
+    def _load_slots(self, src: int, nbytes: int, slots, parse):
+        """``parse`` a frame's bytes straight out of the sender's ring.
 
-    def _load_columns(self, src: int, nbytes: int, slots):
-        """Parse a columnar frame's wire pieces out of the sender's ring.
-
-        Returns the same ``("cols", header, buffers)`` payload the
+        ``parse`` must copy what it keeps — the slots are acked (and
+        recyclable) the moment this returns.  For columnar frames it
+        rebuilds the same ``("cols", header, buffers)`` payload the
         inline fallback delivers, so receivers never see which path a
-        frame took.  Buffer bytes are copied out — the slots are acked
-        (and recyclable) the moment this returns.
+        frame took.
         """
         ring = self._rings[src]
         if len(slots) == 1:
             view = ring.view(slots[0], nbytes)
             try:
-                return _parse_columns_wire(view)
+                return parse(view)
             finally:
                 view.release()
         parts = []
@@ -552,4 +512,4 @@ class Endpoint:
             parts.append(bytes(view))
             view.release()
             remaining -= take
-        return _parse_columns_wire(memoryview(b"".join(parts)))
+        return parse(memoryview(b"".join(parts)))

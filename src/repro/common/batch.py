@@ -357,24 +357,39 @@ class RecordBatch:
         order preserved within each group, exactly as the row scatter's
         append loop orders them — without materializing a single row:
         one vectorized modulo over the key column, one stable argsort,
-        one fancy index per column buffer.  Requires the batch to be
-        column-born (rows never materialized), every column fixed-width,
-        and the key vector int64-viewable; returns ``None`` otherwise so
-        the caller can fall back to the row loop.
+        one fancy index per column buffer.  Returns ``None`` unless
+        :meth:`can_scatter`, so the caller can fall back to the row loop.
         """
-        if self._records is not None or not self.has_columns():
-            return None
-        vector = self.key_array()
+        vector = self.key_array() if self.can_scatter() else None
         if vector is None:
             return None
         _length, cols = self._columns
         groups = columnar.scatter_fixed(cols, vector, parallelism)
-        if groups is None:
-            return None
         return [
             RecordBatch.from_columns(count, group, self.key_fields)
             for count, group in groups
         ]
+
+    def can_scatter(self) -> bool:
+        """Whether :meth:`scatter` applies: the batch is column-born
+        (rows never materialized), every column is fixed-width and the
+        single key field is an int64 column.  A property of the layout,
+        so every chunk of :meth:`split` shares it."""
+        if (
+            self._records is not None
+            or not self.has_columns()
+            or not columnar.HAVE_NUMPY
+            or self.key_fields is None
+            or len(self.key_fields) != 1
+        ):
+            return False
+        cols = self._columns[1]
+        field = self.key_fields[0]
+        return (
+            field < len(cols)
+            and cols[field][0] == "q"
+            and all(typecode != columnar.OBJECT for typecode, _data in cols)
+        )
 
     @classmethod
     def merge(cls, batches) -> "RecordBatch":

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.common.batch import RecordBatch
 from repro.common.errors import MicrostepViolation
 from repro.common.hashing import partition_index
 from repro.common.keys import KeyExtractor
@@ -35,7 +34,8 @@ from repro.dataflow.contracts import Contract
 from repro.iterations import supersteps
 from repro.iterations.microstep import analyze_microstep
 from repro.iterations.termination import AsyncTerminationDetector
-from repro.runtime import drivers
+from repro.runtime import channels, drivers
+from repro.runtime.plan import partition_on
 
 
 def run_microsteps(executor, node, scope, index, synchronous):
@@ -86,28 +86,17 @@ def _route_workset(executor, frames, route_fields):
 def _seed_queues(executor, initial, route_fields):
     """Route the initial workset into one queue per partition.
 
-    Batch-at-a-time: one hash vector per chunk, same queue contents and
-    counter totals as per-record enqueue.  Each context frames the
-    partitions it owns; routing delivers them in source-ascending order,
-    which is where a scan over all partitions places them.
+    The ship channel's hash framer without its span, batch count or
+    audit: one hash vector per chunk, same queue contents and counter
+    totals as per-record enqueue.  Each context frames the partitions it
+    owns; routing delivers them in source-ascending order, which is
+    where a scan over all partitions places them.
     """
-    parallelism = executor.parallelism
-    frames = [[] for _ in range(parallelism)]
-    local = remote = 0
-    for p in executor.cluster.owned_partitions(parallelism):
-        if not initial[p]:
-            continue
-        for chunk in RecordBatch.wrap(initial[p], route_fields).split(
-            executor.batch_size
-        ):
-            targets = chunk.partition_targets(
-                parallelism, columnar_mode=executor.columnar
-            )
-            for target, record in zip(targets, chunk.records):
-                frames[target].append(record)
-            here = targets.count(p)
-            local += here
-            remote += len(targets) - here
+    frames, local, remote, _batches = channels.frame(
+        initial, executor.cluster.owned_partitions(executor.parallelism),
+        partition_on(route_fields), executor.batch_size,
+        columnar=executor.columnar,
+    )
     queues = [
         deque(part) for part in _route_workset(executor, frames, route_fields)
     ]
@@ -507,15 +496,12 @@ def _compile_match_stage(executor, scope, op):
     dyn_idx = _dynamic_input_of(scope, op)
     const_idx = 1 - dyn_idx
     shipped = executor._ship_one_input(op, const_idx, scope.iter_memo, scope)
-    tables = []
-    for part in shipped:
-        table: dict = {}
-        for records, keys in drivers._key_chunks(
+    tables = [
+        drivers.group_by_key(
             part, op.key_fields[const_idx], executor.batch_size
-        ):
-            for k, record in zip(keys, records):
-                table.setdefault(k, []).append(record)
-        tables.append(table)
+        )
+        for part in shipped
+    ]
     dyn_key = KeyExtractor(op.key_fields[dyn_idx])
     fn = op.udf
     flat = getattr(op, "flat", False)

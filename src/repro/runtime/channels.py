@@ -1,4 +1,4 @@
-"""Shipping channels between operators of the simulated cluster.
+"""Shipping channels between operators.
 
 A dataset at rest is a list of ``parallelism`` partitions, each a list of
 tuple records.  Shipping a dataset re-routes records according to a
@@ -6,12 +6,21 @@ tuple records.  Shipping a dataset re-routes records according to a
 counted as local (stays in its partition) or remote (crosses a partition
 boundary — a "network message" in the paper's terms).
 
+**One path for every context.**  A non-forward ship is *frame, then
+route*: :func:`frame` walks the source partitions the calling
+:class:`~repro.cluster.context.ClusterContext` owns (one framing routine
+per strategy) and ``cluster.route`` delivers ``frames[target]`` to each
+target's owner — the identity in the simulator, which owns every
+partition, an all-to-all exchange between SPMD workers, which own one
+each.  Whether a channel is in-memory or crosses the fabric is decided
+below the ship (the paper's Secs. 3, 4.2).
+
 **Partition-count contract.**  Every ship requires exactly
 ``parallelism`` input partitions and produces exactly ``parallelism``
 output partitions.  Datasets at rest always hold one partition per
 worker (the loaders below guarantee it), so partition index *i* means
 "worker *i*" on both sides of a channel — which is what makes
-``target == source_index`` a valid locality test.  Shipping a dataset
+``target == source`` a valid locality test.  Shipping a dataset
 whose partition count disagrees with the cluster width is an error, not
 a silent re-interpretation: before this contract was enforced, the hash
 and gather channels mislabelled local vs remote counts whenever the two
@@ -22,25 +31,31 @@ benchmarks are reproducible.
 
 **Batched data plane.**  Ships move records in
 :class:`~repro.common.batch.RecordBatch` chunks of ``batch_size``
-records: the hash channel computes one key/hash vector per chunk and
+records: the hash framer computes one key/hash vector per chunk and
 scatters from it (one hash pass per batch instead of one
-extract+hash call per record), and under SPMD the exchange splits
-frames into size-bounded chunks instead of one monolithic pickle.
+extract+hash call per record), and a worker's exchange streams each
+frame as size-bounded chunks.
 ``batch_size=None`` keeps the whole partition in one chunk;
 ``batch_size=1`` is the degenerate record-at-a-time mode.  Chunking
 never changes results, record order, or the local/remote split — only
 the framing — and the number of framed chunks is counted on
-``metrics.batches_shipped`` identically in both backends.
+``metrics.batches_shipped`` identically on every backend (each context
+counts the chunks of the partitions it owns).
 
 When the shipping metrics collector carries an
 :class:`~repro.runtime.invariants.InvariantChecker`, every ship is
 audited after the fact: conservation (records out equal records in),
 placement (hash-shipped records land on ``partition_index(key)``), and
-the local/remote split recomputed independently per record.
+the local/remote split recomputed independently per record — by the
+global law when the context saw every partition, by its per-owner
+projection otherwise.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.cluster.context import LOCAL
 from repro.common.batch import RecordBatch
 from repro.runtime.plan import ShipKind
 
@@ -58,7 +73,7 @@ def _chunk_count(n: int, batch_size) -> int:
     return -(-n // batch_size)
 
 
-def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
+def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
          batch_size=None, max_frame_bytes=None, columnar=False):
     """Move ``partitions`` according to ``strategy``; returns new partitions.
 
@@ -67,19 +82,18 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
     accounting is recorded on ``metrics`` and, when an invariant checker
     is attached, audited against a per-record recomputation.
 
-    When ``cluster`` is an SPMD worker context, non-forward ships move
-    records over the cluster's real all-to-all exchange instead of
-    in-process list shuffling; forward ships never cross partitions, so
-    they take the local path even under SPMD.
+    ``cluster`` decides which source partitions this call frames and
+    how the frames reach their owners; forward ships never cross
+    partitions, so they are neither framed nor routed.
 
     ``batch_size`` frames the move in record-batch chunks (see the
     module docstring); ``max_frame_bytes`` additionally bounds the
-    serialized size of one SPMD fabric frame.
+    serialized size of one fabric frame.
 
     ``columnar`` engages the struct-of-arrays fast paths: the hash
     scatter computes partition targets with one vectorized pass over
     the int64 key column when the batch has one (falling back to the
-    row loop otherwise), and the SPMD exchange frames fixed-width
+    row loop otherwise), and a serializing context frames fixed-width
     columns as raw buffers.  Targets, output order, and the
     local/remote split are bitwise identical in both modes.
     """
@@ -91,8 +105,9 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
             "(the partition-count contract)"
         )
     kind = strategy.kind
-    # one span covers the ship whichever path it takes, so traces have
-    # identical structure across the in-process and SPMD settings
+    checker = metrics.invariants if metrics is not None else None
+    # one span covers the ship whatever the context, so traces have
+    # identical structure on every backend
     tracer = metrics.tracer if metrics is not None else None
     span = None
     if tracer is not None:
@@ -101,43 +116,42 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=None,
             fanout=parallelism, batch_size=batch_size or 0,
         )
     try:
-        if (
-            cluster is not None
-            and not cluster.is_local
-            and cluster.size > 1
-            and kind is not ShipKind.FORWARD
-        ):
-            return _ship_spmd(
-                partitions, strategy, parallelism, metrics, cluster,
-                batch_size=batch_size, max_frame_bytes=max_frame_bytes,
-                columnar=columnar,
-            )
+        owned = cluster.owned_partitions(parallelism)
+        bytes_before = cluster.bytes_sent
+        zc_cols_before = cluster.columns_zero_copied
+        zc_bytes_before = cluster.bytes_zero_copied
         if kind is ShipKind.FORWARD:
+            frames = None
             out, local, remote = _ship_forward(partitions)
             batches = 0
-        elif kind is ShipKind.PARTITION_HASH:
-            out, local, remote, batches = _ship_hash(
-                partitions, strategy.key_fields, parallelism,
-                batch_size=batch_size, metrics=metrics, columnar=columnar,
-            )
-        elif kind is ShipKind.BROADCAST:
-            out, local, remote = _ship_broadcast(partitions, parallelism)
-            batches = parallelism * sum(
-                _chunk_count(len(p), batch_size) for p in partitions
-            )
-        elif kind is ShipKind.GATHER:
-            out, local, remote = _ship_gather(partitions, parallelism)
-            batches = sum(_chunk_count(len(p), batch_size) for p in partitions)
         else:
-            raise ValueError(f"unknown ship kind {kind}")
+            frames, local, remote, batches = frame(
+                partitions, owned, strategy, batch_size, checker, columnar
+            )
+            out = cluster.route(
+                frames, batch_size=batch_size,
+                max_frame_bytes=max_frame_bytes, columnar=columnar,
+                key_fields=getattr(strategy, "key_fields", None),
+            )
         if metrics is not None:
+            metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
+            metrics.add_zero_copied(
+                cluster.columns_zero_copied - zc_cols_before,
+                cluster.bytes_zero_copied - zc_bytes_before,
+            )
             metrics.add_shipped(local=local, remote=remote)
             if batches:
                 metrics.add_batches_shipped(batches)
-            checker = metrics.invariants
-            if checker is not None:
+        if checker is not None:
+            if frames is None or len(owned) == parallelism:
+                # this context saw every partition: the global law
                 checker.check_ship(
                     strategy, partitions, out, parallelism, local, remote
+                )
+            else:
+                checker.check_exchange(
+                    strategy, partitions, frames, out, parallelism, owned,
+                    local, remote,
                 )
         return out
     finally:
@@ -156,180 +170,104 @@ def _ship_forward(partitions):
     return out, total, 0
 
 
-def _ship_hash(partitions, key_fields, parallelism, batch_size=None,
-               metrics=None, columnar=False):
-    checker = metrics.invariants if metrics is not None else None
-    if columnar:
-        scattered = _ship_hash_columnar(
-            partitions, key_fields, parallelism, batch_size, checker
-        )
-        if scattered is not None:
-            return scattered
-    out = empty_partitions(parallelism)
-    appends = [p.append for p in out]
-    local = 0
-    remote = 0
-    batches = 0
-    # source_index and target index refer to the same partitioning: the
-    # contract in ship() guarantees len(partitions) == parallelism
-    for source_index, part in enumerate(partitions):
-        if not part:
-            continue
-        for chunk in RecordBatch.wrap(part, key_fields).split(batch_size):
-            if checker is not None:
-                checker.check_batch(chunk)
-            targets = chunk.partition_targets(
-                parallelism, columnar_mode=columnar
-            )
-            for target, record in zip(targets, chunk.records):
-                appends[target](record)
-            here = targets.count(source_index)
-            local += here
-            remote += len(targets) - here
-            batches += 1
-    return out, local, remote, batches
+def frame(partitions, owned, strategy, batch_size=None, checker=None,
+          columnar=False):
+    """Frame the ``owned`` source partitions for their target partitions.
 
-
-def _ship_hash_columnar(partitions, key_fields, parallelism,
-                        batch_size, checker):
-    """Column-at-a-time hash scatter for columnar-resident inputs.
-
-    Engages only when every non-empty partition is a column-born
-    :class:`RecordBatch` whose chunks scatter (all fixed-width columns,
-    int64 key vector): each chunk's records are grouped by one
-    vectorized hash pass (:meth:`RecordBatch.scatter`) and the groups
-    concatenated per target as column buffers — no row materializes
-    anywhere on the path, and the output partitions are themselves
-    column-born batches ready for the next columnar consumer.  Output
-    record order, the local/remote split, and the ``batches`` count are
-    identical to the row loop's.  Returns ``None`` to fall back when
-    any partition is row-resident or any chunk carries an object
-    column (partially-gathered work is discarded; the row loop redoes
-    it from scratch).
+    Returns ``(frames, local, remote, batches)``: ``frames[t]`` holds
+    what the owned sources produced for partition ``t`` in ascending
+    source order; the counts sum the framing routine's per-source
+    triples.  Ownership is all that differs between contexts, so summed
+    over a cluster's contexts the counts are the same on every backend,
+    and ``route``'s source-ascending concatenation rebuilds the same
+    partitions.
     """
-    gathered: list[list] = [[] for _ in range(parallelism)]
-    local = 0
-    remote = 0
-    batches = 0
-    for source_index, part in enumerate(partitions):
-        if isinstance(part, RecordBatch):
-            if not len(part):
-                continue
-            if part._records is not None or not part.has_columns():
-                return None
-        elif not part:
-            continue
-        else:
-            return None
-        wrapped = RecordBatch.wrap(part, key_fields)
-        for chunk in wrapped.split(batch_size):
-            if checker is not None:
-                checker.check_batch(chunk)
-            groups = chunk.scatter(parallelism)
-            if groups is None:
-                return None
-            for target, group in enumerate(groups):
-                gathered[target].append(group)
-            here = len(groups[source_index])
-            local += here
-            remote += len(chunk) - here
-            batches += 1
-    out = [
-        RecordBatch.merge(groups) if groups else []
-        for groups in gathered
-    ]
-    return out, local, remote, batches
-
-
-def _ship_broadcast(partitions, parallelism):
-    all_records = [record for part in partitions for record in part]
-    out = [list(all_records) for _ in range(parallelism)]
-    return out, len(all_records), len(all_records) * (parallelism - 1)
-
-
-def _ship_gather(partitions, parallelism):
-    local = len(partitions[0]) if partitions else 0
-    remote = sum(len(p) for p in partitions[1:])
-    out = empty_partitions(parallelism)
-    out[0] = [record for part in partitions for record in part]
-    return out, local, remote
-
-
-def _ship_spmd(partitions, strategy, parallelism, metrics, cluster,
-               batch_size=None, max_frame_bytes=None, columnar=False):
-    """One SPMD worker's side of a ship: frame, exchange, reassemble.
-
-    The worker owns only ``partitions[rank]`` (the other slots are empty
-    under localization).  It frames its records per the strategy and
-    hands the frames to ``cluster.route``, which rebuilds its slot by
-    concatenating received frames in ascending source-rank order — the
-    same order the in-process channels produce by scanning source
-    partitions, which is what keeps SPMD results and counters bitwise
-    identical to the simulator's.
-
-    The worker frames its slot in ``batch_size`` chunks (one key-hash
-    vector per chunk, same as the in-process hash channel) and the
-    exchange ships each target frame as chunked, size-bounded fabric
-    payloads instead of one monolithic pickle.  The number of chunks
-    framed from the local slot matches what the simulator counts for
-    this partition, so ``batches_shipped`` agrees across backends.
-    """
-    rank = cluster.rank
-    local_in = partitions[rank]
-    n_in = len(local_in)
     kind = strategy.kind
-    checker = metrics.invariants if metrics is not None else None
-    frames: list[list] = [[] for _ in range(parallelism)]
-    if kind is ShipKind.PARTITION_HASH:
-        appends = [f.append for f in frames]
-        batches = 0
-        if local_in:
-            wrapped = RecordBatch.wrap(local_in, strategy.key_fields)
-            for chunk in wrapped.split(batch_size):
-                if checker is not None:
-                    checker.check_batch(chunk)
-                targets = chunk.partition_targets(
-                    parallelism, columnar_mode=columnar
-                )
-                for target, record in zip(targets, chunk.records):
-                    appends[target](record)
-                batches += 1
-        local = len(frames[rank])
-        remote = n_in - local
+    sources = [(s, partitions[s]) for s in owned if len(partitions[s])]
+    # input-observed: a hash ship whose every source is a column-born
+    # batch that scatters (a property of the layout, so it is decided
+    # before any chunk is touched) never materializes a row
+    scatter = columnar and kind is ShipKind.PARTITION_HASH and all(
+        isinstance(part, RecordBatch)
+        and RecordBatch.wrap(part, strategy.key_fields).can_scatter()
+        for _source, part in sources
+    )
+    if scatter:
+        framer = partial(_ship_hash_columnar, key_fields=strategy.key_fields,
+                         checker=checker)
+    elif kind is ShipKind.PARTITION_HASH:
+        framer = partial(_frame_hash, key_fields=strategy.key_fields,
+                         checker=checker, columnar=columnar)
     elif kind is ShipKind.BROADCAST:
-        frames = [list(local_in) for _ in range(parallelism)]
-        local = n_in
-        remote = n_in * (parallelism - 1)
-        batches = parallelism * _chunk_count(n_in, batch_size)
+        framer = _frame_broadcast
     elif kind is ShipKind.GATHER:
-        frames[0] = list(local_in)
-        local = n_in if rank == 0 else 0
-        remote = 0 if rank == 0 else n_in
-        batches = _chunk_count(n_in, batch_size)
+        framer = _frame_gather
     else:
         raise ValueError(f"unknown ship kind {kind}")
-    bytes_before = cluster.bytes_sent
-    zc_cols_before = cluster.columns_zero_copied
-    zc_bytes_before = cluster.bytes_zero_copied
-    out = cluster.route(
-        frames, batch_size=batch_size, max_frame_bytes=max_frame_bytes,
-        columnar=columnar, key_fields=getattr(strategy, "key_fields", None),
-    )
-    if metrics is not None:
-        metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
-        metrics.add_zero_copied(
-            cluster.columns_zero_copied - zc_cols_before,
-            cluster.bytes_zero_copied - zc_bytes_before,
-        )
-        metrics.add_shipped(local=local, remote=remote)
-        if batches:
-            metrics.add_batches_shipped(batches)
+    frames = empty_partitions(len(partitions))
+    local = remote = batches = 0
+    # source and target indices refer to the same partitioning: the
+    # contract in ship() guarantees len(partitions) == parallelism
+    for source, part in sources:
+        here, away, chunks = framer(part, source, frames, batch_size)
+        local += here
+        remote += away
+        batches += chunks
+    if scatter:
+        # per-target column groups concatenate as column buffers: the
+        # frames are column-born batches, ready for a columnar consumer
+        frames = [RecordBatch.merge(groups) if groups else []
+                  for groups in frames]
+    return frames, local, remote, batches
+
+
+def _frame_hash(part, source, frames, batch_size, key_fields, checker=None,
+                columnar=False):
+    """One key/hash vector per chunk; records scatter to their owners."""
+    parallelism = len(frames)
+    appends = [f.append for f in frames]
+    here = chunks = 0
+    for chunk in RecordBatch.wrap(part, key_fields).split(batch_size):
         if checker is not None:
-            checker.check_exchange(
-                strategy, local_in, frames, out[rank], parallelism, rank,
-                local, remote,
-            )
-    return out
+            checker.check_batch(chunk)
+        targets = chunk.partition_targets(parallelism, columnar_mode=columnar)
+        for target, record in zip(targets, chunk.records):
+            appends[target](record)
+        here += targets.count(source)
+        chunks += 1
+    return here, len(part) - here, chunks
+
+
+def _ship_hash_columnar(part, source, frames, batch_size, key_fields,
+                        checker=None):
+    """:func:`_frame_hash` column-at-a-time: each chunk is grouped by one
+    vectorized hash pass (:meth:`RecordBatch.scatter`) and every target
+    collects a column group — same record order, split and chunk count."""
+    here = chunks = 0
+    for chunk in RecordBatch.wrap(part, key_fields).split(batch_size):
+        groups = chunk.scatter(len(frames))
+        if checker is not None:
+            # after the scatter: the audit materializes the rows
+            checker.check_batch(chunk)
+        for target_frame, group in zip(frames, groups):
+            target_frame.append(group)
+        here += len(groups[source])
+        chunks += 1
+    return here, len(part) - here, chunks
+
+
+def _frame_broadcast(part, source, frames, batch_size):
+    for target_frame in frames:
+        target_frame.extend(part)
+    n = len(part)
+    return n, n * (len(frames) - 1), len(frames) * _chunk_count(n, batch_size)
+
+
+def _frame_gather(part, source, frames, batch_size):
+    frames[0].extend(part)
+    n = len(part)
+    chunks = _chunk_count(n, batch_size)
+    return (n, 0, chunks) if source == 0 else (0, n, chunks)
 
 
 def merge(partitions) -> list:
@@ -340,13 +278,8 @@ def merge(partitions) -> list:
 def partition_records(records, key_fields, parallelism) -> list[list]:
     """Hash-partition a flat record list (used to load initial datasets)."""
     out = empty_partitions(parallelism)
-    if not records:
-        return out
-    batch = RecordBatch.wrap(records, key_fields)
-    for target, record in zip(
-        batch.partition_targets(parallelism), batch.records
-    ):
-        out[target].append(record)
+    if records:
+        _frame_hash(records, 0, out, batch_size=None, key_fields=key_fields)
     return out
 
 

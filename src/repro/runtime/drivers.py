@@ -63,6 +63,30 @@ def _key_chunks(records, key_fields, batch_size):
         yield chunk.records, chunk.keys
 
 
+def group_by_key(records, key_fields, batch_size):
+    """``{key: [records in arrival order]}``, keys in first-arrival order
+    — the hash-join build table and the grouping drivers' group map
+    (a ``defaultdict``: probe it with ``.get`` so misses insert nothing)."""
+    table = defaultdict(list)
+    for chunk, keys in _key_chunks(records, key_fields, batch_size):
+        for k, record in zip(keys, chunk):
+            table[k].append(record)
+    return table
+
+
+def fold_by_key(records, key_fields, batch_size, fn):
+    """One ``fn``-folded record per key, keys in first-arrival order —
+    the combinable REDUCE kernel (hash aggregate and the pre-shuffle
+    combiner, Sec. 6.1)."""
+    table = {}
+    get = table.get
+    for chunk, keys in _key_chunks(records, key_fields, batch_size):
+        for k, record in zip(keys, chunk):
+            held = get(k)
+            table[k] = record if held is None else fn(held, record)
+    return list(table.values())
+
+
 def _entry_stream(records, key_fields, batch_size):
     """Yield ``(seq, key, record)`` triples for the spilled algorithms.
 
@@ -120,10 +144,12 @@ def _stable_order(vector) -> list[int]:
     return np.argsort(vector, kind="stable").tolist()
 
 
-def _join_pairs(build_vector, probe_vector):
+def _join_pairs(sorted_keys, order, probe_vector):
     """Vectorized equi-join index computation.
 
-    Returns ``(build_indices, probe_indices)`` (numpy int arrays) in
+    ``order`` is the build side's stable ascending-key permutation and
+    ``sorted_keys`` its key column in that order.  Returns
+    ``(build_indices, probe_indices)`` (numpy int arrays) in
     probe-major order: all matches of probe 0, then probe 1, …; within
     one probe, build matches ascend in arrival order.  That is exactly
     the emission order of the row kernel's ``for probe: for build in
@@ -131,8 +157,6 @@ def _join_pairs(build_vector, probe_vector):
     insertion order.
     """
     np = columnar_mod.numpy_module()
-    order = np.argsort(build_vector, kind="stable")
-    sorted_keys = build_vector[order]
     left = np.searchsorted(sorted_keys, probe_vector, side="left")
     right = np.searchsorted(sorted_keys, probe_vector, side="right")
     counts = right - left
@@ -183,25 +207,20 @@ def _emit_pairs(fn, build_records, build_idx, probe_records, probe_idx,
 
 def _columnar_hash_join(build_in, build_fields, probe_in, probe_fields,
                         fn, build_left, flat):
-    """The hash join as an index join over int64 key columns.
+    """The hash join as an index join over int64 key columns: sort the
+    build side once, probe it once.
 
     Returns the output list, or ``None`` when either side's keys do not
     vectorize (caller falls back to the dict kernel).
     """
-    build_side = _int64_side(build_in, build_fields)
+    build_side = ColumnarBuildSide.of(build_in, build_fields)
     if build_side is None:
         return None
     probe_side = _int64_side(probe_in, probe_fields)
     if probe_side is None:
         return None
-    build_records, build_vector = build_side
-    probe_records, probe_vector = probe_side
     out: list = []
-    if not build_records or not probe_records:
-        return out
-    build_idx, probe_idx = _join_pairs(build_vector, probe_vector)
-    _emit_pairs(fn, build_records, build_idx, probe_records, probe_idx,
-                build_left, flat, out)
+    build_side.probe(*probe_side, fn, build_left, flat, out)
     return out
 
 
@@ -232,20 +251,9 @@ class ColumnarBuildSide:
 
     def probe(self, chunk_records, chunk_vector, fn, build_left, flat, out):
         """Probe one chunk's key column; emits in row-kernel order."""
-        np = columnar_mod.numpy_module()
-        left = np.searchsorted(self.sorted_keys, chunk_vector, side="left")
-        right = np.searchsorted(self.sorted_keys, chunk_vector, side="right")
-        counts = right - left
-        if int(counts.max(initial=0)) <= 1:
-            hit = counts.astype(bool)
-            build_idx = self.order[left[hit]]
-            probe_idx = None if bool(hit.all()) else np.flatnonzero(hit)
-        else:
-            probe_idx = np.repeat(np.arange(len(chunk_vector)), counts)
-            offsets = np.arange(int(counts.sum())) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            build_idx = self.order[np.repeat(left, counts) + offsets]
+        build_idx, probe_idx = _join_pairs(
+            self.sorted_keys, self.order, chunk_vector
+        )
         _emit_pairs(fn, self.records, build_idx, chunk_records, probe_idx,
                     build_left, flat, out)
 
@@ -323,11 +331,7 @@ def run_hash_join(node, inputs, metrics, build_left: bool,
             _entry_stream(probe_in, probe_fields, batch_size),
             emit,
         )
-    table = defaultdict(list)
-    for records, keys in _key_chunks(build_in, build_fields, batch_size):
-        for k, record in zip(keys, records):
-            table[k].append(record)
-    lookup = table.get
+    lookup = group_by_key(build_in, build_fields, batch_size).get
     for records, keys in _key_chunks(probe_in, probe_fields, batch_size):
         if build_left:
             for k, probe in zip(keys, records):
@@ -418,13 +422,7 @@ def run_hash_aggregate(node, inputs, metrics, batch_size=None, spill=None):
             spill, node.name,
             _entry_stream(records, node.key_fields[0], batch_size), fn,
         )
-    table = {}
-    get = table.get
-    for chunk, keys in _key_chunks(records, node.key_fields[0], batch_size):
-        for k, record in zip(keys, chunk):
-            held = get(k)
-            table[k] = record if held is None else fn(held, record)
-    return list(table.values())
+    return fold_by_key(records, node.key_fields[0], batch_size, fn)
 
 
 def run_sort_aggregate(node, inputs, metrics, batch_size=None, spill=None,
@@ -470,10 +468,7 @@ def run_reduce_group(node, inputs, metrics, batch_size=None, spill=None):
             spill, node.name,
             _entry_stream(records, node.key_fields[0], batch_size), fn,
         )
-    groups = defaultdict(list)
-    for chunk, keys in _key_chunks(records, node.key_fields[0], batch_size):
-        for k, record in zip(keys, chunk):
-            groups[k].append(record)
+    groups = group_by_key(records, node.key_fields[0], batch_size)
     out = []
     for k, group in groups.items():
         out.extend(fn(k, group))
@@ -494,14 +489,8 @@ def run_cogroup(node, inputs, metrics, inner: bool, batch_size=None,
             _entry_stream(right, node.key_fields[1], batch_size),
             fn, inner,
         )
-    left_groups = defaultdict(list)
-    for chunk, keys in _key_chunks(left, node.key_fields[0], batch_size):
-        for k, record in zip(keys, chunk):
-            left_groups[k].append(record)
-    right_groups = defaultdict(list)
-    for chunk, keys in _key_chunks(right, node.key_fields[1], batch_size):
-        for k, record in zip(keys, chunk):
-            right_groups[k].append(record)
+    left_groups = group_by_key(left, node.key_fields[0], batch_size)
+    right_groups = group_by_key(right, node.key_fields[1], batch_size)
     if inner:
         keys = left_groups.keys() & right_groups.keys()
     else:
@@ -531,17 +520,12 @@ def run_cross(node, inputs, metrics):
 
 def apply_combiner(node, partitions, metrics, batch_size=None):
     """Partially aggregate each partition before shipping (Sec. 6.1)."""
-    fn = node.udf
     combined = []
     for part in partitions:
-        table = {}
-        get = table.get
-        for chunk, keys in _key_chunks(part, node.key_fields[0], batch_size):
-            for k, record in zip(keys, chunk):
-                held = get(k)
-                table[k] = record if held is None else fn(held, record)
+        combined.append(
+            fold_by_key(part, node.key_fields[0], batch_size, node.udf)
+        )
         metrics.add_processed(f"{node.name}.combine", len(part))
-        combined.append(list(table.values()))
     return combined
 
 

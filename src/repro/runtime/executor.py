@@ -103,14 +103,9 @@ class Executor:
             if session is None:
                 session = StorageSession()
                 env.storage_session = session
-            if not self.cluster.is_local:
-                # each SPMD worker spills under its own subdirectory of
-                # the parent session, so parent cleanup sweeps workers
-                # that died mid-spill
-                session = session.worker_view(self.cluster.rank)
             self.spill = SpillManager(
-                self.config.memory_budget_bytes, session,
-                metrics=self.metrics,
+                self.config.memory_budget_bytes,
+                self.cluster.storage_view(session), metrics=self.metrics,
             )
         self._memo: dict[int, list] = {}
         self.iteration_summaries: list[IterationSummary] = []
@@ -433,13 +428,9 @@ class Executor:
             tables = []
             sides = []
             for part in shipped:
-                table = {}
-                for records, keys in drivers._key_chunks(
+                tables.append(drivers.group_by_key(
                     part, build_fields, self.batch_size
-                ):
-                    for k, record in zip(keys, records):
-                        table.setdefault(k, []).append(record)
-                tables.append(table)
+                ))
                 # the sorted column rides the cache next to the dict:
                 # supersteps re-probe it, paying the stable sort once.
                 # The dict stays the fallback for probe chunks whose

@@ -31,6 +31,7 @@ execute separately.
 from __future__ import annotations
 
 from repro.dataflow.contracts import Contract
+from repro.runtime import drivers
 
 
 def chain_reads(chain):
@@ -167,7 +168,10 @@ def _run(executor, chain, step_memo, scope, tracer):
                 )
         if combine is not None:
             per_part_in = len(stream)
-            stream = _combine_partition(combine, stream, batch_size)
+            # the pre-shuffle combine pass (Sec. 6.1) of this partition
+            stream = drivers.fold_by_key(
+                stream, combine.key_fields[0], batch_size, combine.udf
+            )
             combine_in += per_part_in
             combine_out += len(stream)
         out_partitions.append(stream)
@@ -249,18 +253,3 @@ def _run_segment(segment, stream, batch_size, per_op_in, per_op_out):
     return out
 
 
-def _combine_partition(node, records, batch_size):
-    """One partition's pre-shuffle combine pass (Sec. 6.1), identical to
-    :func:`repro.runtime.drivers.apply_combiner` on a single partition."""
-    from repro.runtime import drivers
-
-    fn = node.udf
-    table: dict = {}
-    get = table.get
-    for chunk, keys in drivers._key_chunks(
-        records, node.key_fields[0], batch_size
-    ):
-        for k, record in zip(keys, chunk):
-            held = get(k)
-            table[k] = record if held is None else fn(held, record)
-    return list(table.values())

@@ -49,7 +49,7 @@ Enforced laws:
 The checker recomputes expectations independently of the code under
 audit (e.g. the hash channel's locality split is re-derived per record
 from the key extractor), so re-introducing a known accounting bug — the
-``apply_record`` probe undercount, the ``_ship_hash`` locality mislabel —
+``apply_record`` probe undercount, the hash framer's locality mislabel —
 trips a check rather than skewing a benchmark.
 """
 
@@ -252,27 +252,29 @@ class InvariantChecker:
                 f"remote={expected_remote} — locality accounting is wrong"
             )
 
-    def check_exchange(self, strategy, local_in, frames, received,
-                       parallelism, rank, local, remote):
-        """Audit one SPMD ship from a single worker's perspective.
+    def check_exchange(self, strategy, in_parts, frames, out_parts,
+                       parallelism, owned, local, remote):
+        """Audit one ship from the view of a context that owns only the
+        ``owned`` partitions (an SPMD worker owns one).
 
         The global conservation law of :meth:`check_ship` needs every
-        partition's contents, which no SPMD worker has; this is the
-        per-worker projection of the same law, checked *without* an
-        extra collective: the outgoing frames must partition the local
-        input (placement recomputed per record), the claimed local/
-        remote split must match an independent recomputation, and every
-        received record must be owned by this rank.
+        partition's contents, which such a context does not have; this
+        is the projection of the same law onto what it does see,
+        checked *without* an extra collective: the outgoing frames must
+        partition the owned input (placement recomputed per record), the
+        claimed local/remote split must match an independent
+        recomputation, and every record routed into an owned partition
+        must belong there.
         """
         self.ship_checks += 1
         kind = strategy.kind
-        n_in = len(local_in)
+        n_in = sum(len(in_parts[p]) for p in owned)
         n_framed = sum(len(frame) for frame in frames)
         if kind is ShipKind.PARTITION_HASH:
             extract = KeyExtractor(strategy.key_fields)
             expected_local = sum(
-                1 for record in local_in
-                if partition_index(extract(record), parallelism) == rank
+                1 for p in owned for record in in_parts[p]
+                if partition_index(extract(record), parallelism) == p
             )
             expected_remote = n_in - expected_local
             if n_framed != n_in:
@@ -287,15 +289,17 @@ class InvariantChecker:
                     if owner != target:
                         self._fail(
                             f"hash exchange framed record {record!r} for "
-                            f"worker {target}, but its key owns worker "
-                            f"{owner}"
+                            f"partition {target}, but its key owns "
+                            f"partition {owner}"
                         )
-            for record in received:
-                if partition_index(extract(record), parallelism) != rank:
-                    self._fail(
-                        f"worker {rank} received record {record!r} whose "
-                        "key it does not own — a peer misrouted a frame"
-                    )
+            for p in owned:
+                for record in out_parts[p]:
+                    if partition_index(extract(record), parallelism) != p:
+                        self._fail(
+                            f"partition {p} received record {record!r} "
+                            "whose key it does not own — a peer misrouted "
+                            "a frame"
+                        )
         elif kind is ShipKind.BROADCAST:
             expected_local = n_in
             expected_remote = n_in * (parallelism - 1)
@@ -303,22 +307,24 @@ class InvariantChecker:
                 if len(frame) != n_in:
                     self._fail(
                         f"broadcast exchange framed {len(frame)} records "
-                        f"for worker {target}, expected all {n_in}"
+                        f"for partition {target}, expected all {n_in}"
                     )
         elif kind is ShipKind.GATHER:
-            expected_local = n_in if rank == 0 else 0
-            expected_remote = 0 if rank == 0 else n_in
+            expected_local = len(in_parts[0]) if 0 in owned else 0
+            expected_remote = n_in - expected_local
             if len(frames[0]) != n_in or n_framed != n_in:
                 self._fail(
                     f"gather exchange framed {n_framed} records "
-                    f"({len(frames[0])} for worker 0) for an input of "
+                    f"({len(frames[0])} for partition 0) for an input of "
                     f"{n_in}"
                 )
-            if rank != 0 and received:
-                self._fail(
-                    f"worker {rank} received {len(received)} gathered "
-                    "records — gather must land everything on worker 0"
-                )
+            for p in owned:
+                if p != 0 and out_parts[p]:
+                    self._fail(
+                        f"partition {p} received {len(out_parts[p])} "
+                        "gathered records — gather must land everything "
+                        "on partition 0"
+                    )
         else:  # pragma: no cover - new kinds must add a law here
             self._fail(f"no exchange law registered for ship kind {kind}")
         if local != expected_local or remote != expected_remote:

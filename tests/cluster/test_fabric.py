@@ -1,7 +1,6 @@
 """The frame transport: tagged streams, buffering, timeouts, shm rings."""
 
 import multiprocessing
-import pickle
 import time
 
 import pytest
@@ -11,6 +10,37 @@ from repro.cluster.fabric import (
     Fabric,
     FabricTimeout,
 )
+from repro.common import columns as columns_mod
+
+#: the two frame encodings that share the ring-or-inline routine
+ENCODINGS = ("pickled", "columnar")
+
+
+def _rows(n):
+    """``n`` two-int records, 16 payload bytes each as columns and
+    about 12 pickled (both ints need four bytes)."""
+    return [(i + (1 << 20), i + (1 << 30)) for i in range(n)]
+
+
+def _post(endpoint, tag, rows, encoding):
+    """Send ``rows`` to rank 1 as one frame; returns its wire bytes."""
+    before = endpoint.bytes_sent
+    if encoding == "pickled":
+        endpoint.send(1, tag=tag, payload=rows)
+    else:
+        _arity, cols = columns_mod.columnarize(rows)
+        header, buffers = columns_mod.encode_frame(cols, len(rows), None)
+        endpoint.send_columns(1, tag=tag, header=header, buffers=buffers)
+    return endpoint.bytes_sent - before
+
+
+def _take(endpoint, tag):
+    """Receive rank 0's frame as rows, whichever encoding it took."""
+    payload = endpoint.recv(0, tag=tag)
+    if isinstance(payload, tuple) and payload[0] == "cols":
+        length, cols, _fields = columns_mod.decode_frame(*payload[1:])
+        return columns_mod.materialize_rows(cols, length)
+    return payload
 
 
 @pytest.fixture
@@ -89,38 +119,46 @@ class TestSharedMemoryRings:
         a.shm_threshold = b.shm_threshold = 1024
         return a, b
 
-    def test_big_payload_round_trips_through_shm(self, fabric):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_big_payload_round_trips_through_shm(self, fabric, encoding):
         a, b = fabric.endpoint(0), fabric.endpoint(1)
-        payload = list(range(50_000))  # pickles well past the threshold
-        assert len(pickle.dumps(payload)) >= SHM_THRESHOLD_BYTES
+        rows = _rows(5000)  # well past the threshold in either encoding
         before = a._ring.free_slots
-        a.send(1, tag="big", payload=payload)
+        assert _post(a, "big", rows, encoding) >= SHM_THRESHOLD_BYTES
         assert a._ring.free_slots < before  # slots in flight
-        assert b.recv(0, tag="big") == payload
+        assert _take(b, "big") == rows
         assert b.bytes_received == a.bytes_sent
+        # only raw column buffers count as zero-copied
+        assert a.bytes_zero_copied == \
+            (16 * len(rows) if encoding == "columnar" else 0)
 
-    def test_small_payload_stays_inline(self, fabric):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_small_payload_stays_inline(self, fabric, encoding):
         a, b = fabric.endpoint(0), fabric.endpoint(1)
         before = a._ring.free_slots
-        a.send(1, tag="small", payload=[1, 2, 3])
+        _post(a, "small", _rows(3), encoding)
         assert a._ring.free_slots == before  # no slot touched
-        assert b.recv(0, tag="small") == [1, 2, 3]
+        assert _take(b, "small") == _rows(3)
+        assert a.bytes_zero_copied == 0
 
-    def test_frame_spans_multiple_slots(self, small_fabric):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_frame_spans_multiple_slots(self, small_fabric, encoding):
         a, b = self._endpoints(small_fabric)
-        payload = bytes(range(256)) * 50  # ~12.8 KB over 4 KB slots
+        rows = _rows(800)  # 9.6-12.8 KB over 4 KB slots
         before = a._ring.free_slots
-        a.send(1, tag="span", payload=payload)
+        _post(a, "span", rows, encoding)
         assert before - a._ring.free_slots >= 3
-        assert b.recv(0, tag="span") == payload
+        assert _take(b, "span") == rows
 
-    def test_oversize_frame_falls_back_inline(self, small_fabric):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_oversize_frame_falls_back_inline(self, small_fabric, encoding):
         a, b = self._endpoints(small_fabric)
-        payload = bytes(64 << 10)  # larger than the whole 4-slot ring
+        rows = _rows(4000)  # larger than the whole 4-slot ring
         before = a._ring.free_slots
-        a.send(1, tag="huge", payload=payload)
+        assert _post(a, "huge", rows, encoding) > 4 * 4096
         assert a._ring.free_slots == before  # inline path, no slots
-        assert b.recv(0, tag="huge") == payload
+        assert _take(b, "huge") == rows
+        assert a.bytes_zero_copied == 0
 
     def test_acks_recycle_slots_across_repeated_sends(self, small_fabric):
         # 8 sends through a 4-slot ring only work if receiving acks the

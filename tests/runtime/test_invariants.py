@@ -56,25 +56,21 @@ class TestShipAudit:
         """A hash channel that mislabels locality is caught in-line.
 
         The stub routes records correctly but reproduces the historical
-        ``_ship_hash`` bug: it decides local-vs-remote from the wrong
+        hash-channel bug: it decides local-vs-remote from the wrong
         index, so the local/remote split it reports disagrees with the
         checker's per-record recomputation.
         """
-        def buggy_hash(partitions, key_fields, parallelism,
-                       batch_size=None, metrics=None, columnar=False):
-            out = [[] for _ in range(parallelism)]
-            local = remote = 0
-            for _, part in enumerate(partitions):
-                for record in part:
-                    target = partition_index(record[0], parallelism)
-                    out[target].append(record)
-                    if target == 0:  # wrong locality test
-                        local += 1
-                    else:
-                        remote += 1
-            return out, local, remote, len(partitions)
+        def buggy_hash(part, source, frames, batch_size, key_fields,
+                       checker=None, columnar=False):
+            here = 0
+            for record in part:
+                target = partition_index(record[0], len(frames))
+                frames[target].append(record)
+                if target == 0:  # wrong locality test
+                    here += 1
+            return here, len(part) - here, 1
 
-        monkeypatch.setattr(channels, "_ship_hash", buggy_hash)
+        monkeypatch.setattr(channels, "_frame_hash", buggy_hash)
         metrics = checked_metrics()
         with pytest.raises(InvariantViolation, match="locality"):
             channels.ship(spread(RECORDS), HASH, 4, metrics)
@@ -82,7 +78,7 @@ class TestShipAudit:
     def test_rejects_record_loss(self):
         checker = InvariantChecker()
         in_parts = spread(RECORDS)
-        out, local, remote, _ = channels._ship_hash(in_parts, (0,), 4)
+        out, local, remote, _ = channels.frame(in_parts, range(4), HASH)
         out[0] = out[0][:-1]  # drop a record in transit
         with pytest.raises(InvariantViolation, match="lost or fabricated"):
             checker.check_ship(HASH, in_parts, out, 4, local - 1, remote)
@@ -90,7 +86,7 @@ class TestShipAudit:
     def test_rejects_misplaced_hash_record(self):
         checker = InvariantChecker()
         in_parts = spread(RECORDS)
-        out, local, remote, _ = channels._ship_hash(in_parts, (0,), 4)
+        out, local, remote, _ = channels.frame(in_parts, range(4), HASH)
         moved = out[0].pop()
         wrong = (partition_index(moved[0], 4) + 1) % 4
         out[wrong].append(moved)
