@@ -19,7 +19,11 @@ Two properties make traces comparable across execution backends:
   therefore structurally identical, which is what lets
   :meth:`Tracer.merge` fold them pairwise like
   ``MetricsCollector.merge`` folds counters: names and nesting must
-  match, counters sum, durations take the slowest worker.
+  match, counters sum, durations take the slowest worker.  The one
+  exception is *physical* detail: spill writes and read-backs
+  (``storage`` spans, :data:`PER_WORKER_CATEGORIES`) depend on each
+  worker's own budget and data, so the aligned merge keeps every
+  worker's storage spans side by side instead of pairing them.
 
 Well-nestedness is enforced: ``end`` must close the innermost open
 span, and the invariant checker's trace law
@@ -68,6 +72,11 @@ LOGICAL_SPAN_COUNTERS = (
     "workset_size",
     "delta_size",
 )
+
+
+#: span categories that are per-worker physical detail: never paired
+#: by the aligned merge, each worker's spans are kept
+PER_WORKER_CATEGORIES = frozenset({"storage"})
 
 
 def canonical_name(name) -> str:
@@ -271,7 +280,9 @@ class Tracer:
 
         ``align=True`` pairs the forests of *parallel* workers that
         traced the same program: structures must match span for span,
-        counters sum, time windows widen to cover both workers.
+        counters sum, time windows widen to cover both workers —
+        except spans of a :data:`PER_WORKER_CATEGORIES` category, which
+        are appended rather than paired.
         ``align=False`` appends a *sequential* phase's roots.
         """
         if self._stack or other._stack:
@@ -279,15 +290,32 @@ class Tracer:
         if not align:
             self.roots.extend(other.roots)
             return self
-        if len(self.roots) != len(other.roots):
-            raise InvariantViolation(
-                f"cannot align trace forests: {len(self.roots)} roots here "
-                f"vs {len(other.roots)} in the other tracer — the workers "
-                "did not trace the same program"
-            )
-        for mine, theirs in zip(self.roots, other.roots):
-            _merge_span(mine, theirs)
+        _align(self.roots, other.roots, "trace forest roots")
         return self
+
+
+def _align(mine: list, theirs: list, where: str) -> None:
+    """Pair two workers' sibling lists: logical spans one for one,
+    per-worker spans of ``theirs`` appended to ``mine``."""
+    mine_logical = _logical(mine)
+    theirs_logical = _logical(theirs)
+    if len(mine_logical) != len(theirs_logical):
+        raise InvariantViolation(
+            f"{where}: {len(mine_logical)} spans here vs "
+            f"{len(theirs_logical)} in the other worker's trace — the "
+            "workers did not trace the same program"
+        )
+    mine.extend(
+        span for span in theirs if span.category in PER_WORKER_CATEGORIES
+    )
+    for mine_span, theirs_span in zip(mine_logical, theirs_logical):
+        _merge_span(mine_span, theirs_span)
+
+
+def _logical(spans) -> list:
+    return [
+        span for span in spans if span.category not in PER_WORKER_CATEGORIES
+    ]
 
 
 def _merge_span(mine: Span, theirs: Span):
@@ -296,11 +324,6 @@ def _merge_span(mine: Span, theirs: Span):
             f"cannot merge span {theirs.category}:{theirs.name!r} into "
             f"{mine.category}:{mine.name!r} — workers produced different "
             "span trees"
-        )
-    if len(mine.children) != len(theirs.children):
-        raise InvariantViolation(
-            f"span {mine.name!r}: {len(mine.children)} children here vs "
-            f"{len(theirs.children)} in the other worker's trace"
         )
     for key, value in theirs.counters.items():
         mine.counters[key] = mine.counters.get(key, 0) + value
@@ -314,8 +337,7 @@ def _merge_span(mine: Span, theirs: Span):
         # the workers' markers happened at skewed wall-clock moments;
         # widening would turn the instant into a fake duration
         mine.end_s = mine.start_s
-    for mine_child, theirs_child in zip(mine.children, theirs.children):
-        _merge_span(mine_child, theirs_child)
+    _align(mine.children, theirs.children, f"children of span {mine.name!r}")
 
 
 def attach_tracer(metrics, rank: int = 0) -> Tracer:

@@ -63,14 +63,33 @@ def _key_chunks(records, key_fields, batch_size):
         yield chunk.records, chunk.keys
 
 
+def group_into(table, keys, records):
+    """Append every record to its key's list in ``table`` (a
+    ``defaultdict(list)``); returns ``table``.  The grouping kernel of
+    :func:`group_by_key` and of the out-of-core leaves."""
+    for k, record in zip(keys, records):
+        table[k].append(record)
+    return table
+
+
+def fold_into(table, keys, records, fn):
+    """Fold every record into its key's accumulator in ``table`` with
+    ``fn``; returns ``table``.  The folding kernel of :func:`fold_by_key`
+    and of the out-of-core leaves."""
+    get = table.get
+    for k, record in zip(keys, records):
+        held = get(k)
+        table[k] = record if held is None else fn(held, record)
+    return table
+
+
 def group_by_key(records, key_fields, batch_size):
     """``{key: [records in arrival order]}``, keys in first-arrival order
     — the hash-join build table and the grouping drivers' group map
     (a ``defaultdict``: probe it with ``.get`` so misses insert nothing)."""
     table = defaultdict(list)
     for chunk, keys in _key_chunks(records, key_fields, batch_size):
-        for k, record in zip(keys, chunk):
-            table[k].append(record)
+        group_into(table, keys, chunk)
     return table
 
 
@@ -79,28 +98,24 @@ def fold_by_key(records, key_fields, batch_size, fn):
     the combinable REDUCE kernel (hash aggregate and the pre-shuffle
     combiner, Sec. 6.1)."""
     table = {}
-    get = table.get
     for chunk, keys in _key_chunks(records, key_fields, batch_size):
-        for k, record in zip(keys, chunk):
-            held = get(k)
-            table[k] = record if held is None else fn(held, record)
+        fold_into(table, keys, chunk, fn)
     return list(table.values())
 
 
-def _entry_stream(records, key_fields, batch_size):
-    """Yield ``(seq, key, record)`` triples for the spilled algorithms.
+def _runs(records, key_fields, batch_size):
+    """Yield one run ``(seqs, keys, records)`` per key-extraction chunk.
 
-    ``seq`` is the arrival index within this input — the tag the
-    out-of-core algorithms use to reassemble the exact record order the
-    in-memory drivers produce.  Extraction is still chunk-wise, so the
-    batched data plane's key-vector framing (and its audit) is
-    identical on both paths.
+    The out-of-core algorithms' input: ``seqs`` is the chunk's range of
+    arrival indices within this input — the tag they reassemble the
+    in-memory drivers' exact record order by.  The chunking is
+    :func:`_key_chunks`', so the batched data plane's key-vector framing
+    (and its audit) is identical on both paths.
     """
     seq = 0
     for chunk, keys in _key_chunks(records, key_fields, batch_size):
-        for k, record in zip(keys, chunk):
-            yield seq, k, record
-            seq += 1
+        yield range(seq, seq + len(chunk)), keys, chunk
+        seq += len(chunk)
 
 
 def _keyed(records, key_fields, batch_size):
@@ -177,23 +192,23 @@ def _join_pairs(sorted_keys, order, probe_vector):
     return build_idx, probe_idx
 
 
-def _emit_pairs(fn, build_records, build_idx, probe_records, probe_idx,
-                build_left, flat, out):
-    """Run the join UDF over matched index pairs at C speed.
-
-    ``map`` drives the UDF without per-pair bytecode; ``None`` results
-    are dropped and ``flat`` results extended, matching
-    :func:`_emit_join_result` exactly.
-    """
+def _pair_results(fn, build_records, build_idx, probe_records, probe_idx,
+                  build_left):
+    """The join UDF over matched index pairs, one raw result per pair,
+    driven by ``map`` (no per-pair bytecode); lazy."""
     builds = map(build_records.__getitem__, build_idx.tolist())
     if probe_idx is None:
         probes = iter(probe_records)
     else:
         probes = map(probe_records.__getitem__, probe_idx.tolist())
     if build_left:
-        results = map(fn, builds, probes)
-    else:
-        results = map(fn, probes, builds)
+        return map(fn, builds, probes)
+    return map(fn, probes, builds)
+
+
+def _emit_results(results, flat, out):
+    """Append raw join results to ``out``: ``None`` dropped, ``flat``
+    results extended — :func:`_emit_join_result` over a whole stream."""
     if flat:
         for result in results:
             if result is not None:
@@ -254,8 +269,11 @@ class ColumnarBuildSide:
         build_idx, probe_idx = _join_pairs(
             self.sorted_keys, self.order, chunk_vector
         )
-        _emit_pairs(fn, self.records, build_idx, chunk_records, probe_idx,
-                    build_left, flat, out)
+        _emit_results(
+            _pair_results(fn, self.records, build_idx, chunk_records,
+                          probe_idx, build_left),
+            flat, out,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -319,17 +337,11 @@ def run_hash_join(node, inputs, metrics, build_left: bool,
     if spill is not None:
         from repro.storage.hashtable import spilled_hash_join
 
-        if build_left:
-            def emit(build, probe, results):
-                _emit_join_result(fn(build, probe), flat, results)
-        else:
-            def emit(build, probe, results):
-                _emit_join_result(fn(probe, build), flat, results)
         return spilled_hash_join(
             spill, node.name,
-            _entry_stream(build_in, build_fields, batch_size),
-            _entry_stream(probe_in, probe_fields, batch_size),
-            emit,
+            _runs(build_in, build_fields, batch_size),
+            _runs(probe_in, probe_fields, batch_size),
+            fn, build_left, flat,
         )
     lookup = group_by_key(build_in, build_fields, batch_size).get
     for records, keys in _key_chunks(probe_in, probe_fields, batch_size):
@@ -370,8 +382,8 @@ def run_sort_merge_join(node, inputs, metrics, batch_size=None, spill=None,
 
         return spilled_sort_merge_join(
             spill, node.name,
-            _entry_stream(left, node.key_fields[0], batch_size),
-            _entry_stream(right, node.key_fields[1], batch_size),
+            _runs(left, node.key_fields[0], batch_size),
+            _runs(right, node.key_fields[1], batch_size),
             fn, flat,
         )
     lrecs, lkeys = _keyed(left, node.key_fields[0], batch_size)
@@ -420,7 +432,7 @@ def run_hash_aggregate(node, inputs, metrics, batch_size=None, spill=None):
 
         return spilled_hash_aggregate(
             spill, node.name,
-            _entry_stream(records, node.key_fields[0], batch_size), fn,
+            _runs(records, node.key_fields[0], batch_size), fn,
         )
     return fold_by_key(records, node.key_fields[0], batch_size, fn)
 
@@ -436,7 +448,7 @@ def run_sort_aggregate(node, inputs, metrics, batch_size=None, spill=None,
 
         return spilled_sort_aggregate(
             spill, node.name,
-            _entry_stream(records, node.key_fields[0], batch_size), fn,
+            _runs(records, node.key_fields[0], batch_size), fn,
         )
     recs, keys = _keyed(records, node.key_fields[0], batch_size)
     order = _sort_permutation(keys, columnar)
@@ -466,7 +478,7 @@ def run_reduce_group(node, inputs, metrics, batch_size=None, spill=None):
 
         return spilled_reduce_group(
             spill, node.name,
-            _entry_stream(records, node.key_fields[0], batch_size), fn,
+            _runs(records, node.key_fields[0], batch_size), fn,
         )
     groups = group_by_key(records, node.key_fields[0], batch_size)
     out = []
@@ -485,8 +497,8 @@ def run_cogroup(node, inputs, metrics, inner: bool, batch_size=None,
 
         return spilled_cogroup(
             spill, node.name,
-            _entry_stream(left, node.key_fields[0], batch_size),
-            _entry_stream(right, node.key_fields[1], batch_size),
+            _runs(left, node.key_fields[0], batch_size),
+            _runs(right, node.key_fields[1], batch_size),
             fn, inner,
         )
     left_groups = group_by_key(left, node.key_fields[0], batch_size)

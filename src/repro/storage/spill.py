@@ -8,24 +8,43 @@ A :class:`SpillManager` is attached to an executor when
   ``sys.getsizeof`` walk over a handful of records (estimating, not
   serializing — the budget is a dam height, not an audit),
 * **admission** — ``over_budget()`` is the single question every
-  spillable structure asks before growing,
+  spillable structure asks before growing (the out-of-core algorithms
+  ask it once per run, at the record where the reservation crosses),
 * **bookkeeping** — every frame written to disk is counted on the
   ``records_spilled`` / ``bytes_spilled`` metrics (physical counters:
-  excluded from cross-backend logical comparisons) and marked as an
-  instant on the tracer's open span.
+  excluded from cross-backend logical comparisons), and every write and
+  read-back runs inside a ``storage``-category tracer span
+  (:meth:`SpillManager.io_span`), so spill I/O is billed to the storage
+  layer rather than to the operator that spilled.
 
 Spill files are version-stamped (:mod:`repro.storage.format`) streams
 of length-prefixed frames, allocated inside the manager's
 :class:`~repro.storage.session.StorageSession` so cleanup is the
-session's problem, not each consumer's.  All-fixed-width entry lists
-spill as raw column frames (:mod:`repro.common.columns` header plus
-buffers — no per-record pickling); everything else spills as a
-pickled entry list.  Readers materialize rows either way.
+session's problem, not each consumer's.  Two frame layouts:
+
+* **run frames** (:meth:`SpillFile.append_run`) — what the Grace hash
+  passes and the external sort write: one tuple of parallel vectors,
+  e.g. ``(seqs, keys, records)``, pickled as is.  Vectors, not
+  ``(seq, key, record)`` triples: no per-record wrapper tuple on
+  either side of the disk.  Pickled rather than raw-buffer columns
+  because a run's vectors are short lists of small ints: on 240
+  ``(int, int)`` records pickling writes half the bytes of int64
+  columns and encodes 3x faster, and reads back as fast;
+* **row frames** (:meth:`SpillFile.append`) — a record list; an
+  all-fixed-width one spills as a raw column frame
+  (:mod:`repro.common.columns` header plus buffers — no per-record
+  pickling), anything else as the pickled list.  Readers materialize
+  rows either way.
+
+Iterating a file yields its frames in write order, each as written: a
+vector tuple for a run frame, a row list for a row frame.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from contextlib import nullcontext
 
 from repro.common import columns as columns_mod
 from repro.common.batch import RecordBatch
@@ -70,7 +89,7 @@ def estimate_record_bytes(records, sample: int = _SIZE_SAMPLE) -> int:
 
 
 class SpillFile:
-    """One write-then-read scratch file of pickle frames."""
+    """One write-then-read scratch file of run or row frames."""
 
     def __init__(self, path: str):
         self.path = path
@@ -101,9 +120,17 @@ class SpillFile:
                         "cols", bytes(header),
                         [bytes(b) for b in buffers],
                     )
+        return self._write(payload, len(entries))
+
+    def append_run(self, run: tuple) -> int:
+        """Write one run frame — a tuple of parallel vectors; returns
+        frame bytes.  It reads back as the same tuple."""
+        return self._write(run, len(run[0]))
+
+    def _write(self, payload, records: int) -> int:
         nbytes = write_frame(self._fh, payload)
         self.frames += 1
-        self.records += len(entries)
+        self.records += records
         self.bytes_written += nbytes
         return nbytes
 
@@ -113,7 +140,7 @@ class SpillFile:
             self._fh = None
 
     def __iter__(self):
-        """Yield frames (entry lists) in write order."""
+        """Yield frames in write order: vector tuples, row lists."""
         self.finish()
         with open(self.path, "rb") as fh:
             read_header(fh, SPILL_MAGIC, SPILL_VERSION, self.path)
@@ -134,14 +161,13 @@ class SpillFile:
                     yield frame
 
     def read_entries(self) -> list:
-        """All entries, flattened, in write order."""
+        """All rows of a row-frame file, flattened, in write order."""
         out: list = []
         for frame in self:
             out.extend(frame)
         return out
 
     def delete(self) -> None:
-        import os
         self.finish()
         try:
             os.unlink(self.path)
@@ -216,6 +242,26 @@ class SpillManager:
             telemetry.counter("spill.files").inc()
         return SpillFile(self.session.new_file(prefix))
 
+    def io_span(self, kind: str, operator: str):
+        """A ``storage`` span ``<kind>:<operator>`` around one spill
+        write or read-back (``kind`` is ``spill-write`` or
+        ``spill-read``); a no-op context without a tracer."""
+        tracer = self.metrics.tracer if self.metrics is not None else None
+        if tracer is None:
+            return nullcontext()
+        return tracer.span(f"{kind}:{operator}", category="storage")
+
+    def read_frames(self, spill: SpillFile, operator: str):
+        """Yield ``spill``'s frames in write order, each read inside a
+        ``spill-read`` storage span (the consumer's work is not)."""
+        frames = iter(spill)
+        while True:
+            with self.io_span("spill-read", operator):
+                frame = next(frames, None)
+            if frame is None:
+                return
+            yield frame
+
     def note_spill(self, operator: str, records: int, nbytes: int) -> None:
         """Count one frame written to disk on behalf of ``operator``."""
         self.spill_events += 1
@@ -223,12 +269,6 @@ class SpillManager:
         self.bytes_spilled += nbytes
         if self.metrics is not None:
             self.metrics.add_spilled(records, nbytes)
-            tracer = self.metrics.tracer
-            if tracer is not None:
-                tracer.instant(
-                    f"spill:{operator}", category="storage",
-                    records=records, bytes=nbytes,
-                )
             telemetry = self.metrics.telemetry
             if telemetry is not None:
                 telemetry.counter("spill.records_spilled").inc(records)

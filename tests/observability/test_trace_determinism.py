@@ -50,3 +50,40 @@ def test_different_seed_changes_counters_not_wellformedness():
     first, _, _ = _traced_run("simulated", seed=11)
     other, _, _ = _traced_run("simulated", seed=12)
     assert first != other
+
+
+def _logical(structure):
+    """A ``structure()`` encoding without the per-worker storage spans."""
+    return tuple(
+        (name, category, counters, _logical(children))
+        for name, category, counters, children in structure
+        if category != "storage"
+    )
+
+
+def test_budgeted_pool_trace_merges_with_per_worker_spill_spans():
+    """Workers spill different amounts, so their operator spans carry
+    different numbers of storage spans; the aligned merge keeps every
+    worker's and the logical tree still equals the simulator's."""
+    graph = erdos_renyi(120, 3.0, seed=5)
+    runs = {}
+    for backend in ("pool", "simulated"):
+        config = RuntimeConfig(check_invariants=True, trace=True,
+                               memory_budget_bytes=4096)
+        with ExecutionEnvironment(2, backend=backend, config=config) as env:
+            result = cc.cc_bulk(env, graph)
+            env.metrics.verify_invariants()
+            writes = [
+                span for span in env.tracer.iter_spans()
+                if span.category == "storage"
+                and span.name.startswith("spill-write:")
+            ]
+            assert writes
+            assert sum(
+                span.counters.get("records_spilled", 0) for span in writes
+            ) == env.metrics.records_spilled
+            runs[backend] = (
+                result, _logical(env.tracer.structure(LOGICAL_SPAN_COUNTERS))
+            )
+    assert runs["pool"] == runs["simulated"]
+    assert runs["pool"][0] == cc.cc_ground_truth(graph)

@@ -145,6 +145,31 @@ class TestMerge:
         with pytest.raises(InvariantViolation):
             lhs.merge(rhs, align=True)
 
+    def _spilling_worker(self, spills, logical=1):
+        tracer = Tracer()
+        with tracer.span("operator:reduce", category="operator"):
+            for _ in range(logical):
+                with tracer.span("ship", category="channel"):
+                    pass
+            for _ in range(spills):
+                with tracer.span("spill-write:reduce", category="storage"):
+                    pass
+        return tracer
+
+    def test_aligned_merge_keeps_each_workers_storage_spans(self):
+        merged = self._spilling_worker(3).merge(
+            self._spilling_worker(1), align=True
+        )
+        children = merged.roots[0].children
+        assert [c.category for c in children].count("storage") == 4
+        assert [c.category for c in children].count("channel") == 1
+
+    def test_storage_spans_do_not_relax_logical_alignment(self):
+        with pytest.raises(InvariantViolation, match="1 spans here vs 2"):
+            self._spilling_worker(3).merge(
+                self._spilling_worker(3, logical=2), align=True
+            )
+
     def test_sequential_merge_appends(self):
         lhs = self._worker(0, 1)
         merged = lhs.merge(self._worker(1, 2), align=False)

@@ -106,6 +106,39 @@ class TestSpillManagerAccounting:
         with pytest.raises(ValueError):
             SpillManager(0, session)
 
+    @pytest.mark.parametrize("strategy", ["hash", "sort"])
+    def test_spill_io_runs_in_storage_spans(self, session, strategy):
+        """Spill writes and read-backs are storage spans nested in the
+        operator's span, carrying the spilled counters — so their time
+        leaves the operator's self time."""
+        from repro.dataflow.contracts import Contract
+        from repro.dataflow.graph import LogicalNode
+        from repro.observability import attach_tracer, operator_profile
+        from repro.runtime import drivers
+
+        node = LogicalNode(
+            Contract.REDUCE, [LogicalNode(Contract.SOURCE, data=[])],
+            udf=lambda a, b: (a[0], a[1] + b[1]), key_fields=[(0,)],
+        )
+        run = (drivers.run_hash_aggregate if strategy == "hash"
+               else drivers.run_sort_aggregate)
+        metrics = MetricsCollector()
+        tracer = attach_tracer(metrics)
+        m = manager(session, budget=2_000, metrics=metrics)
+        with tracer.span("operator:sum", category="operator"):
+            run(node, [[(i % 50, i) for i in range(600)]],
+                MetricsCollector(), spill=m)
+        (operator,) = tracer.roots
+        kinds = {child.name.split(":")[0] for child in operator.children}
+        assert kinds == {"spill-write", "spill-read"}
+        assert all(child.category == "storage" and not child.is_instant
+                   for child in operator.children)
+        assert sum(child.counters.get("records_spilled", 0)
+                   for child in operator.children) == m.records_spilled > 0
+        rows = operator_profile(tracer)["rows"]
+        operator_row = next(r for r in rows if r["category"] == "operator")
+        assert operator_row["records_spilled"] == 0
+
 
 class TestStorageSession:
     def test_close_removes_tree_and_is_idempotent(self):
