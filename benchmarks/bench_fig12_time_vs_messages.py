@@ -23,6 +23,5 @@ def test_fig12_time_vs_messages(run_experiment):
     # component IDs") ...
     assert sum(micro.messages) > sum(incr.messages)
     # ... at a lower marginal cost per candidate (the paper's "much
-    # lower slope"); totals can still favour the batch variant because
-    # of per-element fixed overheads on this substrate (EXPERIMENTS.md)
+    # lower slope")
     assert micro.slope_us_per_message < incr.slope_us_per_message

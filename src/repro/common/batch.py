@@ -228,7 +228,7 @@ class RecordBatch:
                 self._keys = list(data)
             else:
                 extract = KeyExtractor(self.key_fields)
-                self._keys = [extract(record) for record in self.records]
+                self._keys = list(map(extract._getter, self.records))
         return self._keys
 
     @property

@@ -15,9 +15,10 @@ package holds the machinery behind them:
 * :mod:`repro.iterations.supersteps` — the superstep protocol (barrier vote,
   per-superstep log, step function, restore-and-replay) that every
   superstep-structured iteration runs through.
-* :mod:`repro.iterations.microstep_runtime` — record-at-a-time execution
-  of delta iterations: pipeline compilation, the queue drain, the
-  superstep-buffered and asynchronous loops, the SPMD token ring.
+* :mod:`repro.iterations.microstep_runtime` — per-element execution of
+  delta iterations, drained a run at a time: run-pipeline compilation,
+  the queue drain, the superstep-buffered and asynchronous loops, the
+  SPMD token ring.
 
 The last two are the runtime half, imported by the executor; this
 package init deliberately does not import them (see the import-cycle

@@ -20,6 +20,12 @@ if its step function Δ satisfies:
    or keyed on ``k(s)``.  This is the condition that lets the engine skip
    distributed locking (Section 5.2) and merge deltas immediately
    (Section 5.3).
+5. The solution set is read at most once per element, on the update
+   path: no second access before the delta output, none on the path
+   from the delta output to the next workset.  The runtime drains a
+   queue in runs and folds each run through the solution set before it
+   runs the workset path over the run's deltas, which equals per-record
+   dispatch only under this condition.
 
 Field constancy is proven through the operators' declared forwarded
 fields (OutputContracts); an undeclared UDF is conservatively assumed to
@@ -33,6 +39,9 @@ from dataclasses import dataclass, field
 from repro.common.errors import MicrostepViolation
 from repro.dataflow.contracts import Contract, is_record_at_a_time
 from repro.dataflow.graph import dynamic_path_nodes, iteration_body_nodes
+
+#: the stateful operators that read the solution set
+_SOLUTION_ACCESS = (Contract.SOLUTION_JOIN, Contract.SOLUTION_COGROUP)
 
 
 @dataclass
@@ -143,6 +152,24 @@ def analyze_microstep(iteration) -> MicrostepReport:
         report.reasons.append(str(violation))
         return report
 
+    # Condition 5: one solution access, on the delta chain.
+    accesses = [n for n in report.chain_to_delta
+                if n.contract in _SOLUTION_ACCESS]
+    for node in accesses[1:]:
+        report.eligible = False
+        report.reasons.append(
+            f"{node.name}: a second solution-set access on the delta path"
+        )
+    for node in report.chain_to_workset:
+        if node.contract in _SOLUTION_ACCESS:
+            report.eligible = False
+            report.reasons.append(
+                f"{node.name}: solution-set access on the workset path "
+                "(it would read state later records already changed)"
+            )
+    if not report.eligible:
+        return report
+
     # Condition 4: key constancy from the solution access to the delta.
     report.local_updates = _updates_are_local(iteration, report.chain_to_delta)
     if not report.local_updates:
@@ -177,7 +204,7 @@ def _route_fields(iteration, chain_to_delta):
     """
     access_pos = None
     for pos, node in enumerate(chain_to_delta):
-        if node.contract in (Contract.SOLUTION_JOIN, Contract.SOLUTION_COGROUP):
+        if node.contract in _SOLUTION_ACCESS:
             access_pos = pos
             break
     if access_pos is None:
@@ -245,7 +272,7 @@ def _updates_are_local(iteration, chain_to_delta) -> bool:
     # updates are trivially local because the delta is routed by key).
     access_pos = None
     for pos, node in enumerate(chain_to_delta):
-        if node.contract in (Contract.SOLUTION_JOIN, Contract.SOLUTION_COGROUP):
+        if node.contract in _SOLUTION_ACCESS:
             access_pos = pos
     if access_pos is None:
         return True

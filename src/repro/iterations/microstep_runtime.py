@@ -1,8 +1,26 @@
 """Microstep execution of delta iterations (Section 5.2, Figure 6).
 
-Each workset element flows through a compiled record-at-a-time pipeline
-and updates the solution set immediately.  Three loops share the
-pipeline, the queue drain and the seeding:
+Section 5.2 asks for per-key atomicity, not per-record dispatch: each
+workset element must see the solution set as every earlier element left
+it.  So a queue is drained one *run* at a time — the whole queue, or the
+next slice an asynchronous poll may take — and the run goes through a
+compiled run pipeline:
+
+* the delta chain is one **arrival-order fold**: stateless stages run
+  over the whole run, then record by record the fold probes the
+  partition's mapping, calls the access UDF, pushes the results through
+  the stages after the access and applies ∪̇ (``should_replace`` against
+  the record stored *now*).  Analysis condition 4 proves the probe key
+  equals the delta key, so this is the per-record sequence of updates
+  exactly, with no key grouping and no re-sort;
+* the workset chain (stateless by analysis) runs over the accepted
+  deltas, and the run's emissions are routed in one vectorised pass.
+
+Solution-set accesses, updates, processed and shipped records are
+counted once per run; with an invariant checker attached, every probe
+and write key is audited against the draining partition and each run's
+∪̇ against the size law.  Three loops share the pipeline, the queue
+drain and the seeding:
 
 * **with supersteps** (``mode="microstep"``) — produced workset records
   are buffered and delivered at the superstep barrier (the buffering
@@ -27,8 +45,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.common.batch import RecordBatch
 from repro.common.errors import MicrostepViolation
-from repro.common.hashing import partition_index
 from repro.common.keys import KeyExtractor
 from repro.dataflow.contracts import Contract
 from repro.iterations import supersteps
@@ -49,25 +67,18 @@ def run_microsteps(executor, node, scope, index, synchronous):
     # chain compilation ships the constant sides (Match/Cross build
     # tables) — under SPMD every worker runs these collectives in
     # lockstep before any queue exists
-    to_delta = _compile_chain(executor, scope, report.chain_to_delta)
-    to_workset = _compile_chain(executor, scope, report.chain_to_workset)
+    pipeline = _compile_pipeline(executor, scope, report)
     route_fields = report.workset_route_fields or node.solution_key
-    route_key = KeyExtractor(route_fields)
     if not synchronous and executor.cluster.size > 1:
-        return _token_ring(
-            executor, node, scope, index, route_key, to_delta, to_workset
-        )
+        return _token_ring(executor, node, scope, pipeline, route_fields)
     queues = _seed_queues(
         executor, scope.bindings[node.workset_placeholder.id], route_fields
     )
     if synchronous:
         return _micro_supersteps(
-            executor, node, index, queues, route_key, route_fields,
-            to_delta, to_workset,
+            executor, node, index, queues, route_fields, pipeline
         )
-    return _micro_async(
-        executor, node, index, queues, route_key, to_delta, to_workset
-    )
+    return _micro_async(executor, node, index, queues, route_fields, pipeline)
 
 
 def _route_workset(executor, frames, route_fields):
@@ -104,42 +115,48 @@ def _seed_queues(executor, initial, route_fields):
     return queues
 
 
-def _drain_queue(queue, partition, index, to_delta, to_workset, emit,
-                 limit=None):
-    """Process up to ``limit`` elements of one partition's queue.
+def _targets(executor, records, route_fields):
+    """The queue partition of every emitted record, in one pass."""
+    return RecordBatch.wrap(records, route_fields).partition_targets(
+        executor.parallelism, columnar_mode=executor.columnar
+    )
 
-    This is the microstep hot loop; per-element work is kept to the
-    compiled pipeline stages and the immediate ∪̇ point update.
-    Returns the number of elements processed.
+
+def _scatter(executor, records, source, route_fields, into):
+    """Append a run's emissions to ``into[target]`` in emission order and
+    count them shipped, local or remote to ``source``."""
+    targets = _targets(executor, records, route_fields)
+    for target, record in zip(targets, records):
+        into[target].append(record)
+    local = targets.count(source)
+    executor.metrics.add_shipped(local=local, remote=len(targets) - local)
+
+
+def _drain_queue(queue, partition, pipeline, route, limit=None):
+    """Drain one partition's queue run by run; returns the records taken.
+
+    A run is the whole queue, or under ``limit`` (an asynchronous poll)
+    the next ``limit - processed`` records.  ``pipeline(partition, run)``
+    folds the run through the solution set in arrival order and returns
+    its emissions; ``route(emissions, partition)`` delivers them in one
+    pass and counts them.  Emissions routed back into ``queue`` are
+    drained by the same loop while the poll has budget left — FIFO,
+    exactly where record-at-a-time dispatch would have taken them.
     """
     processed = 0
-    apply_record = index.apply_record
-    popleft = queue.popleft
-    if len(to_delta) == 1 and len(to_workset) == 1:
-        # fast path for the common shape (one update operator, one
-        # workset operator — e.g. the CC/SSSP Match plans)
-        delta_stage = to_delta[0]
-        workset_stage = to_workset[0]
-        while queue and (limit is None or processed < limit):
-            record = popleft()
-            processed += 1
-            for delta_record in delta_stage(partition, record):
-                accepted = apply_record(delta_record)
-                if accepted is None:
-                    continue
-                for produced in workset_stage(partition, accepted):
-                    emit(produced, partition)
-        return processed
     while queue and (limit is None or processed < limit):
-        record = popleft()
-        processed += 1
-        deltas = _run_chain(to_delta, partition, [record])
-        for delta_record in deltas:
-            accepted = apply_record(delta_record)
-            if accepted is None:
-                continue
-            for produced in _run_chain(to_workset, partition, [accepted]):
-                emit(produced, partition)
+        take = len(queue)
+        if limit is not None:
+            take = min(take, limit - processed)
+        if take == len(queue):
+            run = list(queue)
+            queue.clear()
+        else:
+            run = [queue.popleft() for _ in range(take)]
+        processed += take
+        emitted = pipeline(partition, run)
+        if emitted:
+            route(emitted, partition)
     return processed
 
 
@@ -149,8 +166,8 @@ def _restore_queues(queues, saved):
         queue.extend(records)
 
 
-def _micro_supersteps(executor, node, index, queues, route_key,
-                      route_fields, to_delta, to_workset):
+def _micro_supersteps(executor, node, index, queues, route_fields,
+                      pipeline):
     """Per-element processing with superstep-buffered queues (Fig. 6).
 
     Supports the same checkpoint/recovery protocol as the batch modes:
@@ -172,20 +189,14 @@ def _micro_supersteps(executor, node, index, queues, route_key,
 
     def body(step):
         buffers = [[] for _ in range(parallelism)]
-        shipped = [0, 0]  # local, remote
 
-        def emit(record, source):
-            target = partition_index(route_key(record), parallelism)
-            buffers[target].append(record)
-            shipped[target != source] += 1
+        def route(records, source):
+            _scatter(executor, records, source, route_fields, buffers)
 
         updates_before = metrics.solution_updates
         for p in owned:
-            count = _drain_queue(
-                queues[p], p, index, to_delta, to_workset, emit
-            )
+            count = _drain_queue(queues[p], p, pipeline, route)
             metrics.add_processed(label, count)
-        metrics.add_shipped(local=shipped[0], remote=shipped[1])
         # concatenating the frames in source-rank order reproduces, on
         # every context, the queue contents of a scan over all partitions
         routed = _route_workset(executor, buffers, route_fields)
@@ -204,8 +215,7 @@ def _micro_supersteps(executor, node, index, queues, route_key,
     return converged or pending() == 0, steps
 
 
-def _micro_async(executor, node, index, queues, route_key, to_delta,
-                 to_workset):
+def _micro_async(executor, node, index, queues, route_fields, pipeline):
     """Fully asynchronous FIFO execution with termination detection.
 
     Partitions are polled round-robin, each draining a bounded batch
@@ -226,14 +236,9 @@ def _micro_async(executor, node, index, queues, route_key, to_delta,
     detector = AsyncTerminationDetector(parallelism)
     detector.sent(sum(len(q) for q in queues))
 
-    def enqueue(record, source_partition):
-        target = partition_index(route_key(record), parallelism)
-        queues[target].append(record)
-        detector.sent()
-        if target == source_partition:
-            metrics.add_shipped(local=1, remote=0)
-        else:
-            metrics.add_shipped(local=0, remote=1)
+    def route(records, source):
+        detector.sent(len(records))
+        _scatter(executor, records, source, route_fields, queues)
 
     def restore(checkpoint):
         index._partitions = checkpoint.state
@@ -246,9 +251,7 @@ def _micro_async(executor, node, index, queues, route_key, to_delta,
         for p in range(parallelism):
             queue = queues[p]
             detector.set_idle(p, False)
-            taken = _drain_queue(
-                queue, p, index, to_delta, to_workset, enqueue, limit=batch
-            )
+            taken = _drain_queue(queue, p, pipeline, route, limit=batch)
             metrics.add_processed(label, taken)
             detector.acked(taken)
             detector.set_idle(p, len(queue) == 0)
@@ -271,8 +274,7 @@ def _micro_async(executor, node, index, queues, route_key, to_delta,
     return detector.terminated, rounds
 
 
-def _token_ring(executor, node, scope, index, route_key, to_delta,
-                to_workset):
+def _token_ring(executor, node, scope, pipeline, route_fields):
     """One worker's side of asynchronous execution: a token ring.
 
     Workers take turns in rank order; the circulating token carries
@@ -294,11 +296,10 @@ def _token_ring(executor, node, scope, index, route_key, to_delta,
     metrics = executor.metrics
     rank = cluster.rank
     size = cluster.size
-    parallelism = executor.parallelism
     label = f"{node.name}.microstep"
     batch = executor.config.async_poll_batch
 
-    detector = AsyncTerminationDetector(parallelism)
+    detector = AsyncTerminationDetector(executor.parallelism)
     queue = deque()
     open_round = None
     last_updates = 0
@@ -321,6 +322,19 @@ def _token_ring(executor, node, scope, index, route_key, to_delta,
         pending[:] = rest
         return mine
 
+    def deliver(pending, round_number, records):
+        """Route a run's emissions: ours to the queue, the rest onto
+        the token tagged with the round they were emitted in."""
+        targets = _targets(executor, records, route_fields)
+        detector.sent(len(targets))
+        for target, record in zip(targets, records):
+            if target == rank:
+                queue.append(record)
+            else:
+                pending.append((round_number, rank, target, record))
+        local = targets.count(rank)
+        metrics.add_shipped(local=local, remote=len(targets) - local)
+
     def my_turn(token, round_number):
         """Stage A: settle the previous round; stage B: run this one."""
         nonlocal open_round, last_updates
@@ -339,23 +353,13 @@ def _token_ring(executor, node, scope, index, route_key, to_delta,
         metrics.begin_superstep(round_number)
         open_round = round_number
         detector.set_idle(rank, False)
-        shipped = [0, 0]  # local, remote
-
-        def emit(record, source):
-            target = partition_index(route_key(record), parallelism)
-            detector.sent()
-            shipped[target != source] += 1
-            if target == rank:
-                queue.append(record)
-            else:
-                pending.append((round_number, rank, target, record))
-
         updates_before = metrics.solution_updates
         taken = _drain_queue(
-            queue, rank, index, to_delta, to_workset, emit, limit=batch
+            queue, rank, pipeline,
+            lambda records, _source: deliver(pending, round_number, records),
+            limit=batch,
         )
         metrics.add_processed(label, taken)
-        metrics.add_shipped(local=shipped[0], remote=shipped[1])
         detector.acked(taken)
         detector.set_idle(rank, len(queue) == 0)
         last_updates = metrics.solution_updates - updates_before
@@ -366,16 +370,9 @@ def _token_ring(executor, node, scope, index, route_key, to_delta,
         pending = token["pending"]
         queue.extend(take_mine(pending, 0))
         detector.restore_state(token["detector"])
-        shipped = [0, 0]
-        for record in scope.bindings[node.workset_placeholder.id][rank]:
-            target = partition_index(route_key(record), parallelism)
-            detector.sent()
-            shipped[target != rank] += 1
-            if target == rank:
-                queue.append(record)
-            else:
-                pending.append((0, rank, target, record))
-        metrics.add_shipped(local=shipped[0], remote=shipped[1])
+        seeds = list(scope.bindings[node.workset_placeholder.id][rank])
+        if seeds:
+            deliver(pending, 0, seeds)
         token["detector"] = detector.snapshot_state()
 
     def stop_turn(token):
@@ -434,8 +431,106 @@ def _token_ring(executor, node, scope, index, route_key, to_delta,
 # pipeline compilation
 
 
+def _compile_pipeline(executor, scope, report):
+    """``pipeline(partition, run) -> emissions``: the delta chain's fold,
+    then the workset chain over the run's accepted deltas."""
+    fold = _compile_fold(executor, scope, report.chain_to_delta)
+    to_workset = _compile_chain(executor, scope, report.chain_to_workset)
+
+    def pipeline(partition, run):
+        return _run_chain(to_workset, partition, fold(partition, run))
+
+    return pipeline
+
+
+def _compile_fold(executor, scope, chain):
+    """Compile the delta chain into ``fold(partition, run) -> accepted``,
+    the arrival-order fold of the module docstring.
+
+    A probe miss or a ``None`` result drops the record, a flat access
+    UDF yields several deltas, and without an access every record that
+    reaches the end of the chain is a delta.  The partition's mapping is
+    read and written directly: analysis condition 4 keeps every key in
+    the draining partition, which the invariant checker audits.
+    """
+    index = scope.solution_index
+    metrics = executor.metrics
+    parallelism = executor.parallelism
+    access_at = next(
+        (pos for pos, op in enumerate(chain)
+         if op.contract is Contract.SOLUTION_JOIN),
+        len(chain),
+    )
+    pre = _compile_chain(executor, scope, chain[:access_at])
+    post = _compile_chain(executor, scope, chain[access_at + 1:])
+    access = chain[access_at] if access_at < len(chain) else None
+    solution_key = index.key._getter
+    if access is not None:
+        probe_key = KeyExtractor(access.key_fields[0])._getter
+        udf = access.udf
+        flat = getattr(access, "flat", False)
+
+    def fold(partition, run):
+        records = _run_chain(pre, partition, run)
+        part = index._partitions[partition]
+        get = part.get
+        should_replace = index.should_replace
+        checker = metrics.invariants
+        if checker is not None:
+            size_before = len(part)
+            accesses_before = metrics.solution_accesses
+            if access is not None:
+                for key in map(probe_key, records):
+                    checker.check_solution_lookup(partition, key, parallelism)
+        accepted = []
+        delta_probes = replaced = 0
+        for record in records:
+            if access is None:
+                deltas = (record,)
+            else:
+                stored = get(probe_key(record))
+                if stored is None:
+                    continue
+                result = udf(record, stored)
+                if result is None:
+                    continue
+                deltas = result if flat else (result,)
+                if post:
+                    deltas = _run_chain(post, partition, list(deltas))
+            for delta in deltas:
+                delta_probes += 1
+                key = solution_key(delta)
+                old = get(key)
+                if old is not None:
+                    if should_replace is not None and not should_replace(
+                        delta, old
+                    ):
+                        continue
+                    replaced += 1
+                part[key] = delta
+                accepted.append(delta)
+        probes = len(records) if access is not None else 0
+        metrics.add_solution_access(probes + delta_probes)
+        metrics.add_solution_update(len(accepted))
+        if checker is not None:
+            for key in map(solution_key, accepted):
+                checker.check_solution_lookup(partition, key, parallelism)
+            checker.check_delta_application(
+                "microstep", size_before, len(part),
+                accepted=len(accepted), replaced=replaced,
+                probed=delta_probes,
+                accesses_counted=(
+                    metrics.solution_accesses - accesses_before - probes
+                ),
+            )
+        return accepted
+
+    return fold
+
+
 def _compile_chain(executor, scope, chain):
-    """Compile a record-at-a-time operator chain into per-record stages.
+    """Compile stateless operators into run stages ``(p, records) ->
+    records``, each the concatenation of its per-record outputs.
 
     Constant-side inputs of binary operators (e.g. the topology table N)
     are shipped once per their plan annotation and materialized as
@@ -446,31 +541,15 @@ def _compile_chain(executor, scope, chain):
 
 def _compile_stage(executor, scope, op):
     contract = op.contract
+    fn = op.udf
     if contract is Contract.MAP:
-        fn = op.udf
-        return lambda p, rec: (fn(rec),)
+        return lambda p, records: list(map(fn, records))
     if contract is Contract.FLAT_MAP:
-        fn = op.udf
-        return lambda p, rec: tuple(fn(rec))
+        return lambda p, records: [
+            out for record in records for out in fn(record)
+        ]
     if contract is Contract.FILTER:
-        fn = op.udf
-        return lambda p, rec: (rec,) if fn(rec) else ()
-    if contract is Contract.SOLUTION_JOIN:
-        index = scope.solution_index
-        probe_key = KeyExtractor(op.key_fields[0])
-        fn = op.udf
-        flat = getattr(op, "flat", False)
-
-        def solution_stage(p, rec):
-            stored = index.lookup(p, probe_key(rec))
-            if stored is None:
-                return ()
-            result = fn(rec, stored)
-            if result is None:
-                return ()
-            return tuple(result) if flat else (result,)
-
-        return solution_stage
+        return lambda p, records: list(filter(fn, records))
     if contract is Contract.MATCH:
         return _compile_match_stage(executor, scope, op)
     if contract is Contract.CROSS:
@@ -494,59 +573,60 @@ def _dynamic_input_of(scope, op) -> int:
 
 def _compile_match_stage(executor, scope, op):
     dyn_idx = _dynamic_input_of(scope, op)
-    const_idx = 1 - dyn_idx
-    shipped = executor._ship_one_input(op, const_idx, scope.iter_memo, scope)
+    const_first = dyn_idx == 1
+    shipped = executor._ship_one_input(op, 1 - dyn_idx, scope.iter_memo,
+                                       scope)
     tables = [
         drivers.group_by_key(
-            part, op.key_fields[const_idx], executor.batch_size
+            part, op.key_fields[1 - dyn_idx], executor.batch_size
         )
         for part in shipped
     ]
-    dyn_key = KeyExtractor(op.key_fields[dyn_idx])
+    dyn_key = KeyExtractor(op.key_fields[dyn_idx])._getter
     fn = op.udf
     flat = getattr(op, "flat", False)
 
-    def match_stage(p, rec):
+    def match_run(p, records):
+        get = tables[p].get
         out = []
-        for other in tables[p].get(dyn_key(rec), ()):
-            pair = (other, rec) if const_idx == 0 else (rec, other)
-            result = fn(*pair)
-            if result is None:
-                continue
-            if flat:
-                out.extend(result)
-            else:
-                out.append(result)
+        emit = out.extend if flat else out.append
+        for record in records:
+            for other in get(dyn_key(record), ()):
+                result = (
+                    fn(other, record) if const_first else fn(record, other)
+                )
+                if result is not None:
+                    emit(result)
         return out
 
-    return match_stage
+    return match_run
 
 
 def _compile_cross_stage(executor, scope, op):
     dyn_idx = _dynamic_input_of(scope, op)
-    const_idx = 1 - dyn_idx
-    shipped = executor._ship_one_input(op, const_idx, scope.iter_memo, scope)
+    const_first = dyn_idx == 1
+    shipped = executor._ship_one_input(op, 1 - dyn_idx, scope.iter_memo,
+                                       scope)
     fn = op.udf
 
-    def cross_stage(p, rec):
+    def cross_run(p, records):
+        side = shipped[p]
         out = []
-        for other in shipped[p]:
-            pair = (other, rec) if const_idx == 0 else (rec, other)
-            result = fn(*pair)
-            if result is not None:
-                out.append(result)
+        for record in records:
+            for other in side:
+                result = (
+                    fn(other, record) if const_first else fn(record, other)
+                )
+                if result is not None:
+                    out.append(result)
         return out
 
-    return cross_stage
+    return cross_run
 
 
 def _run_chain(stages, partition, records):
-    current = records
     for stage in stages:
-        produced = []
-        for record in current:
-            produced.extend(stage(partition, record))
-        current = produced
-        if not current:
+        if not records:
             break
-    return current
+        records = stage(partition, records)
+    return records

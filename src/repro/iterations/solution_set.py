@@ -216,11 +216,13 @@ class DiskBackedSolutionSetIndex(SolutionSetIndex):
     :class:`~repro.storage.diskdict.DiskDict` — same first-insertion
     iteration order, same replacement semantics, but records rest in a
     version-stamped append-only log inside the spill session instead of
-    the heap.  Every read and write still goes through the base class:
-    :meth:`SolutionSetIndex.apply_record` remains the single per-record
-    oracle for the ∪̇ operator and the comparator, so an out-of-core
-    delta iteration takes exactly the in-memory decision sequence and
-    produces bitwise-identical results.
+    the heap.  Nothing else changes: the superstep barrier's commit and
+    the microstep runtime's arrival-order fold both read and write the
+    partition mapping directly (``get``, ``in``, item assignment), which
+    a ``DiskDict`` answers exactly as a ``dict`` does, and
+    :meth:`SolutionSetIndex.apply_delta` is inherited unchanged.  So an
+    out-of-core delta iteration takes the in-memory decision sequence
+    and produces bitwise-identical results.
 
     ``to_partitions`` returns lazy
     :class:`~repro.storage.diskdict.DiskPartitionView` sequences; a

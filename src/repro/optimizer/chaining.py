@@ -30,8 +30,8 @@ bitwise identical to unfused execution:
   never straddles the caching boundary, so constant-path edge caching
   at the chain head's inputs keeps working unchanged;
 * the surrounding delta iteration (if any) executes in ``superstep``
-  mode — microstep and async bodies use the per-record pipeline of
-  :func:`repro.iterations.microstep_runtime._compile_chain` instead.
+  mode — microstep and async bodies use the run pipeline of
+  :func:`repro.iterations.microstep_runtime._compile_pipeline` instead.
 
 A chain may additionally absorb the per-record combine pass of a
 combinable Reduce tail: when the spine's sole consumer is a REDUCE

@@ -14,9 +14,9 @@ Three execution modes are supported, mirroring Section 5.3:
 * ``superstep`` — batch-incremental: Δ runs as a set-at-a-time dataflow,
   delta records are staged during the superstep and merged at the barrier.
 * ``microstep`` — per-element execution with *supersteps*: each workset
-  element flows through the compiled record-at-a-time pipeline and updates
-  the solution set immediately, but produced workset records are buffered
-  for the next superstep (the buffering queues of Figure 6).
+  element updates the solution set immediately (queues drain in runs
+  folded through it in arrival order), but produced workset records are
+  buffered for the next superstep (the buffering queues of Figure 6).
 * ``async`` — per-element execution without barriers: queues pass records
   through FIFO; termination is detected by acknowledgement counting.
 

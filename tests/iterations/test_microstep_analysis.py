@@ -96,6 +96,35 @@ class TestEligibility:
         report = analyze_microstep(iteration._node)
         assert not report.eligible
 
+    def test_solution_access_on_workset_path_rejected(self, env):
+        """The workset chain runs over a whole run's deltas after the
+        fold, so it must not read the solution set."""
+        vertices = env.from_iterable([(v, v) for v in range(4)])
+        workset = env.from_iterable([(0, 1)])
+        iteration = env.iterate_delta(vertices, workset, 0, max_iterations=5)
+        delta = match_delta(iteration).with_forwarded_fields({0: 0})
+        next_ws = delta.join(
+            iteration.solution_set, 0, 0, lambda d, s: (s[0], d[1])
+        )
+        iteration._node.close(delta.node, next_ws.node)
+        report = analyze_microstep(iteration._node)
+        assert not report.eligible
+        assert any("access on the workset path" in r for r in report.reasons)
+
+    def test_second_solution_access_on_delta_path_rejected(self, env):
+        def builder(iteration):
+            first = iteration.workset.join(
+                iteration.solution_set, 0, 0, lambda c, s: (s[0], c[1])
+            ).with_forwarded_fields({0: 0})
+            return first.join(
+                iteration.solution_set, 0, 0,
+                lambda c, s: (s[0], c[1]) if c[1] < s[1] else None,
+            )
+        node = make_delta_iteration(env, builder)
+        report = analyze_microstep(node)
+        assert not report.eligible
+        assert any("second solution-set access" in r for r in report.reasons)
+
     def test_raise_if_ineligible(self, env):
         node = make_delta_iteration(env, cogroup_delta)
         with pytest.raises(MicrostepViolation):
