@@ -24,9 +24,9 @@ import time
 def _registry():
     from repro.bench import audit
     from repro.bench.experiments import (
-        chaining, dataplane, extensions, fig2, fig4, fig7, fig8, fig9,
-        fig10, fig11, fig12, optimizer_bench, outofcore, scaling, table1,
-        table2, telemetry_overhead,
+        dataplane, extensions, fig2, fig4, fig7, fig8, fig9, fig10, fig11,
+        fig12, optimizer_bench, outofcore, scaling, table1, table2,
+        telemetry_overhead,
     )
     return {
         "audit": ("Differential audit — engines agree, invariants hold",
@@ -35,8 +35,6 @@ def _registry():
                     scaling.run),
         "dataplane": ("Data plane — batched vs record-at-a-time framing",
                       dataplane.run),
-        "chaining": ("Chain fusion — fused vs unfused forward pipelines",
-                     chaining.run),
         "optimizer": ("Optimizer v2 — filter pushdown below the ship",
                       optimizer_bench.run),
         "outofcore": ("Out-of-core — CC state ~10x the memory budget, "

@@ -2,8 +2,9 @@
 
 Telemetry is opt-in precisely because observability must never tax the
 default path; this benchmark bounds the tax on the *opt-in* path too.
-It reruns the chain-fusion workloads — the 5-operator map/filter
-pipeline and connected components as a delta iteration — once with
+It reruns two fused workloads from :mod:`repro.bench.workloads` — the
+5-operator map/filter pipeline and connected components as a delta
+iteration — once with
 ``RuntimeConfig(telemetry=True)`` and once without, back to back in
 each round, and takes the median of the per-round CPU-time ratios
 (see :func:`_measure` for why pairing and CPU time are what make a 5%
@@ -33,13 +34,13 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.experiments.chaining import _cc_chained, _pipeline
 from repro.bench.reporting import (
     bench_meta,
     format_quantity,
     render_table,
     results_dir,
 )
+from repro.bench.workloads import cc_chained, map_filter_pipeline
 from repro.graphs.generators import erdos_renyi
 from repro.runtime.config import RuntimeConfig
 
@@ -101,7 +102,7 @@ def _environment(parallelism: int, telemetry: bool):
 
 def _run_pipeline(records: int, parallelism: int, telemetry: bool):
     env = _environment(parallelism, telemetry)
-    out = _pipeline(env, records)
+    out = map_filter_pipeline(env, records)
     gc.collect()
     started = time.process_time()
     result = env.collect(out)
@@ -110,7 +111,7 @@ def _run_pipeline(records: int, parallelism: int, telemetry: bool):
 
 def _run_cc(graph, parallelism: int, telemetry: bool):
     env = _environment(parallelism, telemetry)
-    out = _cc_chained(env, graph)
+    out = cc_chained(env, graph)
     gc.collect()
     started = time.process_time()
     result = sorted(env.collect(out))

@@ -241,9 +241,8 @@ class ExecutionEnvironment:
         # chain fusion runs last so it sees the final ship/dam/combiner
         # annotations, overrides included (an override that repartitions
         # a fused edge must break the chain)
-        if self.config.chaining:
-            from repro.optimizer.chaining import plan_chains
-            plan_chains(exec_plan)
+        from repro.optimizer.chaining import plan_chains
+        plan_chains(exec_plan)
         return exec_plan
 
     def _execute_plan(self, plan: LogicalPlan):

@@ -541,15 +541,10 @@ def _compile_chain(executor, scope, chain):
 
 def _compile_stage(executor, scope, op):
     contract = op.contract
-    fn = op.udf
-    if contract is Contract.MAP:
-        return lambda p, records: list(map(fn, records))
-    if contract is Contract.FLAT_MAP:
-        return lambda p, records: [
-            out for record in records for out in fn(record)
-        ]
-    if contract is Contract.FILTER:
-        return lambda p, records: list(filter(fn, records))
+    kernel = drivers.RECORD_KERNELS.get(contract)
+    if kernel is not None:
+        fn = op.udf
+        return lambda p, records: kernel(fn, records)
     if contract is Contract.MATCH:
         return _compile_match_stage(executor, scope, op)
     if contract is Contract.CROSS:

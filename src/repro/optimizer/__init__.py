@@ -78,10 +78,8 @@ def _optimize_plan(logical_plan, env, tracer) -> ExecutionPlan:
     else:
         stats = Statistics()
     pushdown = plan_pushdown(logical_plan)
-    config = getattr(env, "config", None)
-    chaining = config.chaining if config is not None else True
     enumerator = Enumerator(env.parallelism, weights, stats, tracer=tracer,
-                            chaining=chaining, pushdown=pushdown)
+                            pushdown=pushdown)
     outer_nodes = _outer_region(logical_plan)
     enumerator.count_consumers(outer_nodes)
 

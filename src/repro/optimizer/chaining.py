@@ -39,10 +39,11 @@ annotated with ``combiner=True``, the pre-shuffle partial aggregation
 runs in-stream on the spine's output (the reduce itself still ships and
 aggregates as an ordinary operator).
 
-Fusion never changes results or logical counters; it only removes memo
-entries, operator spans, and forward-ship round trips for the interior
-of each chain.  ``RuntimeConfig.chaining`` (``REPRO_NO_CHAIN=1``)
-disables it entirely.
+Fusion is unconditional.  It never changes results or logical
+counters; it only removes memo entries, operator spans, and
+forward-ship round trips for the interior of each chain.  Fused and
+per-operator execution run the same record loop per contract
+(:data:`repro.runtime.drivers.RECORD_KERNELS`).
 """
 
 from __future__ import annotations

@@ -138,14 +138,14 @@ def ship_cost(kind: ShipKind, size: float, parallelism: int,
 def forward_edge_cost(size: float, weights: CostWeights) -> float:
     """Materialization-and-reframing overhead of an *unfused* forward edge.
 
-    A forward edge never moves records between partitions, but in the
-    node-at-a-time interpreter it still costs work: the producer's
-    output is materialized into the memo, copied by the forward ship,
-    and reframed into batches by the consumer.  Chain fusion
-    (:mod:`repro.optimizer.chaining`) eliminates exactly this overhead,
-    so the enumerator charges it only on forward edges that will *not*
-    be fused away — which is what lets plan selection prefer fusable
-    shapes when chaining is enabled.
+    A forward edge never moves records between partitions, but between
+    two operators that each run their own driver it still costs work:
+    the producer's output is materialized into the memo, copied by the
+    forward ship, and reframed into batches by the consumer.  Chain
+    fusion (:mod:`repro.optimizer.chaining`) eliminates exactly this
+    overhead, so the enumerator charges it only on forward edges that
+    will *not* be fused away — which is what lets plan selection prefer
+    fusable shapes.
     """
     return size * amortized_overhead(weights)
 

@@ -97,8 +97,7 @@ class Enumerator:
 
     def __init__(self, parallelism, weights, stats, interesting=None,
                  dynamic_ids=frozenset(), iteration_weight=1.0,
-                 placeholder_props=None, tracer=None, chaining=True,
-                 pushdown=None):
+                 placeholder_props=None, tracer=None, pushdown=None):
         self.parallelism = parallelism
         self.weights = weights
         self.stats = stats
@@ -111,11 +110,6 @@ class Enumerator:
         #: pushed side's records are filtered before shipping, so match
         #: costing discounts that side by the filter's selectivity
         self.pushdown = pushdown or {}
-        #: when chain fusion is on, forward edges that will fuse away
-        #: (see :mod:`repro.optimizer.chaining`) stop paying the
-        #: per-edge materialization overhead — plan selection can then
-        #: prefer fusable shapes
-        self.chaining = chaining
         self._memo: dict[int, list[Candidate]] = {}
         self._consumer_counts: dict[int, int] = {}
 
@@ -150,8 +144,7 @@ class Enumerator:
         """
         from repro.optimizer.chaining import CHAINABLE_CONTRACTS
         if (
-            self.chaining
-            and producer.contract in CHAINABLE_CONTRACTS
+            producer.contract in CHAINABLE_CONTRACTS
             and consumer.contract in CHAINABLE_CONTRACTS
             and self._consumer_counts.get(producer.id, 0) <= 1
             and (consumer.id in self.dynamic_ids)
@@ -632,12 +625,11 @@ class Enumerator:
                                   iteration=node.name):
                 body_plans, body_cost, out_props = _optimize_body(
                     node, self.parallelism, self.weights, self.stats,
-                    tracer=self.tracer, chaining=self.chaining,
+                    tracer=self.tracer,
                 )
         else:
             body_plans, body_cost, out_props = _optimize_body(
                 node, self.parallelism, self.weights, self.stats,
-                chaining=self.chaining,
             )
         total = sum(c.cost for c in best_inputs) + body_cost
         ships = {}
@@ -651,7 +643,7 @@ class Enumerator:
 
 
 def _optimize_body(iteration, parallelism, weights, outer_stats,
-                   tracer=None, chaining=True):
+                   tracer=None):
     """Optimize an iteration's step function in a nested context.
 
     Returns ``(list of (node, Candidate) picks, body cost, output props)``.
@@ -696,7 +688,6 @@ def _optimize_body(iteration, parallelism, weights, outer_stats,
         dynamic_ids=dynamic,
         iteration_weight=expected,
         tracer=tracer,
-        chaining=chaining,
     )
     enumerator.count_consumers(body)
 

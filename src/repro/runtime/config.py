@@ -100,14 +100,6 @@ class RuntimeConfig:
     per polling round in asynchronous delta iterations (interleaving
     granularity; any value must converge to the same fixpoint).
 
-    ``chaining`` — fuse maximal runs of record-wise, forward-shipped
-    operators into single batch-at-a-time chain drivers (see
-    :mod:`repro.optimizer.chaining` and
-    :mod:`repro.runtime.fusion`).  On by default; ``REPRO_NO_CHAIN=1``
-    is the escape hatch.  Fusion changes neither results nor logical
-    counters — only how many memo entries and forward ships the
-    interpreter materializes.
-
     ``columnar`` — run the data plane on the struct-of-arrays
     :class:`~repro.common.batch.RecordBatch` layout: the hash channel
     computes partition targets with one vectorized pass over the int64
@@ -156,9 +148,6 @@ class RuntimeConfig:
         "REPRO_BATCH_SIZE", 1024, int, above=0))
     max_frame_bytes: int = 1 << 20
     async_poll_batch: int = 64
-    # an escape hatch, hence inverted: a truthy value turns fusion *off*
-    chaining: bool = field(default_factory=lambda: not _env_flag(
-        "REPRO_NO_CHAIN", False))
     columnar: bool = field(default_factory=lambda: _env_flag(
         "REPRO_COLUMNAR", True))
     # 0 spells "unbounded", like leaving the variable unset
@@ -171,8 +160,7 @@ class RuntimeConfig:
         "REPRO_HEARTBEAT_INTERVAL", 0.5, float, above=0))
 
     def __post_init__(self):
-        for name in ("check_invariants", "trace", "chaining", "columnar",
-                     "telemetry"):
+        for name in ("check_invariants", "trace", "columnar", "telemetry"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise TypeError(

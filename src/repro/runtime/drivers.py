@@ -277,31 +277,32 @@ class ColumnarBuildSide:
 
 
 # ----------------------------------------------------------------------
-# record-at-a-time drivers
+# record-wise kernels: the one record loop per contract, shared by this
+# module's dispatch, fused chains, microstep stages, the RDD's narrow
+# transformations and the executor's pushed-down filters (callers keep
+# their own counting)
 
 
-def run_map(node, inputs, metrics):
-    records = inputs[0]
-    metrics.add_processed(node.name, len(records))
-    fn = node.udf
-    return [fn(record) for record in records]
+def map_records(fn, records) -> list:
+    return list(map(fn, records))
 
 
-def run_flat_map(node, inputs, metrics):
-    records = inputs[0]
-    metrics.add_processed(node.name, len(records))
-    fn = node.udf
+def flat_map_records(fn, records) -> list:
     out = []
     for record in records:
         out.extend(fn(record))
     return out
 
 
-def run_filter(node, inputs, metrics):
-    records = inputs[0]
-    metrics.add_processed(node.name, len(records))
-    fn = node.udf
-    return [record for record in records if fn(record)]
+def filter_records(fn, records) -> list:
+    return list(filter(fn, records))
+
+
+RECORD_KERNELS = {
+    Contract.MAP: map_records,
+    Contract.FLAT_MAP: flat_map_records,
+    Contract.FILTER: filter_records,
+}
 
 
 def run_union(node, inputs, metrics):
@@ -579,12 +580,10 @@ def run_driver(node, local_strategy, inputs, metrics, batch_size=None,
 def _dispatch(node, local_strategy, inputs, metrics, batch_size=None,
               spill=None, columnar=False):
     contract = node.contract
-    if contract is Contract.MAP:
-        return run_map(node, inputs, metrics)
-    if contract is Contract.FLAT_MAP:
-        return run_flat_map(node, inputs, metrics)
-    if contract is Contract.FILTER:
-        return run_filter(node, inputs, metrics)
+    kernel = RECORD_KERNELS.get(contract)
+    if kernel is not None:
+        metrics.add_processed(node.name, len(inputs[0]))
+        return kernel(node.udf, inputs[0])
     if contract is Contract.UNION:
         return run_union(node, inputs, metrics)
     if contract is Contract.MATCH:

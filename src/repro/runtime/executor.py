@@ -356,10 +356,8 @@ class Executor:
             # post-join (filters are idempotent), so operator spans
             # and logical counters sit where the un-pushed plan has
             # them (see repro.optimizer.pushdown)
-            parts = [
-                [record for record in part if predicate(record)]
-                for part in parts
-            ]
+            parts = [drivers.filter_records(predicate, part)
+                     for part in parts]
         routed = self._ship(parts, strategy)
         if cacheable:
             scope.edge_cache[cache_key] = routed

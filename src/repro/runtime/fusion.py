@@ -49,31 +49,15 @@ def chain_reads(chain):
     return reads
 
 
-def _stage_fn(node):
-    """A per-chunk transform for one unary record-wise operator."""
-    fn = node.udf
-    contract = node.contract
-    if contract is Contract.MAP:
-        return lambda records: [fn(r) for r in records]
-    if contract is Contract.FILTER:
-        return lambda records: [r for r in records if fn(r)]
-    if contract is Contract.FLAT_MAP:
-        def flat_map_chunk(records):
-            out = []
-            for r in records:
-                out.extend(fn(r))
-            return out
-        return flat_map_chunk
-    raise AssertionError(f"{node.name}: not a fusable unary contract")
-
-
 def _compile_items(chain):
     """Split the spine into unions and maximal unary segments.
 
-    Returns a list of items: ``("segment", [(spine index, chunk fn),
-    ...])`` for runs of Map/FlatMap/Filter, and ``("union", spine index,
-    spine side)`` for each union (``spine side`` is None for a union at
-    the head, whose both inputs arrive via the head shipping).
+    Returns a list of items: ``("segment", [(spine index, kernel, udf),
+    ...])`` for runs of Map/FlatMap/Filter, each with its
+    :data:`~repro.runtime.drivers.RECORD_KERNELS` loop, and ``("union",
+    spine index, spine side)`` for each union (``spine side`` is None
+    for a union at the head, whose both inputs arrive via the head
+    shipping).
     """
     items = []
     segment: list = []
@@ -85,7 +69,9 @@ def _compile_items(chain):
             side = None if i == 0 else chain.spine_inputs[i - 1]
             items.append(("union", i, side))
         else:
-            segment.append((i, _stage_fn(node)))
+            segment.append(
+                (i, drivers.RECORD_KERNELS[node.contract], node.udf)
+            )
     if segment:
         items.append(("segment", segment))
     return items
@@ -231,7 +217,7 @@ def _run_segment(segment, stream, batch_size, per_op_in, per_op_out):
     performance win.  Chunking never reorders records, so output is
     bitwise identical to whole-partition evaluation.
     """
-    for i, _fn in segment:
+    for i, _kernel, _fn in segment:
         per_op_in[i] = [0]
     if not stream:
         return []
@@ -244,10 +230,10 @@ def _run_segment(segment, stream, batch_size, per_op_in, per_op_out):
     step = batch_size if batch_size and batch_size > 0 else n
     for start in range(0, n, step):
         chunk = stream[start:start + step]
-        for i, fn in segment:
+        for i, kernel, fn in segment:
             per_op_in[i][0] += len(chunk)
             if chunk:
-                chunk = fn(chunk)
+                chunk = kernel(fn, chunk)
             per_op_out[i] += len(chunk)
         out.extend(chunk)
     return out

@@ -16,8 +16,9 @@ Spark behaviour whose per-iteration allocation cost the paper measures
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 
-from repro.runtime import channels
+from repro.runtime import channels, drivers
 from repro.runtime.plan import ShipKind, ShipStrategy
 
 _PARTITION_KEY0 = ShipStrategy(ShipKind.PARTITION_HASH, (0,))
@@ -105,22 +106,19 @@ class RDD:
 
     def map(self, fn, preserves_partitioning=False) -> "RDD":
         return self._narrow(
-            lambda part: [fn(r) for r in part], "map",
+            partial(drivers.map_records, fn), "map",
             keeps_partitioning=preserves_partitioning,
         )
 
     def flat_map(self, fn, preserves_partitioning=False) -> "RDD":
-        def apply(part):
-            out = []
-            for r in part:
-                out.extend(fn(r))
-            return out
-        return self._narrow(apply, "flat_map",
-                            keeps_partitioning=preserves_partitioning)
+        return self._narrow(
+            partial(drivers.flat_map_records, fn), "flat_map",
+            keeps_partitioning=preserves_partitioning,
+        )
 
     def filter(self, fn) -> "RDD":
         return self._narrow(
-            lambda part: [r for r in part if fn(r)], "filter",
+            partial(drivers.filter_records, fn), "filter",
             keeps_partitioning=True,
         )
 

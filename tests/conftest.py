@@ -1,9 +1,31 @@
 """Shared fixtures: small graphs and environments used across the suite."""
 
+import contextlib
+
 import pytest
 
 from repro import ExecutionEnvironment
 from repro.graphs import Graph, erdos_renyi
+from repro.optimizer import chaining
+
+
+@contextlib.contextmanager
+def unfused():
+    """Compile plans without chain fusion while the block runs.
+
+    The per-operator reference for the fused drivers: plans keep the
+    enumerator's physical choices, but ``plan_chains`` plans no chains,
+    so every operator runs its own driver.  ``_compile`` imports
+    ``plan_chains`` at call time and SPMD backends compile in the
+    parent, so this holds on every backend.
+    """
+    def no_chains(exec_plan):
+        exec_plan.chains = {}
+        exec_plan.fused_ids = frozenset()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chaining, "plan_chains", no_chains)
+        yield
 
 
 @pytest.fixture

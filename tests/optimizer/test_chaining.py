@@ -7,8 +7,8 @@ from repro.algorithms import connected_components as cc
 from repro.dataflow.contracts import Contract
 from repro.dataflow.graph import LogicalNode, LogicalPlan
 from repro.optimizer.chaining import plan_chains
-from repro.runtime.config import RuntimeConfig
-from repro.runtime.plan import partition_on
+from repro.runtime.plan import OperatorAnnotation, partition_on
+from tests.conftest import unfused
 
 
 def compile_for(env, dataset):
@@ -47,14 +47,6 @@ class TestChainFormation:
         plan = compile_for(env, ds)
         text = plan.describe()
         assert "chain[map→filter→map→flat_map→filter]" in text
-
-    def test_chaining_disabled_plans_no_chains(self):
-        env = ExecutionEnvironment(
-            parallelism=4, config=RuntimeConfig(chaining=False)
-        )
-        plan = compile_for(env, five_op_pipeline(env))
-        assert plan.chains == {}
-        assert plan.fused_ids == frozenset()
 
     def test_naive_planner_also_gets_chains(self, env_naive):
         plan = compile_for(env_naive, five_op_pipeline(env_naive))
@@ -174,20 +166,56 @@ class TestChainBreakers:
 
 
 class TestCostModel:
-    def test_unfused_forward_edges_are_charged(self):
-        """With chaining off, the enumerator charges the materialization
-        overhead of every fusable-looking forward edge, so plans cost
-        strictly more than the same plans with chaining on."""
-        def build(chaining):
-            env = ExecutionEnvironment(
-                parallelism=4,
-                config=RuntimeConfig(chaining=chaining),
-            )
-            return compile_for(env, five_op_pipeline(env))
+    def test_unfused_forward_edges_are_charged(self, env):
+        """A forward edge out of a branch point cannot fuse, so the
+        enumerator charges its materialization overhead; a fusable edge
+        of the same shape is free."""
+        from repro.dataflow.graph import topological_order
+        from repro.optimizer.costs import DEFAULT_WEIGHTS
+        from repro.optimizer.enumerator import Enumerator
+        from repro.optimizer.statistics import Statistics
 
-        fused = build(True)
-        unfused = build(False)
-        assert unfused.estimated_cost > fused.estimated_cost
+        base = env.from_iterable([(i,) for i in range(20)])
+        shared = base.map(lambda r: (r[0] + 1,))
+        left = shared.filter(lambda r: r[0] % 2 == 0)
+        tail = left.map(lambda r: (r[0] * 3,))
+        merged = tail.union(shared.map(lambda r: (r[0] * 2,)))
+        enumerator = Enumerator(4, DEFAULT_WEIGHTS, Statistics())
+        enumerator.count_consumers(topological_order([merged.node]))
+        fusable = enumerator._forward_overhead(tail.node, left.node, 100.0)
+        branch = enumerator._forward_overhead(left.node, shared.node, 100.0)
+        assert fusable == 0.0 < branch
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_reference_compile_shares_the_physical_plan(self, optimize):
+        """The unfused reference differs from the fused plan only in its
+        chains: every ship, local and combiner annotation is identical."""
+        from repro.bench.workloads import cc_chained
+        from repro.graphs import erdos_renyi
+
+        def physical(plan, node_ids):
+            default = OperatorAnnotation()
+            return {
+                node_id: (ann.ship, ann.local, ann.combiner)
+                for node_id in node_ids
+                for ann in [plan.annotations.get(node_id, default)]
+            }
+
+        env = ExecutionEnvironment(parallelism=4, optimize=optimize)
+        combined = five_op_pipeline(env).reduce_by_key(
+            0, lambda a, b: (a[0], a[1] + b[1])
+        )
+        graph = erdos_renyi(40, 2.0, seed=3)
+        for dataset in (five_op_pipeline(env), combined,
+                        cc_chained(env, graph)):
+            sink = LogicalNode(Contract.SINK, [dataset.node], name="collect")
+            logical = LogicalPlan([sink])
+            fused = env._compile(logical)
+            with unfused():
+                reference = env._compile(logical)
+            assert fused.chains and not reference.chains
+            node_ids = fused.annotations.keys() | reference.annotations.keys()
+            assert physical(fused, node_ids) == physical(reference, node_ids)
 
     def test_forward_edge_cost_scales_with_size(self):
         from repro.optimizer.costs import DEFAULT_WEIGHTS, forward_edge_cost

@@ -2,11 +2,13 @@
 
 For randomly generated chainable pipelines (maps, filters, flat_maps,
 union taps, optional combinable reduce tail) and random batch sizes —
-including the batch_size=1 degenerate case — running with chaining on
+including the batch_size=1 degenerate case — running the fused chains
 must produce the same records, the same logical counters, and the same
-top-level span counter totals as running with chaining off, on both
-execution backends.
+top-level span counter totals as the per-operator reference
+(:func:`tests.conftest.unfused`), on both execution backends.
 """
+
+import contextlib
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro import ExecutionEnvironment
 from repro.bench.audit import _comparable_counters
 from repro.observability import LOGICAL_SPAN_COUNTERS
 from repro.runtime.config import RuntimeConfig
+from tests.conftest import unfused
 
 
 def _op_strategy():
@@ -66,14 +69,13 @@ def _build(env, case):
     return ds
 
 
-def _execute(chaining, case, backend=None, parallelism=3, trace=True):
+def _execute(fused, case, backend=None, parallelism=3, trace=True):
     env = ExecutionEnvironment(
         parallelism=parallelism, backend=backend,
-        config=RuntimeConfig(
-            chaining=chaining, batch_size=case[3], trace=trace,
-        ),
+        config=RuntimeConfig(batch_size=case[3], trace=trace),
     )
-    result = sorted(env.collect(_build(env, case)))
+    with contextlib.nullcontext() if fused else unfused():
+        result = sorted(env.collect(_build(env, case)))
     return result, env
 
 

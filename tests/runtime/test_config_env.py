@@ -12,8 +12,6 @@ FLAGS = [
     # unset means "on under pytest" — which is where this runs
     ("REPRO_CHECK_INVARIANTS", "check_invariants", True, True, False),
     ("REPRO_TRACE", "trace", False, True, False),
-    # an escape hatch: truthy turns the field *off*
-    ("REPRO_NO_CHAIN", "chaining", True, False, True),
     ("REPRO_COLUMNAR", "columnar", True, True, False),
     ("REPRO_TELEMETRY", "telemetry", False, True, False),
 ]

@@ -21,19 +21,19 @@ class TestRecordAtATime:
     def test_map(self):
         node = _node(Contract.MAP, udf=lambda r: (r[0] * 2,))
         metrics = MetricsCollector()
-        out = drivers.run_map(node, [[(1,), (2,)]], metrics)
+        out = drivers.run_driver(node, None, [[(1,), (2,)]], metrics)
         assert out == [(2,), (4,)]
         assert metrics.total_processed == 2
 
     def test_flat_map(self):
         node = _node(Contract.FLAT_MAP, udf=lambda r: [(r[0],)] * r[0])
-        out = drivers.run_flat_map(node, [[(2,), (0,), (1,)]],
-                                   MetricsCollector())
+        out = drivers.run_driver(node, None, [[(2,), (0,), (1,)]],
+                                 MetricsCollector())
         assert out == [(2,), (2,), (1,)]
 
     def test_filter(self):
         node = _node(Contract.FILTER, udf=lambda r: r[0] % 2 == 0)
-        out = drivers.run_filter(node, [[(1,), (2,), (4,)]],
+        out = drivers.run_driver(node, None, [[(1,), (2,), (4,)]],
                                  MetricsCollector())
         assert out == [(2,), (4,)]
 

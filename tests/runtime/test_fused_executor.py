@@ -1,5 +1,7 @@
 """Fused-chain execution semantics: results, counters, spans, eviction."""
 
+import contextlib
+
 import pytest
 
 from repro import ExecutionEnvironment
@@ -7,12 +9,13 @@ from repro.bench.audit import _comparable_counters
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import _IterationScope
 from repro.runtime.plan import FusedChain
+from tests.conftest import unfused
 
 
-def _env(chaining, backend=None, parallelism=4, **config_kwargs):
+def _env(backend=None, parallelism=4, **config_kwargs):
     return ExecutionEnvironment(
         parallelism=parallelism, backend=backend,
-        config=RuntimeConfig(chaining=chaining, **config_kwargs),
+        config=RuntimeConfig(**config_kwargs),
     )
 
 
@@ -97,9 +100,10 @@ WORKLOADS = {
 }
 
 
-def _run(chaining, workload, backend=None, **config_kwargs):
-    env = _env(chaining, backend=backend, **config_kwargs)
-    result = sorted(env.collect(WORKLOADS[workload](env)))
+def _run(fused, workload, backend=None, **config_kwargs):
+    env = _env(backend=backend, **config_kwargs)
+    with contextlib.nullcontext() if fused else unfused():
+        result = sorted(env.collect(WORKLOADS[workload](env)))
     return result, env
 
 
@@ -147,7 +151,7 @@ class TestChainSpans:
         return out
 
     def test_chain_span_replaces_operator_spans(self):
-        env = _env(True, trace=True)
+        env = _env(trace=True)
         env.collect(_pipeline(env))
         chain_spans = self._find(
             self._roots(env), lambda s: s.category == "chain", []
@@ -178,7 +182,7 @@ class TestChainSpans:
     def test_chain_span_name_is_deterministic(self):
         names = set()
         for _ in range(2):
-            env = _env(True, trace=True)
+            env = _env(trace=True)
             env.collect(_pipeline(env))
             spans = self._find(
                 self._roots(env), lambda s: s.category == "chain", []
@@ -187,7 +191,7 @@ class TestChainSpans:
         assert names == {"chain[map→filter→map→flat_map→filter]"}
 
     def test_per_operator_counter_totals_match_metrics(self):
-        env = _env(True, trace=True)
+        env = _env(trace=True)
         env.collect(_pipeline(env))
         chain = self._find(
             self._roots(env), lambda s: s.category == "chain", []
@@ -217,16 +221,17 @@ class TestChainSpans:
                 for counter in LOGICAL_SPAN_COUNTERS
             }
 
-        fused_env = _env(True, trace=True)
+        fused_env = _env(trace=True)
         fused_env.collect(_pipeline(fused_env))
-        unfused_env = _env(False, trace=True)
-        unfused_env.collect(_pipeline(unfused_env))
+        unfused_env = _env(trace=True)
+        with unfused():
+            unfused_env.collect(_pipeline(unfused_env))
         assert totals(fused_env) == totals(unfused_env)
 
     def test_combine_chain_span_nests_inside_reduce(self):
         env = ExecutionEnvironment(
             parallelism=4, optimize=False,
-            config=RuntimeConfig(chaining=True, trace=True),
+            config=RuntimeConfig(trace=True),
         )
         env.collect(_combine_pipeline(env))
         chains = self._find(
@@ -244,7 +249,7 @@ class TestChainSpans:
 
 class TestStepMemoEviction:
     def test_refcount_template_counts_reads(self):
-        env = _env(True)
+        env = _env()
         result = _bulk_iterative(env)
         env.collect(result)
         executor = env.last_executor
@@ -261,7 +266,7 @@ class TestStepMemoEviction:
             assert fused_id not in template
 
     def test_last_read_evicts_the_memo_entry(self):
-        env = _env(True)
+        env = _env()
         env.collect(_bulk_iterative(env))
         executor = env.last_executor
 
@@ -279,7 +284,7 @@ class TestStepMemoEviction:
         assert FakeScope.step_refcounts == {}
 
     def test_unknown_nodes_and_plain_scopes_are_untouched(self):
-        env = _env(True)
+        env = _env()
         env.collect(_bulk_iterative(env))
         executor = env.last_executor
 
