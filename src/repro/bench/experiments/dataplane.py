@@ -16,23 +16,6 @@ repro.bench dataplane``) if the batched ship or join throughput falls
 below 2x the per-record path: that regression would mean the batch
 substrate no longer pays for itself.
 
-A second section measures the columnar v2 data plane against the row
-loops on **columnar-resident** partitions — column-born
-:class:`~repro.common.batch.RecordBatch` inputs, the form frames take
-after crossing the shm fabric or a spill file.  This is the regime the
-struct-of-arrays layout exists for: the columnar kernels (the
-hash-scatter's vectorized grouping, the join's ``searchsorted``
-build/probe, the sort-aggregate's ``argsort``) read the column buffers
-directly, while the row loops must first transpose every chunk back
-into tuple records.  Both modes run the *same* driver entry points on
-freshly built column-born inputs each round (construction is excluded
-from the timing; fresh inputs keep one mode's lazily-materialized
-caches from subsidizing the other).  The run fails if the **median**
-columnar speedup across the three primitives falls below
-``COLUMNAR_SPEEDUP_FLOOR`` — the median, not the minimum, because the
-aggregate's per-group fold is irreducibly record-at-a-time and only
-its sort vectorizes.
-
 The JSON artifact lands in ``benchmarks/results/BENCH_dataplane.json``.
 """
 
@@ -40,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -50,8 +32,6 @@ from repro.bench.reporting import (
     render_table,
     results_dir,
 )
-from repro.common import columns as columns_mod
-from repro.common.batch import RecordBatch
 from repro.graphs.generators import erdos_renyi
 from repro.runtime import channels, drivers
 from repro.runtime.config import RuntimeConfig
@@ -64,10 +44,6 @@ ARTIFACT = "BENCH_dataplane.json"
 #: fails the benchmark
 SPEEDUP_FLOOR = 2.0
 
-#: the median columnar-over-row speedup across ship/join/aggregate must
-#: clear this floor for the run to pass
-COLUMNAR_SPEEDUP_FLOOR = 1.5
-
 
 @dataclass
 class DataplaneResult:
@@ -77,8 +53,6 @@ class DataplaneResult:
     batch_size: int
     rounds: int
     rows: list[dict] = field(default_factory=list)
-    columnar_rows: list[dict] = field(default_factory=list)
-    columnar_median: float = 0.0
     ok: bool = True
     artifact_path: str = ""
 
@@ -101,32 +75,14 @@ class DataplaneResult:
              f">={SPEEDUP_FLOOR:.0f}x"],
             table_rows,
         )
-        columnar_table = render_table(
-            f"Columnar v2 vs row loops — batch_size={self.batch_size}, "
-            f"median floor {COLUMNAR_SPEEDUP_FLOOR:.1f}x",
-            ["primitive", "records", "columnar", "row", "speedup"],
-            [
-                [row["primitive"],
-                 format_quantity(row["records"]),
-                 f"{format_quantity(row['columnar_rps'])}/s",
-                 f"{format_quantity(row['row_rps'])}/s",
-                 f"{row['speedup']:.2f}x"]
-                for row in self.columnar_rows
-            ],
-        )
         verdict = (
             "OK: batched ship and join clear the "
-            f"{SPEEDUP_FLOOR:.0f}x throughput floor and the columnar "
-            f"plane's median speedup is {self.columnar_median:.2f}x "
-            f"(floor {COLUMNAR_SPEEDUP_FLOOR:.1f}x)."
+            f"{SPEEDUP_FLOOR:.0f}x throughput floor."
             if self.ok else
             "FAIL: batched throughput fell below "
-            f"{SPEEDUP_FLOOR:.0f}x the record-at-a-time path, or the "
-            f"columnar median speedup ({self.columnar_median:.2f}x) "
-            f"fell below {COLUMNAR_SPEEDUP_FLOOR:.1f}x."
+            f"{SPEEDUP_FLOOR:.0f}x the record-at-a-time path."
         )
-        return (table + "\n\n" + columnar_table + "\n\n" + verdict
-                + f"\nArtifact: {self.artifact_path}")
+        return table + "\n\n" + verdict + f"\nArtifact: {self.artifact_path}"
 
 
 class _Node:
@@ -175,61 +131,6 @@ def _bench_join(vertex_parts, edge_parts, rounds, batch_size):
     return _time(one_round, rounds)
 
 
-def _columnar_parts(parts, key_fields=(0,)):
-    """Transpose row partitions into fresh column-born batches.
-
-    This is the shape partitions have on the columnar data plane after
-    crossing the shm fabric or a spill file: struct-of-arrays buffers,
-    rows not yet materialized.  Called once per timed round so neither
-    mode inherits the other's lazily-built row/key caches.
-    """
-    out = []
-    for part in parts:
-        _arity, cols = columns_mod.columnarize(list(part))
-        out.append(RecordBatch.from_columns(len(part), cols, key_fields))
-    return out
-
-
-def _time_columnar(make_inputs, one_round, rounds):
-    """Time ``rounds`` calls, rebuilding inputs outside the clock."""
-    total = 0.0
-    for _ in range(rounds):
-        inputs = make_inputs()
-        started = time.perf_counter()
-        one_round(inputs)
-        total += time.perf_counter() - started
-    return total
-
-
-def _bench_ship_columnar(edge_parts, parallelism, rounds, batch_size,
-                         columnar):
-    strategy = partition_on((0,))
-
-    def one_round(parts):
-        channels.ship(parts, strategy, parallelism,
-                      batch_size=batch_size, columnar=columnar)
-    return _time_columnar(
-        lambda: _columnar_parts(edge_parts), one_round, rounds
-    )
-
-
-def _bench_join_columnar(vertex_parts, edge_parts, rounds, batch_size,
-                         columnar):
-    node = _Node("dataplane:join", ((0,), (0,)),
-                 lambda vertex, edge: (edge[1], vertex[1]))
-    metrics = MetricsCollector()
-
-    def one_round(inputs):
-        for vpart, epart in zip(*inputs):
-            drivers.run_hash_join(node, [vpart, epart], metrics,
-                                  build_left=True, batch_size=batch_size,
-                                  columnar=columnar)
-    return _time_columnar(
-        lambda: (_columnar_parts(vertex_parts), _columnar_parts(edge_parts)),
-        one_round, rounds,
-    )
-
-
 def _bench_aggregate(candidate_parts, rounds, batch_size):
     # CC's update step: keep the minimum candidate label per vertex
     node = _Node("dataplane:min_label", ((0,),),
@@ -241,43 +142,6 @@ def _bench_aggregate(candidate_parts, rounds, batch_size):
             drivers.run_hash_aggregate(node, [part], metrics,
                                        batch_size=batch_size)
     return _time(one_round, rounds)
-
-
-def _bench_sort_aggregate_columnar(candidate_parts, rounds, batch_size,
-                                   columnar):
-    # the aggregate whose sort vectorizes: key-sorted min-label runs
-    node = _Node("dataplane:min_label_sorted", ((0,),),
-                 lambda a, b: a if a[1] <= b[1] else b)
-    metrics = MetricsCollector()
-
-    def one_round(parts):
-        for part in parts:
-            drivers.run_sort_aggregate(node, [part], metrics,
-                                       batch_size=batch_size,
-                                       columnar=columnar)
-    return _time_columnar(
-        lambda: _columnar_parts(candidate_parts), one_round, rounds
-    )
-
-
-def _check_columnar_parity(edge_parts, parallelism, batch_size):
-    """One untimed scatter both ways: same rows, and the columnar ship
-    must actually take the column-at-a-time path (column-born output)."""
-    strategy = partition_on((0,))
-    row_out = channels.ship(_columnar_parts(edge_parts), strategy,
-                            parallelism, batch_size=batch_size,
-                            columnar=False)
-    col_out = channels.ship(_columnar_parts(edge_parts), strategy,
-                            parallelism, batch_size=batch_size,
-                            columnar=True)
-    if [list(p) for p in col_out] != [list(p) for p in row_out]:
-        raise AssertionError("columnar scatter diverged from row scatter")
-    if not any(
-        isinstance(p, RecordBatch) and p.has_columns() for p in col_out
-    ):
-        raise AssertionError(
-            "columnar ship fell back to the row loop on column-born input"
-        )
 
 
 def run(num_vertices: int = 3_000, avg_degree: float = 8.0,
@@ -339,40 +203,6 @@ def run(num_vertices: int = 3_000, avg_degree: float = 8.0,
         if gating and speedup < SPEEDUP_FLOOR:
             result.ok = False
 
-    _check_columnar_parity(edge_parts, parallelism, batch_size)
-    columnar_cases = [
-        ("ship(partition_hash)", len(edges),
-         lambda c: _bench_ship_columnar(edge_parts, parallelism, rounds,
-                                        batch_size, c)),
-        ("hash join", len(vertices) + len(edges),
-         lambda c: _bench_join_columnar(vertex_parts, edge_parts, rounds,
-                                        batch_size, c)),
-        ("sort aggregate", num_candidates,
-         lambda c: _bench_sort_aggregate_columnar(candidate_parts, rounds,
-                                                  batch_size, c)),
-    ]
-    speedups = []
-    for name, records_per_round, bench in columnar_cases:
-        bench(True)  # warm both paths before timing
-        bench(False)
-        columnar_s = bench(True)
-        row_s = bench(False)
-        records = records_per_round * rounds
-        speedup = row_s / columnar_s if columnar_s > 0 else float("inf")
-        speedups.append(speedup)
-        result.columnar_rows.append({
-            "primitive": name,
-            "records": records,
-            "columnar_s": columnar_s,
-            "row_s": row_s,
-            "columnar_rps": records / columnar_s if columnar_s > 0 else 0.0,
-            "row_rps": records / row_s if row_s > 0 else 0.0,
-            "speedup": speedup,
-        })
-    result.columnar_median = statistics.median(speedups)
-    if result.columnar_median < COLUMNAR_SPEEDUP_FLOOR:
-        result.ok = False
-
     if save_artifact:
         payload = {
             "experiment": "dataplane",
@@ -381,7 +211,7 @@ def run(num_vertices: int = 3_000, avg_degree: float = 8.0,
                 batch_size=batch_size,
                 parallelism=parallelism,
                 rounds=rounds,
-                layout="columnar+row",
+                layout="columnar",
             ),
             "workload": "connected-components reference (erdos_renyi)",
             "num_vertices": result.num_vertices,
@@ -390,23 +220,14 @@ def run(num_vertices: int = 3_000, avg_degree: float = 8.0,
             "rounds": rounds,
             "batch_size": batch_size,
             "speedup_floor": SPEEDUP_FLOOR,
-            "columnar_speedup_floor": COLUMNAR_SPEEDUP_FLOOR,
-            "columnar_median_speedup": result.columnar_median,
             "ok": result.ok,
             "note": (
                 "batched and per-record runs share one code path; only "
                 "the RecordBatch chunk bound differs (configured "
                 "batch_size vs 1).  'gating' rows must clear the "
-                "speedup floor for the run to pass.  'columnar_rows' "
-                "compare the struct-of-arrays kernels against the row "
-                "loops on the same drivers over columnar-resident "
-                "(column-born) partitions — the form frames take after "
-                "the shm fabric or a spill file; input construction is "
-                "excluded from the timing.  Their median speedup must "
-                "clear 'columnar_speedup_floor'."
+                "speedup floor for the run to pass."
             ),
             "rows": result.rows,
-            "columnar_rows": result.columnar_rows,
         }
         path = os.path.join(results_dir(), ARTIFACT)
         with open(path, "w", encoding="utf-8") as handle:

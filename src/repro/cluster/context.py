@@ -102,15 +102,15 @@ class ClusterContext:
         raise NotImplementedError
 
     def exchange(self, frames, batch_size=None, max_frame_bytes=None,
-                 columnar=False, key_fields=None):
+                 columnar=True, key_fields=None):
         """All-to-all: send ``frames[t]`` to rank ``t``; return the frames
         received, indexed by source rank (own frame included in place).
 
-        The keywords shape the wire framing only (chunk bounds and the
-        row or raw-column encoding, see :meth:`WorkerCluster.exchange`),
-        never the reassembled result; ``key_fields`` tags columnar
-        frames so receivers can rebuild keyed batches without
-        re-extracting."""
+        The keywords shape the wire framing only (chunk bounds, see
+        :meth:`WorkerCluster.exchange`), never the reassembled result;
+        ``key_fields`` tags column frames so receivers can rebuild
+        keyed batches without re-extracting.  ``columnar`` has no
+        effect; ``benchmarks/perf/probes.py`` still passes it."""
         raise NotImplementedError
 
     def route(self, frames, **framing):
@@ -226,7 +226,7 @@ class WorkerCluster(ClusterContext):
     # collectives
 
     def exchange(self, frames, batch_size=None, max_frame_bytes=None,
-                 columnar=False, key_fields=None):
+                 columnar=True, key_fields=None):
         """All-to-all exchange as one chunk stream per peer.
 
         Each target frame is split into runs of ``batch_size`` records
@@ -237,8 +237,8 @@ class WorkerCluster(ClusterContext):
         one of two encodings, sized against ``max_frame_bytes`` without
         ever pickling a probe copy:
 
-        * **columnar** runs (``columnar=True`` and every column of the
-          chunk is fixed-width) know their payload size exactly from
+        * **column** runs (every column of the chunk is fixed-width)
+          know their payload size exactly from
           ``rows * sum(itemsize)``, so oversize chunks are re-split by
           row-count arithmetic and ship as raw column buffers
           (:meth:`~repro.cluster.fabric.Endpoint.send_columns` — zero
@@ -248,6 +248,9 @@ class WorkerCluster(ClusterContext):
           estimate miss only makes a frame land off the target size —
           the fabric ships any blob (multi-slot shm or inline), so the
           bound is a framing target, not a correctness limit.
+
+        ``columnar`` has no effect; ``benchmarks/perf/probes.py`` still
+        passes it.
         """
         if len(frames) != self.size:
             raise ValueError(
@@ -264,7 +267,7 @@ class WorkerCluster(ClusterContext):
                     batch_size
                 ):
                     sent += self._send_chunk(
-                        target, tag, chunk, max_frame_bytes, columnar
+                        target, tag, chunk, max_frame_bytes
                     )
             self.endpoint.send(target, tag, ("e", sent))
         return [
@@ -273,8 +276,7 @@ class WorkerCluster(ClusterContext):
             for source in range(self.size)
         ]
 
-    def _send_chunk(self, target, tag, chunk, max_frame_bytes,
-                    columnar) -> int:
+    def _send_chunk(self, target, tag, chunk, max_frame_bytes) -> int:
         """Ship one :class:`RecordBatch` chunk, columnar when possible.
 
         All-fixed-width chunks go out as raw column buffers; their exact
@@ -282,7 +284,7 @@ class WorkerCluster(ClusterContext):
         re-split arithmetically — no probe serialization.  Chunks with
         any object column fall back to the pickled row run.
         """
-        layout = chunk.columns() if columnar else None
+        layout = chunk.columns()
         if layout is not None:
             length, cols = layout
             nbytes = columns_mod.frame_nbytes(cols, length)
@@ -296,9 +298,7 @@ class WorkerCluster(ClusterContext):
                     rows = max(1, -(-length // pieces))
                     if rows < length:
                         return sum(
-                            self._send_chunk(
-                                target, tag, sub, max_frame_bytes, columnar
-                            )
+                            self._send_chunk(target, tag, sub, max_frame_bytes)
                             for sub in chunk.split(rows)
                         )
                 header, buffers = columns_mod.encode_frame(

@@ -24,9 +24,9 @@ single int key field the key column *is* the hash column
 int64 ndarray when numpy is present, which is what lets the hash
 channel compute partition targets with one vectorized ``%`` and the
 join drivers compute match indices with ``searchsorted`` instead of a
-per-record dict probe.  Every vectorized path is gated twice — on the
-``columnar`` runtime knob and on a strict type check — and falls back
-to the row loops with bitwise-identical results.
+per-record dict probe.  Every vectorized path is gated on the input
+alone — a strict type check and numpy being importable — and falls
+back to the row loops with bitwise-identical results.
 
 Layers that move or group records (the shipping channels, the physical
 join/aggregation drivers, the solution-set index, the SPMD fabric
@@ -191,7 +191,7 @@ class RecordBatch:
                 if (
                     self.has_columns()
                     and self._keys is None
-                    and columnar.HAVE_NUMPY
+                    and columnar.numpy_module() is not None
                 ):
                     # zero-copy view over the key field's 'q' buffer
                     _length, cols = self._columns
@@ -244,19 +244,17 @@ class RecordBatch:
                 self._hashes = [stable_hash(k) for k in keys]
         return self._hashes
 
-    def partition_targets(self, parallelism: int,
-                          columnar_mode: bool = False) -> list[int]:
+    def partition_targets(self, parallelism: int) -> list[int]:
         """The owning partition of every record (``hash % parallelism``).
 
-        With ``columnar_mode`` and an int64 key column available, the
-        hash and modulo run as one vectorized pass (numpy's ``%``
-        matches Python's floored-division convention, so targets are
-        bitwise identical to the row loop).
+        With an int64 key column available, the hash and modulo run as
+        one vectorized pass (numpy's ``%`` matches Python's
+        floored-division convention, so targets are bitwise identical
+        to the row loop).
         """
-        if columnar_mode:
-            vector = self.key_array()
-            if vector is not None:
-                return (vector % parallelism).tolist()
+        vector = self.key_array()
+        if vector is not None:
+            return (vector % parallelism).tolist()
         return [h % parallelism for h in self.hashes]
 
     # ------------------------------------------------------------------
@@ -298,56 +296,46 @@ class RecordBatch:
     def split(self, max_records) -> list["RecordBatch"]:
         """Chunk into batches of at most ``max_records`` records.
 
-        Record order is preserved across the chunk sequence; cached key
-        and hash vectors are sliced, not recomputed.  ``None`` (or a
-        bound covering the whole batch) returns ``[self]`` without
+        Record order is preserved across the chunk sequence; cached key,
+        hash and int64 key vectors are sliced, not recomputed.  ``None``
+        (or a bound covering the whole batch) returns ``[self]`` without
         copying.  A column-born batch splits by slicing its column
         buffers — the chunks stay column-born and no rows materialize.
         """
+        return list(self.chunks(max_records))
+
+    def chunks(self, max_records):
+        """:meth:`split`, lazily: each chunk is sliced when the consumer
+        reaches it, so a long input never holds all its chunks at once."""
         n = len(self)
         if max_records is None or max_records >= n:
-            return [self]
+            yield self
+            return
         if max_records < 1:
             raise ValueError(
                 f"batch split size must be >= 1, got {max_records}"
             )
+        for lo in range(0, n, max_records):
+            yield self._slice(lo, min(lo + max_records, n))
+
+    def _slice(self, lo, hi) -> "RecordBatch":
+        """Records ``lo:hi`` as a batch sharing this one's cached vectors."""
         if self._records is None:
             _length, cols = self._columns
-            keys, hashes = self._keys, self._hashes
-            shared = keys is not None and hashes is keys
-            out = []
-            for i in range(0, n, max_records):
-                hi = min(i + max_records, n)
-                sub = RecordBatch.from_columns(
-                    hi - i,
-                    [(typecode, data[i:hi]) for typecode, data in cols],
-                    self.key_fields,
-                )
-                if keys is not None:
-                    sub._keys = keys[i:hi]
-                if hashes is not None:
-                    sub._hashes = (
-                        sub._keys if shared else hashes[i:hi]
-                    )
-                out.append(sub)
-            return out
-        records = self.records
-        keys, hashes = self._keys, self._hashes
-        shared = keys is not None and hashes is keys
-        out = []
-        for i in range(0, n, max_records):
-            chunk_keys = None if keys is None else keys[i:i + max_records]
-            out.append(RecordBatch(
-                records[i:i + max_records],
+            sub = RecordBatch.from_columns(
+                hi - lo, [(typecode, data[lo:hi]) for typecode, data in cols],
                 self.key_fields,
-                _keys=chunk_keys,
-                _hashes=(
-                    chunk_keys if shared
-                    else None if hashes is None
-                    else hashes[i:i + max_records]
-                ),
-            ))
-        return out
+            )
+        else:
+            sub = RecordBatch(self._records[lo:hi], self.key_fields)
+        keys, hashes = self._keys, self._hashes
+        if keys is not None:
+            sub._keys = keys[lo:hi]
+        if hashes is not None:
+            sub._hashes = sub._keys if hashes is keys else hashes[lo:hi]
+        if self._key_array is not None and self._key_array is not _NA:
+            sub._key_array = self._key_array[lo:hi]
+        return sub
 
     def scatter(self, parallelism: int):
         """Hash-scatter a column-born batch column-at-a-time.
@@ -378,7 +366,7 @@ class RecordBatch:
         if (
             self._records is not None
             or not self.has_columns()
-            or not columnar.HAVE_NUMPY
+            or columnar.numpy_module() is None
             or self.key_fields is None
             or len(self.key_fields) != 1
         ):
@@ -477,4 +465,4 @@ def iter_batches(records, key_fields, batch_size):
     (``None`` = one batch).  ``batch_size=1`` is the degenerate
     record-at-a-time framing.
     """
-    yield from RecordBatch.wrap(records, key_fields).split(batch_size)
+    yield from RecordBatch.wrap(records, key_fields).chunks(batch_size)

@@ -39,11 +39,8 @@ from array import array
 
 try:  # capability probe: numpy accelerates, never changes results
     import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via REPRO_COLUMNAR=0 CI
+except ImportError:  # pragma: no cover - tests stub ``_np`` to ``None``
     _np = None
-    HAVE_NUMPY = False
 
 #: typecode for object (pickled) columns; 'q'/'d' are array typecodes
 OBJECT = "o"

@@ -87,8 +87,7 @@ def _route_workset(executor, frames, route_fields):
     bytes_before = cluster.bytes_sent
     routed = cluster.route(
         frames, batch_size=executor.batch_size,
-        max_frame_bytes=executor.max_frame_bytes,
-        columnar=executor.columnar, key_fields=route_fields,
+        max_frame_bytes=executor.max_frame_bytes, key_fields=route_fields,
     )
     executor.metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
     return routed
@@ -106,7 +105,6 @@ def _seed_queues(executor, initial, route_fields):
     frames, local, remote, _batches = channels.frame(
         initial, executor.cluster.owned_partitions(executor.parallelism),
         partition_on(route_fields), executor.batch_size,
-        columnar=executor.columnar,
     )
     queues = [
         deque(part) for part in _route_workset(executor, frames, route_fields)
@@ -118,7 +116,7 @@ def _seed_queues(executor, initial, route_fields):
 def _targets(executor, records, route_fields):
     """The queue partition of every emitted record, in one pass."""
     return RecordBatch.wrap(records, route_fields).partition_targets(
-        executor.parallelism, columnar_mode=executor.columnar
+        executor.parallelism
     )
 
 

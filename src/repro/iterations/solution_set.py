@@ -36,17 +36,17 @@ class SolutionSetIndex:
 
     @classmethod
     def build(cls, records, key_fields, parallelism, metrics=None,
-              should_replace=None, batch_size=None, columnar=False, **extra):
+              should_replace=None, batch_size=None, columnar=True, **extra):
         """Build the index from a flat or partitioned record collection.
 
         Records are routed to partitions by the stable hash of their key,
         matching the runtime's hash partitioner, so solution-join probes
         arriving over a hash channel land in the right partition.  The
         routing works batch-at-a-time from each chunk's cached key and
-        hash vectors (``batch_size=None`` = one chunk); ``columnar``
-        computes each chunk's target vector in one vectorized pass over
-        the int64 key column when it has one — same targets, same
-        insertion order.
+        hash vectors (``batch_size=None`` = one chunk), in one vectorized
+        pass over a chunk's int64 key column when it has one — same
+        targets, same insertion order.  ``columnar`` has no effect;
+        ``benchmarks/perf/probes.py`` still passes it.
 
         Partitioned input accepts ``list`` or :class:`RecordBatch`
         partitions (a batch-producing channel may hand its chunks over
@@ -64,9 +64,7 @@ class SolutionSetIndex:
         if flat:
             partitions = index._partitions
             for chunk in RecordBatch.wrap(flat, key_fields).split(batch_size):
-                targets = chunk.partition_targets(
-                    parallelism, columnar_mode=columnar
-                )
+                targets = chunk.partition_targets(parallelism)
                 for k, target, record in zip(
                     chunk.keys, targets, chunk.records
                 ):
@@ -129,16 +127,17 @@ class SolutionSetIndex:
             self.metrics.add_solution_update()
         return record
 
-    def apply_delta(self, records, batch_size=None, columnar=False) -> list:
+    def apply_delta(self, records, batch_size=None, columnar=True) -> list:
         """Apply a batch of delta records; returns the accepted records.
 
         The delta is consumed in record-batch chunks: the replaced-record
         pre-check works from each chunk's cached key and hash vectors
-        (``columnar`` vectorizes the partition-target computation over
-        the int64 key column when the chunk has one), while the actual
-        ∪̇ application still goes through :meth:`apply_record` one
-        record at a time — the per-record path stays the oracle the
-        audit (and subclass instrumentation) hooks.
+        (the partition targets vectorize over the int64 key column when
+        the chunk has one), while the actual ∪̇ application still goes
+        through :meth:`apply_record` one record at a time — the
+        per-record path stays the oracle the audit (and subclass
+        instrumentation) hooks.  ``columnar`` has no effect;
+        ``benchmarks/perf/probes.py`` still passes it.
 
         Under invariant checking, every chunk's cached vectors are
         audited against per-record recomputation, ``|S|`` must move by
@@ -167,9 +166,7 @@ class SolutionSetIndex:
                 batch_size
             ):
                 checker.check_batch(chunk)
-                targets = chunk.partition_targets(
-                    parallelism, columnar_mode=columnar
-                )
+                targets = chunk.partition_targets(parallelism)
                 for k, target, record in zip(
                     chunk.keys, targets, chunk.records
                 ):

@@ -43,16 +43,10 @@ def session_weights(env) -> CostWeights:
     config = getattr(env, "config", None)
     if config is None:
         return DEFAULT_WEIGHTS
-    columnar = 1.0 if config.columnar else 0.0
-    if (
-        config.batch_size == int(DEFAULT_WEIGHTS.batch_size)
-        and columnar == DEFAULT_WEIGHTS.columnar
-    ):
+    if config.batch_size == int(DEFAULT_WEIGHTS.batch_size):
         return DEFAULT_WEIGHTS
     return dataclasses.replace(
-        DEFAULT_WEIGHTS,
-        batch_size=float(config.batch_size),
-        columnar=columnar,
+        DEFAULT_WEIGHTS, batch_size=float(config.batch_size)
     )
 
 

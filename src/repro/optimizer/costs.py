@@ -45,25 +45,20 @@ class CostWeights:
     broadcast_limit: float = 50_000.0
     #: data-plane framing: every record a channel moves pays a small
     #: handling cost, and every :class:`~repro.common.batch.RecordBatch`
-    #: chunk pays a fixed framing cost.  The per-batch term is amortized
-    #: over ``batch_size`` records, so the effective per-record overhead
-    #: is ``per_record_overhead + per_batch_overhead / batch_size`` —
-    #: large at ``batch_size=1`` (record-at-a-time, one frame per
-    #: record), near ``per_record_overhead`` at the default 1024.  The
-    #: optimizer calibrates ``batch_size`` from the session's
+    #: chunk pays a fixed framing cost.  All-fixed-width batches leave
+    #: as raw column buffers, so the handling cost is
+    #: ``per_record_overhead * columnar_record_factor`` while every
+    #: batch adds a per-column encode term
+    #: (``per_column_overhead * assumed_columns``) to its frame cost.
+    #: The per-batch terms amortize over ``batch_size`` records — large
+    #: at ``batch_size=1`` (record-at-a-time, one frame per record),
+    #: small at the default 1024.  The optimizer calibrates
+    #: ``batch_size`` from the session's
     #: :class:`~repro.runtime.config.RuntimeConfig` unless explicit
     #: weights are supplied.
     per_record_overhead: float = 0.001
     per_batch_overhead: float = 0.5
     batch_size: float = 1024.0
-    #: columnar data plane (``REPRO_COLUMNAR``): all-fixed-width batches
-    #: leave as raw column buffers, so per-record serialization handling
-    #: shrinks to ``per_record_overhead * columnar_record_factor`` while
-    #: every batch pays a per-column encode term
-    #: (``per_column_overhead * assumed_columns``) on top of its frame
-    #: cost.  ``columnar`` is 1.0 when the session runs the columnar
-    #: plane, 0.0 (the context-free default) otherwise.
-    columnar: float = 0.0
     columnar_record_factor: float = 0.25
     per_column_overhead: float = 0.05
     assumed_columns: float = 3.0
@@ -75,22 +70,18 @@ DEFAULT_WEIGHTS = CostWeights()
 def amortized_overhead(weights: CostWeights) -> float:
     """Effective per-record data-plane overhead under ``weights``.
 
-    Row plane: ``per_record + per_batch / batch_size``.  Columnar plane:
-    the per-record handling is vectorized (one encode per column buffer
-    instead of one pickle visit per record), so the record term scales
-    by ``columnar_record_factor`` and the batch term grows by the
-    per-column encode cost.
+    The per-record handling is vectorized (one encode per column buffer
+    instead of one pickle visit per record), so the record term is
+    ``per_record_overhead`` scaled by ``columnar_record_factor``, and
+    the per-batch framing cost plus the per-column encode cost
+    amortize over ``batch_size`` records.
     """
-    if weights.columnar:
-        return (
-            weights.per_record_overhead * weights.columnar_record_factor
-            + (
-                weights.per_batch_overhead
-                + weights.per_column_overhead * weights.assumed_columns
-            ) / max(1.0, weights.batch_size)
-        )
-    return weights.per_record_overhead + (
-        weights.per_batch_overhead / max(1.0, weights.batch_size)
+    return (
+        weights.per_record_overhead * weights.columnar_record_factor
+        + (
+            weights.per_batch_overhead
+            + weights.per_column_overhead * weights.assumed_columns
+        ) / max(1.0, weights.batch_size)
     )
 
 

@@ -74,7 +74,7 @@ def _chunk_count(n: int, batch_size) -> int:
 
 
 def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
-         batch_size=None, max_frame_bytes=None, columnar=False):
+         batch_size=None, max_frame_bytes=None, columnar=True):
     """Move ``partitions`` according to ``strategy``; returns new partitions.
 
     Enforces the partition-count contract above: ``partitions`` must hold
@@ -90,12 +90,13 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
     module docstring); ``max_frame_bytes`` additionally bounds the
     serialized size of one fabric frame.
 
-    ``columnar`` engages the struct-of-arrays fast paths: the hash
-    scatter computes partition targets with one vectorized pass over
-    the int64 key column when the batch has one (falling back to the
-    row loop otherwise), and a serializing context frames fixed-width
-    columns as raw buffers.  Targets, output order, and the
-    local/remote split are bitwise identical in both modes.
+    The hash framer computes partition targets with one vectorized
+    pass over a chunk's int64 key column when it has one (the row loop
+    otherwise), and a serializing context frames fixed-width columns
+    as raw buffers; targets, output order and the local/remote split
+    are the same either way.  ``columnar`` has no effect (the data
+    plane is always columnar); ``benchmarks/perf/probes.py`` still
+    passes it.
     """
     if len(partitions) != parallelism:
         raise ValueError(
@@ -126,11 +127,11 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
             batches = 0
         else:
             frames, local, remote, batches = frame(
-                partitions, owned, strategy, batch_size, checker, columnar
+                partitions, owned, strategy, batch_size, checker
             )
             out = cluster.route(
                 frames, batch_size=batch_size,
-                max_frame_bytes=max_frame_bytes, columnar=columnar,
+                max_frame_bytes=max_frame_bytes,
                 key_fields=getattr(strategy, "key_fields", None),
             )
         if metrics is not None:
@@ -170,8 +171,7 @@ def _ship_forward(partitions):
     return out, total, 0
 
 
-def frame(partitions, owned, strategy, batch_size=None, checker=None,
-          columnar=False):
+def frame(partitions, owned, strategy, batch_size=None, checker=None):
     """Frame the ``owned`` source partitions for their target partitions.
 
     Returns ``(frames, local, remote, batches)``: ``frames[t]`` holds
@@ -187,17 +187,17 @@ def frame(partitions, owned, strategy, batch_size=None, checker=None,
     # input-observed: a hash ship whose every source is a column-born
     # batch that scatters (a property of the layout, so it is decided
     # before any chunk is touched) never materializes a row
-    scatter = columnar and kind is ShipKind.PARTITION_HASH and all(
+    scatter = kind is ShipKind.PARTITION_HASH and all(
         isinstance(part, RecordBatch)
         and RecordBatch.wrap(part, strategy.key_fields).can_scatter()
         for _source, part in sources
     )
     if scatter:
-        framer = partial(_ship_hash_columnar, key_fields=strategy.key_fields,
+        framer = partial(_frame_scatter, key_fields=strategy.key_fields,
                          checker=checker)
     elif kind is ShipKind.PARTITION_HASH:
         framer = partial(_frame_hash, key_fields=strategy.key_fields,
-                         checker=checker, columnar=columnar)
+                         checker=checker)
     elif kind is ShipKind.BROADCAST:
         framer = _frame_broadcast
     elif kind is ShipKind.GATHER:
@@ -221,8 +221,7 @@ def frame(partitions, owned, strategy, batch_size=None, checker=None,
     return frames, local, remote, batches
 
 
-def _frame_hash(part, source, frames, batch_size, key_fields, checker=None,
-                columnar=False):
+def _frame_hash(part, source, frames, batch_size, key_fields, checker=None):
     """One key/hash vector per chunk; records scatter to their owners."""
     parallelism = len(frames)
     appends = [f.append for f in frames]
@@ -230,7 +229,7 @@ def _frame_hash(part, source, frames, batch_size, key_fields, checker=None,
     for chunk in RecordBatch.wrap(part, key_fields).split(batch_size):
         if checker is not None:
             checker.check_batch(chunk)
-        targets = chunk.partition_targets(parallelism, columnar_mode=columnar)
+        targets = chunk.partition_targets(parallelism)
         for target, record in zip(targets, chunk.records):
             appends[target](record)
         here += targets.count(source)
@@ -238,8 +237,8 @@ def _frame_hash(part, source, frames, batch_size, key_fields, checker=None,
     return here, len(part) - here, chunks
 
 
-def _ship_hash_columnar(part, source, frames, batch_size, key_fields,
-                        checker=None):
+def _frame_scatter(part, source, frames, batch_size, key_fields,
+                   checker=None):
     """:func:`_frame_hash` column-at-a-time: each chunk is grouped by one
     vectorized hash pass (:meth:`RecordBatch.scatter`) and every target
     collects a column group — same record order, split and chunk count."""

@@ -100,16 +100,6 @@ class RuntimeConfig:
     per polling round in asynchronous delta iterations (interleaving
     granularity; any value must converge to the same fixpoint).
 
-    ``columnar`` — run the data plane on the struct-of-arrays
-    :class:`~repro.common.batch.RecordBatch` layout: the hash channel
-    computes partition targets with one vectorized pass over the int64
-    key column, join drivers compute match indices by ``searchsorted``,
-    sort drivers take ``argsort`` permutations, and the SPMD fabric
-    frames fixed-width columns as raw buffers (zero payload pickling on
-    the shm ring).  On by default; ``REPRO_COLUMNAR=0`` is the escape
-    hatch back to the row-chunk paths.  Results and logical counters
-    are bitwise identical in both modes and on every backend.
-
     ``memory_budget_bytes`` — per-process budget for operator state in
     bytes, or ``None`` for unbounded in-memory execution (the
     default).  When set, the executor attaches a
@@ -148,8 +138,6 @@ class RuntimeConfig:
         "REPRO_BATCH_SIZE", 1024, int, above=0))
     max_frame_bytes: int = 1 << 20
     async_poll_batch: int = 64
-    columnar: bool = field(default_factory=lambda: _env_flag(
-        "REPRO_COLUMNAR", True))
     # 0 spells "unbounded", like leaving the variable unset
     memory_budget_bytes: int | None = field(
         default_factory=lambda: _env_number(
@@ -160,7 +148,7 @@ class RuntimeConfig:
         "REPRO_HEARTBEAT_INTERVAL", 0.5, float, above=0))
 
     def __post_init__(self):
-        for name in ("check_invariants", "trace", "columnar", "telemetry"):
+        for name in ("check_invariants", "trace", "telemetry"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise TypeError(

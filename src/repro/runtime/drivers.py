@@ -19,17 +19,18 @@ whole partition as one chunk; any value produces identical outputs in
 identical order, because chunking only changes how the key vectors are
 materialized, never the record order they are consumed in.
 
-**Columnar kernels.**  With the ``columnar`` knob on, the keyed
-drivers route through vectorized kernels whenever the key vector is an
-int64 column (:meth:`RecordBatch.key_array`): the hash join computes
-match indices with a stable-sorted ``searchsorted`` instead of a
-per-record dict probe, and the sort-based drivers take ``argsort``
+**Columnar kernels.**  The keyed drivers route through vectorized
+kernels whenever a key vector is an int64 column
+(:meth:`RecordBatch.key_array`): the hash join probes each
+``batch_size`` chunk with a stable-sorted ``searchsorted`` instead of
+a per-record dict probe, and the sort-based drivers take ``argsort``
 permutations instead of Python comparison sorts.  Both reproduce the
 row kernels' output order bit for bit — the stable sort preserves
 arrival order within equal keys, which is exactly the dict-insertion
-order the hash table iterates — and any batch whose keys are not
-strictly ``int`` (bools, floats, composites, >64-bit) falls back to
-the row kernel.  The fold-based drivers (hash aggregate, reduce-group,
+order the hash table iterates — and any chunk whose keys are not
+strictly ``int`` (bools, floats, composites, >64-bit) or that runs
+without numpy takes the row kernel.  That is a property of the input,
+not a setting.  The fold-based drivers (hash aggregate, reduce-group,
 cogroup) keep their dict loops: a fold's per-record UDF call dominates
 and dict insertion order is the contract, so there is nothing left to
 vectorize without changing observable order.
@@ -139,26 +140,6 @@ def _keyed(records, key_fields, batch_size):
 # columnar kernels (struct-of-arrays fast paths)
 
 
-def _int64_side(records, key_fields):
-    """``(records, int64 key array)`` for one driver input, or ``None``.
-
-    ``None`` means the side does not qualify for a vectorized kernel
-    (numpy missing, non-int keys, composite keys, 64-bit overflow) and
-    the caller must take the row path.
-    """
-    batch = RecordBatch.wrap(records, key_fields)
-    vector = batch.key_array()
-    if vector is None:
-        return None
-    return batch.records, vector
-
-
-def _stable_order(vector) -> list[int]:
-    """Ascending-key stable permutation (ties keep arrival order)."""
-    np = columnar_mod.numpy_module()
-    return np.argsort(vector, kind="stable").tolist()
-
-
 def _join_pairs(sorted_keys, order, probe_vector):
     """Vectorized equi-join index computation.
 
@@ -220,60 +201,71 @@ def _emit_results(results, flat, out):
     out.extend(chunk)
 
 
-def _columnar_hash_join(build_in, build_fields, probe_in, probe_fields,
-                        fn, build_left, flat):
-    """The hash join as an index join over int64 key columns: sort the
-    build side once, probe it once.
+class BuildSide:
+    """One partition's hash-join build side, probed a chunk at a time.
 
-    Returns the output list, or ``None`` when either side's keys do not
-    vectorize (caller falls back to the dict kernel).
-    """
-    build_side = ColumnarBuildSide.of(build_in, build_fields)
-    if build_side is None:
-        return None
-    probe_side = _int64_side(probe_in, probe_fields)
-    if probe_side is None:
-        return None
-    out: list = []
-    build_side.probe(*probe_side, fn, build_left, flat, out)
-    return out
-
-
-class ColumnarBuildSide:
-    """A cached, key-sorted build side for repeated vectorized probes.
-
-    The executor's constant-edge build-table cache (Fig. 4) keeps one
-    of these per partition alongside the dict table: supersteps probe
-    the same sorted key column over and over, paying the stable sort
-    once.  ``None`` from :meth:`of` means the partition's keys do not
-    vectorize and only the dict is usable.
+    When the build keys vectorize it holds them as a key-sorted int64
+    column (a stable ``argsort``, paid once); the dict table
+    ``{key: [records]}`` is built only when a probe chunk's keys, or
+    the build keys themselves, do not vectorize.  The executor's
+    constant-edge build cache (Fig. 4) keeps one per partition, so
+    supersteps re-probe the same sorted column.
     """
 
-    __slots__ = ("records", "sorted_keys", "order")
+    __slots__ = ("records", "key_fields", "order", "sorted_keys", "_lookup")
 
-    @classmethod
-    def of(cls, records, key_fields):
-        side = _int64_side(records, key_fields)
-        if side is None:
-            return None
-        np = columnar_mod.numpy_module()
-        rows, vector = side
-        built = cls.__new__(cls)
-        built.records = rows
-        built.order = np.argsort(vector, kind="stable")
-        built.sorted_keys = vector[built.order]
-        return built
+    def __init__(self, records, key_fields):
+        batch = RecordBatch.wrap(records, key_fields)
+        self.records = batch.records
+        self.key_fields = key_fields
+        self.order = self.sorted_keys = self._lookup = None
+        vector = batch.key_array()
+        if vector is not None:
+            np = columnar_mod.numpy_module()
+            self.order = np.argsort(vector, kind="stable")
+            self.sorted_keys = vector[self.order]
 
-    def probe(self, chunk_records, chunk_vector, fn, build_left, flat, out):
-        """Probe one chunk's key column; emits in row-kernel order."""
-        build_idx, probe_idx = _join_pairs(
-            self.sorted_keys, self.order, chunk_vector
-        )
-        _emit_results(
-            _pair_results(fn, self.records, build_idx, chunk_records,
-                          probe_idx, build_left),
-            flat, out,
-        )
+    def probe(self, probe_in, probe_fields, fn, build_left, flat,
+              batch_size) -> list:
+        """Join ``probe_in`` against this side in ``batch_size`` chunks.
+
+        A chunk whose key vector is an int64 column takes the
+        ``searchsorted`` kernel, any other chunk the dict lookup; both
+        emit in the row kernel's order, so the output is the same
+        whatever mix of chunks the input makes.
+        """
+        out: list = []
+        if not len(probe_in):
+            return out
+        probes = RecordBatch.wrap(probe_in, probe_fields)
+        if self.order is not None:
+            probes.key_array()  # one extraction pass; chunks get slices
+        for chunk in probes.chunks(batch_size):
+            vector = chunk.key_array() if self.order is not None else None
+            if vector is not None:
+                build_idx, probe_idx = _join_pairs(
+                    self.sorted_keys, self.order, vector
+                )
+                _emit_results(
+                    _pair_results(fn, self.records, build_idx,
+                                  chunk.records, probe_idx, build_left),
+                    flat, out,
+                )
+                continue
+            if self._lookup is None:
+                self._lookup = group_by_key(
+                    self.records, self.key_fields, None
+                ).get
+            lookup = self._lookup
+            if build_left:
+                for k, probe in zip(chunk.keys, chunk.records):
+                    for build in lookup(k, ()):
+                        _emit_join_result(fn(build, probe), flat, out)
+            else:
+                for k, probe in zip(chunk.keys, chunk.records):
+                    for build in lookup(k, ()):
+                        _emit_join_result(fn(probe, build), flat, out)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -316,25 +308,16 @@ def run_union(node, inputs, metrics):
 
 
 def run_hash_join(node, inputs, metrics, build_left: bool,
-                  batch_size=None, spill=None, columnar=False):
+                  batch_size=None, spill=None):
     left, right = inputs
     metrics.add_processed(node.name, len(left) + len(right))
-    fn = node.udf
-    flat = getattr(node, "flat", False)
-    out = []
     if build_left:
         build_in, build_fields = left, node.key_fields[0]
         probe_in, probe_fields = right, node.key_fields[1]
     else:
         build_in, build_fields = right, node.key_fields[1]
         probe_in, probe_fields = left, node.key_fields[0]
-    if columnar and spill is None:
-        vectorized = _columnar_hash_join(
-            build_in, build_fields, probe_in, probe_fields,
-            fn, build_left, flat,
-        )
-        if vectorized is not None:
-            return vectorized
+    flat = getattr(node, "flat", False)
     if spill is not None:
         from repro.storage.hashtable import spilled_hash_join
 
@@ -342,38 +325,28 @@ def run_hash_join(node, inputs, metrics, build_left: bool,
             spill, node.name,
             _runs(build_in, build_fields, batch_size),
             _runs(probe_in, probe_fields, batch_size),
-            fn, build_left, flat,
+            node.udf, build_left, flat,
         )
-    lookup = group_by_key(build_in, build_fields, batch_size).get
-    for records, keys in _key_chunks(probe_in, probe_fields, batch_size):
-        if build_left:
-            for k, probe in zip(keys, records):
-                for build in lookup(k, ()):
-                    _emit_join_result(fn(build, probe), flat, out)
-        else:
-            for k, probe in zip(keys, records):
-                for build in lookup(k, ()):
-                    _emit_join_result(fn(probe, build), flat, out)
-    return out
+    return BuildSide(build_in, build_fields).probe(
+        probe_in, probe_fields, node.udf, build_left, flat, batch_size
+    )
 
 
-def _sort_permutation(keys, columnar):
+def _sort_permutation(keys):
     """The driver's sort order: stable ascending by key.
 
-    With ``columnar`` and an all-int key vector this is one vectorized
-    ``argsort``; otherwise a Python comparison sort.  Both are stable,
-    so the permutations — and every downstream emission — are
-    identical.
+    For an all-int key vector this is one vectorized ``argsort``;
+    otherwise a Python comparison sort.  Both are stable, so the
+    permutations — and every downstream emission — are identical.
     """
-    if columnar:
-        vector = columnar_mod.int64_from_values(keys)
-        if vector is not None:
-            return _stable_order(vector)
+    vector = columnar_mod.int64_from_values(keys)
+    if vector is not None:
+        np = columnar_mod.numpy_module()
+        return np.argsort(vector, kind="stable").tolist()
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def run_sort_merge_join(node, inputs, metrics, batch_size=None, spill=None,
-                        columnar=False):
+def run_sort_merge_join(node, inputs, metrics, batch_size=None, spill=None):
     left, right = inputs
     metrics.add_processed(node.name, len(left) + len(right))
     fn = node.udf
@@ -389,8 +362,8 @@ def run_sort_merge_join(node, inputs, metrics, batch_size=None, spill=None,
         )
     lrecs, lkeys = _keyed(left, node.key_fields[0], batch_size)
     rrecs, rkeys = _keyed(right, node.key_fields[1], batch_size)
-    lorder = _sort_permutation(lkeys, columnar)
-    rorder = _sort_permutation(rkeys, columnar)
+    lorder = _sort_permutation(lkeys)
+    rorder = _sort_permutation(rkeys)
     lsorted = [lrecs[i] for i in lorder]
     lsk = [lkeys[i] for i in lorder]
     rsorted = [rrecs[i] for i in rorder]
@@ -438,8 +411,7 @@ def run_hash_aggregate(node, inputs, metrics, batch_size=None, spill=None):
     return fold_by_key(records, node.key_fields[0], batch_size, fn)
 
 
-def run_sort_aggregate(node, inputs, metrics, batch_size=None, spill=None,
-                       columnar=False):
+def run_sort_aggregate(node, inputs, metrics, batch_size=None, spill=None):
     """Combinable REDUCE over key-sorted runs; output is key-sorted."""
     records = inputs[0]
     metrics.add_processed(node.name, len(records))
@@ -452,7 +424,7 @@ def run_sort_aggregate(node, inputs, metrics, batch_size=None, spill=None,
             _runs(records, node.key_fields[0], batch_size), fn,
         )
     recs, keys = _keyed(records, node.key_fields[0], batch_size)
-    order = _sort_permutation(keys, columnar)
+    order = _sort_permutation(keys)
     out = []
     current_key = object()
     acc = None
@@ -547,15 +519,14 @@ def apply_combiner(node, partitions, metrics, batch_size=None):
 
 
 def run_driver(node, local_strategy, inputs, metrics, batch_size=None,
-               spill=None, columnar=False):
+               spill=None, columnar=True):
     """Run one operator on one partition's inputs.
 
     ``batch_size`` frames the keyed drivers' key-vector extraction in
     record-batch chunks (outputs are identical at any setting).
 
-    ``columnar`` engages the vectorized join/sort kernels (see the
-    module docstring); outputs, output order, and counters are
-    identical in both modes.
+    ``columnar`` has no effect (the data plane is always columnar);
+    ``benchmarks/perf/probes.py`` still passes it.
 
     ``spill`` is the session's :class:`~repro.storage.spill.SpillManager`
     when a memory budget is configured; the keyed drivers then route
@@ -567,8 +538,7 @@ def run_driver(node, local_strategy, inputs, metrics, batch_size=None,
     (Map: one out per in; Filter: never grows; Union: bag sum;
     combinable Reduce: at most one record per input).
     """
-    out = _dispatch(node, local_strategy, inputs, metrics, batch_size, spill,
-                    columnar)
+    out = _dispatch(node, local_strategy, inputs, metrics, batch_size, spill)
     checker = metrics.invariants if metrics is not None else None
     if checker is not None:
         checker.check_driver(
@@ -578,7 +548,7 @@ def run_driver(node, local_strategy, inputs, metrics, batch_size=None,
 
 
 def _dispatch(node, local_strategy, inputs, metrics, batch_size=None,
-              spill=None, columnar=False):
+              spill=None):
     contract = node.contract
     kernel = RECORD_KERNELS.get(contract)
     if kernel is not None:
@@ -590,24 +560,22 @@ def _dispatch(node, local_strategy, inputs, metrics, batch_size=None,
         if local_strategy is LocalStrategy.HASH_BUILD_LEFT:
             return run_hash_join(
                 node, inputs, metrics, build_left=True, batch_size=batch_size,
-                spill=spill, columnar=columnar,
+                spill=spill,
             )
         if local_strategy is LocalStrategy.HASH_BUILD_RIGHT:
             return run_hash_join(
                 node, inputs, metrics, build_left=False, batch_size=batch_size,
-                spill=spill, columnar=columnar,
+                spill=spill,
             )
         if local_strategy is LocalStrategy.SORT_MERGE:
             return run_sort_merge_join(
                 node, inputs, metrics, batch_size=batch_size, spill=spill,
-                columnar=columnar,
             )
         raise InvalidPlanError(f"{node.name}: no join strategy assigned")
     if contract is Contract.REDUCE:
         if local_strategy is LocalStrategy.SORT_AGGREGATE:
             return run_sort_aggregate(
                 node, inputs, metrics, batch_size=batch_size, spill=spill,
-                columnar=columnar,
             )
         return run_hash_aggregate(
             node, inputs, metrics, batch_size=batch_size, spill=spill

@@ -29,7 +29,6 @@ modes live in :mod:`repro.iterations.microstep_runtime`.
 from __future__ import annotations
 
 from repro.cluster.context import LOCAL
-from repro.common.batch import RecordBatch
 from repro.common.errors import InvalidPlanError
 from repro.common.keys import KeyExtractor
 from repro.dataflow.contracts import Contract
@@ -83,11 +82,6 @@ class Executor:
         self.config = getattr(env, "config", None) or RuntimeConfig()
         self.batch_size = self.config.batch_size
         self.max_frame_bytes = self.config.max_frame_bytes
-        #: struct-of-arrays mode: vectorized hash scatter / join / sort
-        #: kernels and raw column framing on the SPMD fabric.  Purely
-        #: physical — results, logical counters, and span trees are
-        #: bitwise identical with it on or off
-        self.columnar = self.config.columnar
         #: where this executor runs: the local simulator context, or one
         #: SPMD worker's view of its forked peers (pool backends)
         self.cluster = getattr(env, "cluster", None) or LOCAL
@@ -306,7 +300,7 @@ class Executor:
         return channels.ship(
             partitions, strategy, self.parallelism, self.metrics,
             cluster=self.cluster, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes, columnar=self.columnar,
+            max_frame_bytes=self.max_frame_bytes,
         )
 
     def _resolve_placeholder(self, node, scope):
@@ -403,7 +397,6 @@ class Executor:
             out.append(drivers.run_driver(
                 node, ann.local, inputs, self.metrics,
                 batch_size=self.batch_size, spill=self.spill,
-                columnar=self.columnar,
             ))
         return out
 
@@ -419,71 +412,29 @@ class Executor:
         if not self._edge_is_constant(node, producer, scope):
             return self._run_generic(node, step_memo, scope)
 
-        cached = scope.table_cache.get(node.id)
-        if cached is None:
+        sides = scope.table_cache.get(node.id)
+        if sides is None:
             shipped = self._ship_one_input(node, build_idx, step_memo, scope)
-            build_fields = node.key_fields[build_idx]
-            tables = []
-            sides = []
-            for part in shipped:
-                tables.append(drivers.group_by_key(
-                    part, build_fields, self.batch_size
-                ))
-                # the sorted column rides the cache next to the dict:
-                # supersteps re-probe it, paying the stable sort once.
-                # The dict stays the fallback for probe chunks whose
-                # keys don't vectorize
-                sides.append(
-                    drivers.ColumnarBuildSide.of(part, build_fields)
-                    if self.columnar else None
-                )
-            scope.table_cache[node.id] = (tables, sides)
+            # supersteps re-probe the cached side, paying its stable
+            # sort once
+            sides = [drivers.BuildSide(part, node.key_fields[build_idx])
+                     for part in shipped]
+            scope.table_cache[node.id] = sides
             self.metrics.add_cache_build()
             self.metrics.add_processed(node.name, sum(len(p) for p in shipped))
         else:
-            tables, sides = cached
             self.metrics.add_cache_hit()
 
         probe_idx = 1 - build_idx
         probe_parts = self._ship_one_input(node, probe_idx, step_memo, scope)
-        return self._probe_tables(
-            node, tables, sides, build_left, probe_parts,
-            node.key_fields[probe_idx],
-        )
-
-    def _probe_tables(self, node, tables, sides, build_left, probe_parts,
-                      probe_fields):
-        """The cached-match probe loop over already-shipped probe parts."""
-        fn = node.udf
         flat = getattr(node, "flat", False)
         out = []
-        for p in range(self.parallelism):
-            table = tables[p]
-            side = sides[p]
-            lookup = table.get
-            results = []
-            self.metrics.add_processed(node.name, len(probe_parts[p]))
-            if not probe_parts[p]:
-                out.append(results)
-                continue
-            wrapped = RecordBatch.wrap(probe_parts[p], probe_fields)
-            for chunk in wrapped.split(self.batch_size):
-                vector = chunk.key_array() if side is not None else None
-                if vector is not None:
-                    side.probe(chunk.records, vector, fn, build_left,
-                               flat, results)
-                    continue
-                for k, probe in zip(chunk.keys, chunk.records):
-                    for build in lookup(k, ()):
-                        if build_left:
-                            drivers._emit_join_result(
-                                fn(build, probe), flat, results
-                            )
-                        else:
-                            drivers._emit_join_result(
-                                fn(probe, build), flat, results
-                            )
-            out.append(results)
+        for side, part in zip(sides, probe_parts):
+            self.metrics.add_processed(node.name, len(part))
+            out.append(side.probe(
+                part, node.key_fields[probe_idx], node.udf, build_left, flat,
+                self.batch_size,
+            ))
         return out
 
     # ------------------------------------------------------------------
@@ -630,14 +581,13 @@ class Executor:
             index = DiskBackedSolutionSetIndex.build(
                 routed, node.solution_key, self.parallelism,
                 metrics=self.metrics, should_replace=node.should_replace,
-                batch_size=self.batch_size, columnar=self.columnar,
-                manager=self.spill,
+                batch_size=self.batch_size, manager=self.spill,
             )
         else:
             index = SolutionSetIndex.build(
                 routed, node.solution_key, self.parallelism,
                 metrics=self.metrics, should_replace=node.should_replace,
-                batch_size=self.batch_size, columnar=self.columnar,
+                batch_size=self.batch_size,
             )
         workset = self._evaluate(node.inputs[1], outer_memo, outer_scope)
         scope = _IterationScope(

@@ -45,7 +45,7 @@ class IterationStats:
     bytes_spilled: int = 0
     #: fixed-width column buffers that crossed the shm ring as raw
     #: memcpy this superstep (physical: only the worker pool's
-    #: columnar frames take the zero-copy path)
+    #: fixed-width column frames take the zero-copy path)
     columns_zero_copied: int = 0
     #: payload bytes of those zero-copied buffers
     bytes_zero_copied: int = 0

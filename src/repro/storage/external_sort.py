@@ -88,7 +88,7 @@ class ExternalSorter:
 
     def _sorted(self) -> tuple:
         """The resident ``(keys, seqs, records)`` in ``(key, seq)`` order."""
-        order = drivers._sort_permutation(self.keys, columnar=True)
+        order = drivers._sort_permutation(self.keys)
         return tuple(
             [vector[i] for i in order]
             for vector in (self.keys, self.seqs, self.records)

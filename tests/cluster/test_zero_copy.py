@@ -16,10 +16,11 @@ import pytest
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
 from repro.bench import audit
+from repro.cluster import PoolBackend, SimulatedBackend
 from repro.cluster.fabric import Fabric
 from repro.common import columns as columns_mod
 from repro.graphs import erdos_renyi
-from repro.runtime.config import RuntimeConfig
+from repro.systems.sparklike import SparkLikeContext
 
 
 @pytest.fixture
@@ -110,11 +111,19 @@ class TestJobZeroCopy:
         assert audit._comparable_counters(env.metrics) == \
             audit._comparable_counters(sim_env.metrics)
 
-    def test_row_plane_never_zero_copies(self, graph):
-        config = RuntimeConfig(columnar=False)
-        env = ExecutionEnvironment(2, backend="pool", config=config)
-        result = cc.cc_bulk(env, graph)
-        assert env.metrics.columns_zero_copied == 0
-        assert env.metrics.bytes_zero_copied == 0
-        sim_env = ExecutionEnvironment(2, config=config)
-        assert cc.cc_bulk(sim_env, graph) == result
+    def test_sparklike_job_counts_zero_copied_columns(self, graph):
+        """The Spark-like engine's shuffles ship columns too."""
+        def program(cluster):
+            ctx = SparkLikeContext(2, cluster=cluster)
+            return cc.cc_sparklike(ctx, graph), ctx.metrics
+
+        backend = PoolBackend()
+        try:
+            result, metrics = backend.run_program(program, 2)
+        finally:
+            backend.close()
+        assert metrics.columns_zero_copied > 0
+        expect, sim_metrics = SimulatedBackend().run_program(program, 2)
+        assert result == expect
+        assert audit._comparable_counters(metrics) == \
+            audit._comparable_counters(sim_metrics)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.common import columns as columns_mod
 from repro.common.batch import RecordBatch
+from tests.conftest import numpy_stubbed
 
 
 class TestColumnTyping:
@@ -150,7 +151,8 @@ class TestColumnBornLaziness:
         assert merged.records == recs
 
 
-@pytest.mark.skipif(not columns_mod.HAVE_NUMPY, reason="needs numpy")
+@pytest.mark.skipif(columns_mod.numpy_module() is None,
+                    reason="needs numpy")
 class TestScatter:
     @staticmethod
     def _column_born(recs, key_fields=(0,)):
@@ -194,9 +196,10 @@ class TestScatter:
     @settings(max_examples=50)
     def test_partition_targets_agree_across_modes(self, recs, parallelism):
         columnar_targets = self._column_born(recs).partition_targets(
-            parallelism, columnar_mode=True
+            parallelism
         )
-        row_targets = RecordBatch.wrap(
-            list(recs), (0,)
-        ).partition_targets(parallelism)
+        with numpy_stubbed():
+            row_targets = RecordBatch.wrap(
+                list(recs), (0,)
+            ).partition_targets(parallelism)
         assert columnar_targets == row_targets

@@ -5,6 +5,7 @@ import contextlib
 import pytest
 
 from repro import ExecutionEnvironment
+from repro.common import columns
 from repro.graphs import Graph, erdos_renyi
 from repro.optimizer import chaining
 
@@ -25,6 +26,21 @@ def unfused():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chaining, "plan_chains", no_chains)
+        yield
+
+
+@contextlib.contextmanager
+def numpy_stubbed():
+    """Run the block as if numpy were not importable.
+
+    The row-kernel reference for the vectorized data plane: with the
+    probed module stubbed to ``None``, no key vector is an int64 array,
+    so every batch, channel, driver and solution-set path takes its row
+    loop.  A worker pool forked inside the block inherits the stub, so
+    it holds on every backend.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columns, "_np", None)
         yield
 
 

@@ -170,7 +170,6 @@ def scenarios(draw):
                                       st.integers(0, SPAN - 1)),
                             max_size=10)),
         limit=draw(st.sampled_from([None, 1, 3, 64])),
-        columnar=draw(st.booleans()),
     )
 
 
@@ -224,10 +223,9 @@ class _Executor:
 
     batch_size = None
 
-    def __init__(self, metrics, parallelism, columnar, constants):
+    def __init__(self, metrics, parallelism, constants):
         self.metrics = metrics
         self.parallelism = parallelism
-        self.columnar = columnar
         self.constants = constants
 
     def _ship_one_input(self, op, idx, memo, scope):
@@ -256,8 +254,7 @@ def _world(scenario, compiled):
         to_workset=to_workset,
     )
     if compiled:
-        world.executor = _Executor(metrics, scenario.parallelism,
-                                   scenario.columnar, constants)
+        world.executor = _Executor(metrics, scenario.parallelism, constants)
         scope = SimpleNamespace(
             solution_index=index, iter_memo={},
             dynamic_ids={n.id for n in [head, *to_delta, *to_workset]},

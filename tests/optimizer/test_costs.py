@@ -49,7 +49,7 @@ class TestLocalCosts:
 
     def test_weights_are_configurable(self):
         free = CostWeights(network=0.0, per_record_overhead=0.0,
-                           per_batch_overhead=0.0)
+                           per_batch_overhead=0.0, per_column_overhead=0.0)
         assert costs.ship_cost(ShipKind.BROADCAST, 1000, 4, free) == 0.0
 
 

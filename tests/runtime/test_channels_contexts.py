@@ -73,7 +73,7 @@ def _ship_on(cluster, strategy, column_born, batch_size):
     attach_checker(metrics)
     out = channels.ship(
         _partitions(column_born), strategy, PARALLELISM, metrics,
-        cluster=cluster, batch_size=batch_size, columnar=column_born,
+        cluster=cluster, batch_size=batch_size,
     )
     return [list(part) for part in out], metrics
 
@@ -103,7 +103,7 @@ def _ship_on_halves(strategy, column_born, batch_size):
                          ids=lambda s: s.kind.value)
 def test_two_half_owners_equal_one_full_owner(strategy, column_born,
                                               batch_size):
-    if column_born and not columns_mod.HAVE_NUMPY:
+    if column_born and columns_mod.numpy_module() is None:
         pytest.skip("the column-born fast path needs numpy")
     expected, whole = _ship_on(LOCAL, strategy, column_born, batch_size)
     (out0, half0), (out1, half1) = _ship_on_halves(
@@ -122,7 +122,8 @@ def test_two_half_owners_equal_one_full_owner(strategy, column_born,
             assert metrics.invariants.batch_checks == metrics.batches_shipped
 
 
-@pytest.mark.skipif(not columns_mod.HAVE_NUMPY, reason="needs numpy")
+@pytest.mark.skipif(columns_mod.numpy_module() is None,
+                    reason="needs numpy")
 @pytest.mark.parametrize("batch_size", [None, 3])
 def test_columnar_fallback_audits_each_chunk_once(batch_size):
     """A ship that starts column-born but cannot scatter throughout (a
@@ -135,7 +136,7 @@ def test_columnar_fallback_audits_each_chunk_once(batch_size):
     metrics = MetricsCollector()
     checker = attach_checker(metrics)
     out = channels.ship(parts, HASH, PARALLELISM, metrics,
-                        batch_size=batch_size, columnar=True)
+                        batch_size=batch_size)
     rows = [list(part) for part in parts]
     assert [list(part) for part in out] == channels.ship(
         rows, HASH, PARALLELISM, batch_size=batch_size

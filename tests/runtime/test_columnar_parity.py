@@ -1,14 +1,18 @@
-"""Hypothesis parity: the columnar plane is bitwise-invisible.
+"""Hypothesis parity: the vectorized kernels are bitwise-invisible.
 
 For random record schemas mixing fixed-width (int, float) and object
 (str, bool, nested-tuple) columns, every keyed driver, fused pipelines,
 and the delta-iteration solution set must produce identical results,
 identical logical counters, and identical span-counter totals whether
-the data plane runs columnar, row-chunk, or degenerate ``batch_size=1``
-framing — on the in-process simulator and on real pooled workers.  The
-columnar kernels are *fast paths*, never semantics: any divergence here
-means a kernel reordered, dropped, or retyped a record.
+numpy is present or stubbed out (:func:`tests.conftest.numpy_stubbed`,
+which forces every row loop), at the default ``batch_size`` and at the
+degenerate ``batch_size=1`` — on the in-process simulator and on real
+pooled workers.  The vectorized kernels are *fast paths*, never
+semantics: any divergence here means a kernel reordered, dropped, or
+retyped a record.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +26,7 @@ from repro.observability import LOGICAL_SPAN_COUNTERS
 from repro.runtime import drivers
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import MetricsCollector
+from tests.conftest import numpy_stubbed
 
 # value columns: the draws deliberately mix types within one column so
 # some examples columnarize fully, some demote to object columns, and
@@ -37,6 +42,14 @@ mixed_values = st.one_of(
 keys = st.integers(min_value=-6, max_value=6)
 keyed_records = st.lists(st.tuples(keys, mixed_values), max_size=40)
 
+#: (batch_size, numpy stubbed) settings compared against the stubbed
+#: run at the default batch size, the row-kernel reference
+LAYOUTS = [(1024, False), (1, False), (1, True)]
+
+
+def _layout(stubbed):
+    return numpy_stubbed() if stubbed else contextlib.nullcontext()
+
 
 class _Node:
     def __init__(self, name, key_fields, udf, flat=False):
@@ -46,15 +59,14 @@ class _Node:
         self.flat = flat
 
 
-def _run(driver, node, inputs, batch_size, columnar):
+def _run(driver, node, inputs, batch_size, stubbed):
     metrics = MetricsCollector()
     kwargs = {"batch_size": batch_size}
-    if driver is not drivers.run_hash_aggregate:
-        kwargs["columnar"] = columnar
     if driver is drivers.run_hash_join:
         kwargs["build_left"] = True
-    result = driver(node, [list(part) for part in inputs], metrics,
-                    **kwargs)
+    with _layout(stubbed):
+        result = driver(node, [list(part) for part in inputs], metrics,
+                        **kwargs)
     return result, _comparable_counters(metrics)
 
 
@@ -70,12 +82,16 @@ AGG = _Node("parity:agg", ((0,),),
 ])
 @given(left=keyed_records, right=keyed_records)
 @settings(max_examples=60, deadline=None)
+# int build keys probed by a mix of chunks: at batch_size=1 the int
+# chunks take the vectorized kernel and the float / bool ones the dict
+@example(left=[(1, "a"), (2, "b"), (2, "c")],
+         right=[(2, 0), (2.0, 1), (1, 2), (True, 3), (5, 4), (1, 5)])
 def test_join_drivers_are_layout_invariant(driver, left, right):
     node = JOIN
-    expect, expect_counters = _run(driver, node, [left, right], 1024, False)
-    for batch_size, columnar in [(1024, True), (1, True), (1, False)]:
+    expect, expect_counters = _run(driver, node, [left, right], 1024, True)
+    for batch_size, stubbed in LAYOUTS:
         result, counters = _run(driver, node, [left, right],
-                                batch_size, columnar)
+                                batch_size, stubbed)
         assert result == expect
         assert counters == expect_counters
 
@@ -88,10 +104,10 @@ def test_join_drivers_are_layout_invariant(driver, left, right):
 @settings(max_examples=60, deadline=None)
 def test_aggregate_drivers_are_layout_invariant(driver, records):
     node = AGG
-    expect, expect_counters = _run(driver, node, [records], 1024, False)
-    for batch_size, columnar in [(1024, True), (1, True), (1, False)]:
+    expect, expect_counters = _run(driver, node, [records], 1024, True)
+    for batch_size, stubbed in LAYOUTS:
         result, counters = _run(driver, node, [records],
-                                batch_size, columnar)
+                                batch_size, stubbed)
         assert result == expect
         assert counters == expect_counters
 
@@ -100,11 +116,10 @@ def test_aggregate_drivers_are_layout_invariant(driver, records):
 # whole pipelines: fused chains + ship + join + aggregate
 
 
-def _pipeline_env(columnar, batch_size, backend=None, parallelism=3):
+def _pipeline_env(batch_size, backend=None, parallelism=3):
     return ExecutionEnvironment(
         parallelism=parallelism, backend=backend,
-        config=RuntimeConfig(columnar=columnar, batch_size=batch_size,
-                             trace=True),
+        config=RuntimeConfig(batch_size=batch_size, trace=True),
     )
 
 
@@ -133,14 +148,13 @@ def _span_totals(env):
 @example(left=[(i % 7, float(i)) for i in range(30)],
          right=[(i % 5, "v%d" % i) for i in range(20)])
 def test_pipelines_are_layout_invariant_simulated(left, right):
-    expect, row_env = _run_pipeline(
-        _pipeline_env(columnar=False, batch_size=1024), left, right
-    )
-    for columnar, batch_size in [(True, 1024), (True, 1), (False, 1)]:
-        result, env = _run_pipeline(
-            _pipeline_env(columnar=columnar, batch_size=batch_size),
-            left, right,
-        )
+    with numpy_stubbed():
+        expect, row_env = _run_pipeline(_pipeline_env(1024), left, right)
+    for batch_size, stubbed in LAYOUTS:
+        with _layout(stubbed):
+            result, env = _run_pipeline(
+                _pipeline_env(batch_size), left, right
+            )
         assert result == expect
         assert _comparable_counters(env.metrics) == \
             _comparable_counters(row_env.metrics)
@@ -152,15 +166,13 @@ def test_pipelines_are_layout_invariant_on_pool_workers():
         [1, 2.5, "x", True, (1, 2)] * 12
     )]
     right = [(i % 7 - 3, i * 1.5) for i in range(40)]
-    expect, sim_env = _run_pipeline(
-        _pipeline_env(columnar=True, batch_size=1024), left, right
-    )
-    for columnar in (True, False):
-        result, env = _run_pipeline(
-            _pipeline_env(columnar=columnar, batch_size=1024,
-                          backend="pool"),
-            left, right,
-        )
+    expect, sim_env = _run_pipeline(_pipeline_env(1024), left, right)
+    for stubbed in (False, True):
+        # the pool forks inside the block, so its workers share the stub
+        with _layout(stubbed):
+            result, env = _run_pipeline(
+                _pipeline_env(1024, backend="pool"), left, right
+            )
         assert result == expect
         assert _comparable_counters(env.metrics) == \
             _comparable_counters(sim_env.metrics)
@@ -175,28 +187,28 @@ def test_pipelines_are_layout_invariant_on_pool_workers():
 @settings(max_examples=10, deadline=None)
 def test_solution_set_is_layout_invariant(seed):
     graph = erdos_renyi(40, 2.0, seed=seed)
-    expect_env = ExecutionEnvironment(
-        3, config=RuntimeConfig(columnar=False, batch_size=1024)
-    )
-    expect = cc.cc_incremental(expect_env, graph, variant="match")
-    for columnar, batch_size in [(True, 1024), (True, 1), (False, 1)]:
-        env = ExecutionEnvironment(
-            3, config=RuntimeConfig(columnar=columnar,
-                                    batch_size=batch_size)
+    with numpy_stubbed():
+        expect_env = ExecutionEnvironment(
+            3, config=RuntimeConfig(batch_size=1024)
         )
-        assert cc.cc_incremental(env, graph, variant="match") == expect
+        expect = cc.cc_incremental(expect_env, graph, variant="match")
+    for batch_size, stubbed in LAYOUTS:
+        with _layout(stubbed):
+            env = ExecutionEnvironment(
+                3, config=RuntimeConfig(batch_size=batch_size)
+            )
+            assert cc.cc_incremental(env, graph, variant="match") == expect
         assert _comparable_counters(env.metrics) == \
             _comparable_counters(expect_env.metrics)
 
 
 def test_solution_set_is_layout_invariant_on_pool_workers():
     graph = erdos_renyi(60, 2.5, seed=23)
-    sim_env = ExecutionEnvironment(2, config=RuntimeConfig(columnar=True))
+    sim_env = ExecutionEnvironment(2)
     expect = cc.cc_incremental(sim_env, graph, variant="match")
-    for columnar in (True, False):
-        env = ExecutionEnvironment(
-            2, backend="pool", config=RuntimeConfig(columnar=columnar)
-        )
-        assert cc.cc_incremental(env, graph, variant="match") == expect
+    for stubbed in (False, True):
+        with _layout(stubbed):
+            env = ExecutionEnvironment(2, backend="pool")
+            assert cc.cc_incremental(env, graph, variant="match") == expect
         assert _comparable_counters(env.metrics) == \
             _comparable_counters(sim_env.metrics)

@@ -61,7 +61,7 @@ class TestShipAudit:
         checker's per-record recomputation.
         """
         def buggy_hash(part, source, frames, batch_size, key_fields,
-                       checker=None, columnar=False):
+                       checker=None):
             here = 0
             for record in part:
                 target = partition_index(record[0], len(frames))

@@ -18,7 +18,6 @@ record-at-a-time reference model.
 
 import pytest
 
-from repro.common import columns as columnar
 from repro.common.hashing import stable_hash
 from repro.dataflow.contracts import Contract
 from repro.dataflow.graph import LogicalNode
@@ -31,6 +30,7 @@ from repro.storage import (
     external_sort,
     hashtable,
 )
+from tests.conftest import numpy_stubbed
 
 GROUPS = 10
 PER_GROUP = 5
@@ -134,8 +134,7 @@ def _inputs(kind, regime, arity):
 
 def _run(node, strategy, inputs, batch_size, spill=None):
     return drivers.run_driver(node, strategy, inputs, MetricsCollector(),
-                              batch_size=batch_size, spill=spill,
-                              columnar=True)
+                              batch_size=batch_size, spill=spill)
 
 
 def _spilled(node, strategy, inputs, batch_size, budget):
@@ -184,13 +183,13 @@ def test_max_level_regime_reaches_max_level(monkeypatch, kind):
     "hash-aggregate", "reduce-group", "hash-join-flat",
     "hash-join-right-none", "cogroup", "sort-merge-join",
 ])
-def test_parity_without_numpy(monkeypatch, algorithm):
+def test_parity_without_numpy(algorithm):
     """The per-key hash and pure-Python grouping fallbacks."""
     node, strategy = ALGORITHMS[algorithm]
     inputs = _inputs("int", "max-level", len(node.inputs))
     expected = _run(node, strategy, inputs, 7)
-    monkeypatch.setattr(columnar, "_np", None)
-    got, spilled = _spilled(node, strategy, inputs, 7, 1)
+    with numpy_stubbed():
+        got, spilled = _spilled(node, strategy, inputs, 7, 1)
     assert got == expected and spilled > 0
 
 
