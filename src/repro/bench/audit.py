@@ -34,7 +34,6 @@ skewing Figures 2/7/9.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro import ExecutionEnvironment
@@ -127,52 +126,6 @@ def _checked_metrics() -> MetricsCollector:
     metrics = MetricsCollector()
     attach_checker(metrics)
     return metrics
-
-
-def _canonical_processed(counter) -> dict[str, int]:
-    """Sum processed counts with auto-generated node ids stripped.
-
-    Operator names carry globally unique node ids (``update#12``); two
-    environments compiling the same program therefore disagree on the
-    suffix even though the operators — and their counts — correspond
-    one to one.  Comparing across backends (separate environments)
-    needs the id-free projection.
-    """
-    totals: dict[str, int] = {}
-    for name, count in counter.items():
-        key = re.sub(r"#\d+", "", name)
-        totals[key] = totals.get(key, 0) + count
-    return totals
-
-
-def _comparable_counters(metrics: MetricsCollector) -> dict:
-    """The logical-counter projection that must match across backends.
-
-    Deliberately excludes physical quantities: ``bytes_shipped`` (zero
-    in-process, nonzero over pipes), ``cache_builds``/``cache_hits``
-    (replicated drivers build per worker), ``duration_s``.
-    """
-    return {
-        "records_processed": _canonical_processed(metrics.records_processed),
-        "records_shipped_local": metrics.records_shipped_local,
-        "records_shipped_remote": metrics.records_shipped_remote,
-        "solution_accesses": metrics.solution_accesses,
-        "solution_updates": metrics.solution_updates,
-        "supersteps": metrics.supersteps,
-        "iteration_log": [
-            {
-                "superstep": entry.superstep,
-                "workset_size": entry.workset_size,
-                "delta_size": entry.delta_size,
-                "records_processed": entry.records_processed,
-                "records_shipped_local": entry.records_shipped_local,
-                "records_shipped_remote": entry.records_shipped_remote,
-                "solution_accesses": entry.solution_accesses,
-                "solution_updates": entry.solution_updates,
-            }
-            for entry in metrics.iteration_log
-        ],
-    }
 
 
 def _cc_engines(parallelism, backend, max_iterations=10_000):
@@ -270,7 +223,7 @@ def _cross_backend_check(backend_name, result, metrics, key, baselines):
     Returns ``None`` when consistent (or when this backend *is* the
     baseline), else a failure detail string.
     """
-    comparable = _comparable_counters(metrics)
+    comparable = metrics.logical()
     baseline = baselines.get(key)
     if baseline is None:
         baselines[key] = (backend_name, result, comparable)

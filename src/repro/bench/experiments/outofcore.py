@@ -23,7 +23,8 @@ high-water marks don't bleed between them:
   ``2 * budget + RSS_ALLOWANCE``.
 * ``pool / budget`` — the persistent-worker backend under the same
   budget; gated on bitwise identity (RSS lives in the workers, whose
-  budget is per-process).
+  budget is per-process).  Both budgeted runs fail if bytes reach disk
+  with no ``records_spilled`` counted.
 
 Results cross the identity comparison as ``(vertex, component,
 stable_hash(record))`` digests, so the full payload content is attested
@@ -261,7 +262,8 @@ class OutOfCoreResult:
             verdict = (
                 "OK: out-of-core runs are bitwise identical to the "
                 f"in-memory reference, hold >= {STATE_RATIO_FLOOR:.0f}x "
-                "the budget on disk, and stay within the RSS gate."
+                "the budget on disk, count their disk writes as spills, "
+                "and stay within the RSS gate."
             )
         else:
             verdict = "FAIL:\n  - " + "\n  - ".join(self.failures)
@@ -308,6 +310,13 @@ def run(save_artifact: bool = True) -> OutOfCoreResult:
             )
         if not payload["converged"]:
             result.failures.append(f"{label}: iteration did not converge")
+        if budget is not None and payload["disk_bytes"] > 0 \
+                and payload["records_spilled"] == 0:
+            result.failures.append(
+                f"{label}: {payload['disk_bytes']} bytes on disk but no "
+                "spilled record counted — a disk write bypassed the "
+                "spill accounting"
+            )
         if budget is not None and backend is None:
             if payload["disk_bytes"] < STATE_RATIO_FLOOR * budget:
                 result.failures.append(

@@ -507,6 +507,7 @@ def _compile_fold(executor, scope, chain):
                     replaced += 1
                 part[key] = delta
                 accepted.append(delta)
+        index.note_writes()
         probes = len(records) if access is not None else 0
         metrics.add_solution_access(probes + delta_probes)
         metrics.add_solution_update(len(accepted))

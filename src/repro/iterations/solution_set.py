@@ -69,6 +69,7 @@ class SolutionSetIndex:
                     chunk.keys, targets, chunk.records
                 ):
                     partitions[target][k] = record
+        index.note_writes()
         return index
 
     # ------------------------------------------------------------------
@@ -156,6 +157,7 @@ class SolutionSetIndex:
                 accepted = self.apply_record(record)
                 if accepted is not None:
                     applied.append(accepted)
+            self.note_writes()
             return applied
         size_before = len(self)
         accesses_before = self.metrics.solution_accesses
@@ -176,6 +178,7 @@ class SolutionSetIndex:
                         applied.append(accepted)
                         if existing:
                             replaced += 1
+        self.note_writes()
         checker.check_delta_application(
             "apply_delta",
             size_before,
@@ -188,6 +191,10 @@ class SolutionSetIndex:
             ),
         )
         return applied
+
+    def note_writes(self) -> None:
+        """Bill state written since the last call (once per build, delta
+        application or commit) to the spill counters: in memory, none."""
 
     # ------------------------------------------------------------------
     # export
@@ -254,6 +261,19 @@ class DiskBackedSolutionSetIndex(SolutionSetIndex):
 
     def disk_bytes_written(self) -> int:
         return sum(part.bytes_written for part in self._partitions)
+
+    def note_writes(self) -> None:
+        """Count the log frames appended since the last note as one
+        spill, inside a ``spill-write:solution-set`` storage span (so
+        spill-write spans still sum to ``records_spilled``)."""
+        frames = nbytes = 0
+        for part in self._partitions:
+            part_frames, part_bytes = part.take_unbilled()
+            frames += part_frames
+            nbytes += part_bytes
+        if frames:
+            with self.manager.io_span("spill-write", "solution-set"):
+                self.manager.note_spill("solution-set", frames, nbytes)
 
     def close(self) -> None:
         for part in self._partitions:

@@ -34,54 +34,30 @@ superstep-span counter deltas reconcile with ``iteration_log``.
 
 from __future__ import annotations
 
-import re
 import time
 from contextlib import contextmanager
 
 from repro.common.errors import InvariantViolation
-
-_ID_SUFFIX = re.compile(r"#\d+")
+from repro.runtime.metrics import (
+    BARRIER_SIZES,
+    COUNTERS,
+    LOGICAL_COUNTERS,
+    canonical_name,
+)
 
 #: collector totals sampled at span begin/end; a span's ``counters``
 #: holds the (non-zero) deltas between the two samples
-SPAN_COUNTERS = (
-    "records_processed",
-    "records_shipped_local",
-    "records_shipped_remote",
-    "solution_accesses",
-    "solution_updates",
-    "bytes_shipped",
-    "batches_shipped",
-    "cache_hits",
-    "cache_builds",
-    "records_spilled",
-    "bytes_spilled",
-    "columns_zero_copied",
-    "bytes_zero_copied",
-)
+SPAN_COUNTERS = COUNTERS
 
 #: the counters that must be identical across backends (physical
 #: quantities — bytes, cache, durations — legitimately differ between
 #: the simulator and real workers); used for structural comparisons
-LOGICAL_SPAN_COUNTERS = (
-    "records_processed",
-    "records_shipped_local",
-    "records_shipped_remote",
-    "solution_accesses",
-    "solution_updates",
-    "workset_size",
-    "delta_size",
-)
+LOGICAL_SPAN_COUNTERS = LOGICAL_COUNTERS + BARRIER_SIZES
 
 
 #: span categories that are per-worker physical detail: never paired
 #: by the aligned merge, each worker's spans are kept
 PER_WORKER_CATEGORIES = frozenset({"storage"})
-
-
-def canonical_name(name) -> str:
-    """Strip the ``#<node id>`` uniquifiers from a logical name."""
-    return _ID_SUFFIX.sub("", str(name))
 
 
 class Span:
@@ -148,24 +124,7 @@ class Tracer:
         return self
 
     def _sample(self):
-        m = self._metrics
-        if m is None:
-            return None
-        return (
-            m.total_processed,
-            m.records_shipped_local,
-            m.records_shipped_remote,
-            m.solution_accesses,
-            m.solution_updates,
-            m.bytes_shipped,
-            m.batches_shipped,
-            m.cache_hits,
-            m.cache_builds,
-            m.records_spilled,
-            m.bytes_spilled,
-            m.columns_zero_copied,
-            m.bytes_zero_copied,
-        )
+        return None if self._metrics is None else self._metrics.sample()
 
     def begin(self, name, category: str = "runtime", **attributes) -> Span:
         span = Span(canonical_name(name), category, attributes)

@@ -702,6 +702,7 @@ class Executor:
                     replaced += 1
                 part[k] = record
                 applied += 1
+        index.note_writes()
         if applied:
             self.metrics.add_solution_update(applied)
         if checker is not None:

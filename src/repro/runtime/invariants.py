@@ -59,44 +59,16 @@ from repro.common.errors import InvariantViolation
 from repro.common.hashing import partition_index
 from repro.common.keys import KeyExtractor
 from repro.dataflow.contracts import Contract
+from repro.runtime.metrics import BARRIER_SIZES, COUNTERS
 from repro.runtime.plan import ShipKind
 
-#: counters subject to attribution auditing, keyed by the shadow name
-ATTRIBUTED_COUNTERS = (
-    "shipped_local",
-    "shipped_remote",
-    "processed",
-    "solution_accesses",
-    "solution_updates",
-    "bytes_shipped",
-    "batches_shipped",
-    "cache_hits",
-    "cache_builds",
-    "records_spilled",
-    "bytes_spilled",
-    "columns_zero_copied",
-    "bytes_zero_copied",
-)
+#: what the trace law reconciles between a superstep span and its
+#: logged stats
+_TRACE_RECONCILED = COUNTERS + BARRIER_SIZES
 
-#: (span counter key, IterationStats field) pairs the trace law
-#: reconciles between a superstep span and its logged stats
-_TRACE_RECONCILED = (
-    ("records_processed", "records_processed"),
-    ("records_shipped_local", "records_shipped_local"),
-    ("records_shipped_remote", "records_shipped_remote"),
-    ("solution_accesses", "solution_accesses"),
-    ("solution_updates", "solution_updates"),
-    ("bytes_shipped", "bytes_shipped"),
-    ("batches_shipped", "batches_shipped"),
-    ("cache_hits", "cache_hits"),
-    ("cache_builds", "cache_builds"),
-    ("records_spilled", "records_spilled"),
-    ("bytes_spilled", "bytes_spilled"),
-    ("columns_zero_copied", "columns_zero_copied"),
-    ("bytes_zero_copied", "bytes_zero_copied"),
-    ("workset_size", "workset_size"),
-    ("delta_size", "delta_size"),
-)
+#: how many audits of each kind ran (lets tests assert coverage)
+_AUDIT_COUNTS = ("ship_checks", "driver_checks", "delta_checks",
+                 "trace_checks", "batch_checks", "spill_checks")
 
 
 class InvariantChecker:
@@ -110,22 +82,15 @@ class InvariantChecker:
     """
 
     def __init__(self):
-        #: counter amounts attributed to an open superstep vs outside one,
-        #: mirrored independently of the collector's own bookkeeping
-        self._inside = dict.fromkeys(ATTRIBUTED_COUNTERS, 0)
-        self._outside = dict.fromkeys(ATTRIBUTED_COUNTERS, 0)
-        self._superstep_open = False
-        #: how many ship audits ran (lets tests assert coverage)
-        self.ship_checks = 0
-        self.driver_checks = 0
-        self.delta_checks = 0
-        self.trace_checks = 0
-        self.batch_checks = 0
-        self.spill_checks = 0
+        self.reset()
+        for name in _AUDIT_COUNTS:
+            setattr(self, name, 0)
 
     def reset(self):
-        self._inside = dict.fromkeys(ATTRIBUTED_COUNTERS, 0)
-        self._outside = dict.fromkeys(ATTRIBUTED_COUNTERS, 0)
+        #: counter amounts attributed to an open superstep vs outside one,
+        #: mirrored independently of the collector's own bookkeeping
+        self._inside = dict.fromkeys(COUNTERS, 0)
+        self._outside = dict.fromkeys(COUNTERS, 0)
         self._superstep_open = False
 
     @staticmethod
@@ -482,49 +447,21 @@ class InvariantChecker:
                 "can only be audited at a barrier"
             )
         log = metrics.iteration_log
-        logged = {
-            "shipped_local": sum(s.records_shipped_local for s in log),
-            "shipped_remote": sum(s.records_shipped_remote for s in log),
-            "processed": sum(s.records_processed for s in log),
-            "solution_accesses": sum(s.solution_accesses for s in log),
-            "solution_updates": sum(s.solution_updates for s in log),
-            "bytes_shipped": sum(s.bytes_shipped for s in log),
-            "batches_shipped": sum(s.batches_shipped for s in log),
-            "cache_hits": sum(s.cache_hits for s in log),
-            "cache_builds": sum(s.cache_builds for s in log),
-            "records_spilled": sum(s.records_spilled for s in log),
-            "bytes_spilled": sum(s.bytes_spilled for s in log),
-            "columns_zero_copied": sum(s.columns_zero_copied for s in log),
-            "bytes_zero_copied": sum(s.bytes_zero_copied for s in log),
-        }
-        totals = {
-            "shipped_local": metrics.records_shipped_local,
-            "shipped_remote": metrics.records_shipped_remote,
-            "processed": metrics.total_processed,
-            "solution_accesses": metrics.solution_accesses,
-            "solution_updates": metrics.solution_updates,
-            "bytes_shipped": metrics.bytes_shipped,
-            "batches_shipped": metrics.batches_shipped,
-            "cache_hits": metrics.cache_hits,
-            "cache_builds": metrics.cache_builds,
-            "records_spilled": metrics.records_spilled,
-            "bytes_spilled": metrics.bytes_spilled,
-            "columns_zero_copied": metrics.columns_zero_copied,
-            "bytes_zero_copied": metrics.bytes_zero_copied,
-        }
-        for name in ATTRIBUTED_COUNTERS:
-            if logged[name] != self._inside[name]:
+        for name in COUNTERS:
+            logged = sum(getattr(s, name) for s in log)
+            inside, outside = self._inside[name], self._outside[name]
+            total = metrics.total(name)
+            if logged != inside:
                 self._fail(
-                    f"iteration_log sums {logged[name]} {name} inside "
-                    f"supersteps, but {self._inside[name]} were attributed "
+                    f"iteration_log sums {logged} {name} inside "
+                    f"supersteps, but {inside} were attributed "
                     "— a superstep was dropped or double-logged"
                 )
-            if logged[name] + self._outside[name] != totals[name]:
+            if logged + outside != total:
                 self._fail(
-                    f"global {name} total is {totals[name]}, but "
-                    f"per-superstep sum {logged[name]} + out-of-superstep "
-                    f"{self._outside[name]} = "
-                    f"{logged[name] + self._outside[name]} — a counter was "
+                    f"global {name} total is {total}, but "
+                    f"per-superstep sum {logged} + out-of-superstep "
+                    f"{outside} = {logged + outside} — a counter was "
                     "mutated outside the collector hooks"
                 )
 
@@ -569,9 +506,9 @@ class InvariantChecker:
                     f"logged superstep {stats.superstep} — trace and log "
                     "disagree on barrier order"
                 )
-            for counter, fieldname in _TRACE_RECONCILED:
+            for counter in _TRACE_RECONCILED:
                 sampled = span.counters.get(counter, 0)
-                logged = getattr(stats, fieldname)
+                logged = getattr(stats, counter)
                 if sampled != logged:
                     self._fail(
                         f"superstep {stats.superstep}: span sampled "
@@ -589,15 +526,11 @@ class InvariantChecker:
         """
         if self._superstep_open or other._superstep_open:
             self._fail("cannot absorb a checker while a superstep is open")
-        for name in ATTRIBUTED_COUNTERS:
+        for name in COUNTERS:
             self._inside[name] += other._inside[name]
             self._outside[name] += other._outside[name]
-        self.ship_checks += other.ship_checks
-        self.driver_checks += other.driver_checks
-        self.delta_checks += other.delta_checks
-        self.trace_checks += other.trace_checks
-        self.batch_checks += other.batch_checks
-        self.spill_checks += other.spill_checks
+        for name in _AUDIT_COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
 

@@ -9,45 +9,54 @@ benchmark harness reports both.
 
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.common.errors import InvariantViolation
 
+_ID_SUFFIX = re.compile(r"#\d+")
+
+
+def canonical_name(name) -> str:
+    """Strip the ``#<node id>`` uniquifiers from a logical name."""
+    return _ID_SUFFIX.sub("", str(name))
+
 
 @dataclass
-class IterationStats:
-    """Counters scoped to one superstep of an iteration."""
+class AdditiveCounters:
+    """The additive counters, declared once: :data:`COUNTERS` is derived
+    from these fields and everything that sums, samples, checks or
+    compares counters iterates it (DESIGN.md §3, "One counter schema").
+    """
 
-    superstep: int
-    duration_s: float = 0.0
+    # logical: deterministic, identical on every backend
     records_processed: int = 0
     records_shipped_local: int = 0
     records_shipped_remote: int = 0
-    workset_size: int = 0
-    delta_size: int = 0
     solution_accesses: int = 0
     solution_updates: int = 0
-    #: serialized bytes this superstep put on the wire (SPMD backends
-    #: only — the simulator never serializes records)
+    # physical: legitimately differ between the simulator and workers
+    #: serialized bytes put on the wire (SPMD backends only — the
+    #: simulator never serializes records)
     bytes_shipped: int = 0
     #: :class:`~repro.common.batch.RecordBatch` chunks the channels
-    #: framed this superstep (physical, like bytes: the chunking depends
-    #: on the backend's partition localization)
+    #: framed (per-worker localization changes how records fall into
+    #: chunks)
     batches_shipped: int = 0
+    #: replicated drivers build (and hit) their caches per worker
     cache_hits: int = 0
     cache_builds: int = 0
-    #: records written to spill files this superstep (physical, like
-    #: bytes: spill decisions depend on each process's resident share)
+    #: records / bytes written to spill files and to the disk-backed
+    #: solution set's log (spill decisions depend on each process's
+    #: resident share)
     records_spilled: int = 0
-    #: bytes written to spill files this superstep
     bytes_spilled: int = 0
-    #: fixed-width column buffers that crossed the shm ring as raw
-    #: memcpy this superstep (physical: only the worker pool's
+    #: fixed-width column buffers / payload bytes that crossed the shm
+    #: ring as raw memcpy without pickling (only the worker pool's
     #: fixed-width column frames take the zero-copy path)
     columns_zero_copied: int = 0
-    #: payload bytes of those zero-copied buffers
     bytes_zero_copied: int = 0
 
     @property
@@ -55,58 +64,41 @@ class IterationStats:
         """Cross-partition record transfers — the paper's 'messages sent'."""
         return self.records_shipped_remote
 
+
+#: every additive counter, in declaration order
+COUNTERS = tuple(f.name for f in fields(AdditiveCounters))
+#: the counters that must be identical across backends
+LOGICAL_COUNTERS = ("records_processed", "records_shipped_local",
+                    "records_shipped_remote", "solution_accesses",
+                    "solution_updates")
+#: barrier outputs every superstep logs next to its counters
+BARRIER_SIZES = ("workset_size", "delta_size")
+#: the collector's plain-int totals (``records_processed`` is a
+#: per-operator ``Counter`` there)
+_SCALAR_TOTALS = tuple(n for n in COUNTERS if n != "records_processed")
+
+
+@dataclass(kw_only=True)
+class IterationStats(AdditiveCounters):
+    """Counters scoped to one superstep of an iteration."""
+
+    superstep: int
+    duration_s: float = 0.0
+    workset_size: int = 0
+    delta_size: int = 0
+
     def as_dict(self) -> dict:
         """Plain-dict view, used by ``MetricsCollector.snapshot``."""
-        return {
-            "superstep": self.superstep,
-            "duration_s": self.duration_s,
-            "records_processed": self.records_processed,
-            "records_shipped_local": self.records_shipped_local,
-            "records_shipped_remote": self.records_shipped_remote,
-            "workset_size": self.workset_size,
-            "delta_size": self.delta_size,
-            "solution_accesses": self.solution_accesses,
-            "solution_updates": self.solution_updates,
-            "bytes_shipped": self.bytes_shipped,
-            "batches_shipped": self.batches_shipped,
-            "cache_hits": self.cache_hits,
-            "cache_builds": self.cache_builds,
-            "records_spilled": self.records_spilled,
-            "bytes_spilled": self.bytes_spilled,
-            "columns_zero_copied": self.columns_zero_copied,
-            "bytes_zero_copied": self.bytes_zero_copied,
-            "messages": self.messages,
-        }
+        return {**asdict(self), "messages": self.messages}
 
 
 @dataclass
-class MetricsCollector:
+class MetricsCollector(AdditiveCounters):
     """Accumulates counters for one environment; cheap enough to always run."""
 
+    #: per-operator processed counts (the total is ``total_processed``)
     records_processed: Counter = field(default_factory=Counter)
-    records_shipped_local: int = 0
-    records_shipped_remote: int = 0
-    solution_accesses: int = 0
-    solution_updates: int = 0
     supersteps: int = 0
-    cache_hits: int = 0
-    cache_builds: int = 0
-    #: serialized bytes actually put on the wire (SPMD backends only;
-    #: the in-process simulator never serializes records)
-    bytes_shipped: int = 0
-    #: RecordBatch chunks framed by the shipping channels (physical:
-    #: per-worker localization changes how records fall into chunks)
-    batches_shipped: int = 0
-    #: records / bytes written to spill files by the out-of-core
-    #: substrate (physical: whether state crosses the budget depends on
-    #: each process's resident share, so backends may differ)
-    records_spilled: int = 0
-    bytes_spilled: int = 0
-    #: column buffers / payload bytes the SPMD fabric shipped as raw
-    #: shm memcpy without pickling (physical: the simulator never
-    #: serializes, and chunk framing differs per backend)
-    columns_zero_copied: int = 0
-    bytes_zero_copied: int = 0
     #: always 0: mid-iteration plan switching was deleted (DESIGN.md §6).
     #: ``benchmarks/perf/layers.py`` still reads this attribute by name
     #: and a non-benchmark PR may not edit that directory; the benchmark
@@ -135,112 +127,62 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # raw counter hooks (called by channels / drivers / solution set)
 
+    def _add(self, name: str, count: int):
+        """The one counter hook: ``count`` more ``name`` in the total,
+        then in the open superstep and the checker's shadow."""
+        setattr(self, name, getattr(self, name) + count)
+        self._attribute(name, count)
+
+    def _attribute(self, name: str, count: int):
+        step = self._open_superstep
+        if step is not None:
+            setattr(step, name, getattr(step, name) + count)
+        if self.invariants is not None:
+            self.invariants.on_counter(name, count, step is not None)
+
     def add_processed(self, operator_name: str, count: int = 1):
         self.records_processed[operator_name] += count
-        if self._open_superstep is not None:
-            self._open_superstep.records_processed += count
-        if self.invariants is not None:
-            self.invariants.on_counter(
-                "processed", count, self._open_superstep is not None
-            )
+        self._attribute("records_processed", count)
 
     def add_shipped(self, local: int, remote: int):
-        self.records_shipped_local += local
-        self.records_shipped_remote += remote
-        if self._open_superstep is not None:
-            self._open_superstep.records_shipped_local += local
-            self._open_superstep.records_shipped_remote += remote
-        if self.invariants is not None:
-            in_step = self._open_superstep is not None
-            self.invariants.on_counter("shipped_local", local, in_step)
-            self.invariants.on_counter("shipped_remote", remote, in_step)
+        self._add("records_shipped_local", local)
+        self._add("records_shipped_remote", remote)
 
     def add_solution_access(self, count: int = 1):
-        self.solution_accesses += count
-        if self._open_superstep is not None:
-            self._open_superstep.solution_accesses += count
-        if self.invariants is not None:
-            self.invariants.on_counter(
-                "solution_accesses", count, self._open_superstep is not None
-            )
+        self._add("solution_accesses", count)
 
     def add_solution_update(self, count: int = 1):
-        self.solution_updates += count
-        if self._open_superstep is not None:
-            self._open_superstep.solution_updates += count
-        if self.invariants is not None:
-            self.invariants.on_counter(
-                "solution_updates", count, self._open_superstep is not None
-            )
+        self._add("solution_updates", count)
 
     def add_bytes_shipped(self, count: int):
         """Serialized wire bytes, attributed to the open superstep."""
-        self.bytes_shipped += count
-        if self._open_superstep is not None:
-            self._open_superstep.bytes_shipped += count
-        if self.invariants is not None:
-            self.invariants.on_counter(
-                "bytes_shipped", count, self._open_superstep is not None
-            )
+        self._add("bytes_shipped", count)
 
     def add_batches_shipped(self, count: int = 1):
         """RecordBatch chunks framed on a channel (the batched data
         plane's per-batch overhead unit; the cost model's
         ``per_batch_overhead`` term prices exactly these)."""
-        self.batches_shipped += count
-        if self._open_superstep is not None:
-            self._open_superstep.batches_shipped += count
-        if self.invariants is not None:
-            self.invariants.on_counter(
-                "batches_shipped", count, self._open_superstep is not None
-            )
+        self._add("batches_shipped", count)
 
     def add_cache_hit(self, count: int = 1):
-        self.cache_hits += count
-        if self._open_superstep is not None:
-            self._open_superstep.cache_hits += count
-        if self.invariants is not None:
-            self.invariants.on_counter(
-                "cache_hits", count, self._open_superstep is not None
-            )
+        self._add("cache_hits", count)
         if self.tracer is not None:
             self.tracer.instant("cache:hit", category="cache")
 
     def add_cache_build(self, count: int = 1):
-        self.cache_builds += count
-        if self._open_superstep is not None:
-            self._open_superstep.cache_builds += count
-        if self.invariants is not None:
-            self.invariants.on_counter(
-                "cache_builds", count, self._open_superstep is not None
-            )
+        self._add("cache_builds", count)
         if self.tracer is not None:
             self.tracer.instant("cache:build", category="cache")
 
     def add_spilled(self, records: int, nbytes: int):
         """One spill-file frame written by the out-of-core substrate."""
-        self.records_spilled += records
-        self.bytes_spilled += nbytes
-        if self._open_superstep is not None:
-            self._open_superstep.records_spilled += records
-            self._open_superstep.bytes_spilled += nbytes
-        if self.invariants is not None:
-            in_step = self._open_superstep is not None
-            self.invariants.on_counter("records_spilled", records, in_step)
-            self.invariants.on_counter("bytes_spilled", nbytes, in_step)
+        self._add("records_spilled", records)
+        self._add("bytes_spilled", nbytes)
 
     def add_zero_copied(self, columns: int, nbytes: int):
         """Column buffers the fabric memcpy'd into shm without pickling."""
-        self.columns_zero_copied += columns
-        self.bytes_zero_copied += nbytes
-        if self._open_superstep is not None:
-            self._open_superstep.columns_zero_copied += columns
-            self._open_superstep.bytes_zero_copied += nbytes
-        if self.invariants is not None:
-            in_step = self._open_superstep is not None
-            self.invariants.on_counter("columns_zero_copied", columns,
-                                       in_step)
-            self.invariants.on_counter("bytes_zero_copied", nbytes, in_step)
+        self._add("columns_zero_copied", columns)
+        self._add("bytes_zero_copied", nbytes)
 
     # ------------------------------------------------------------------
     # superstep scoping
@@ -332,18 +274,8 @@ class MetricsCollector:
         # Counter.update (not +=): iadd drops zero entries, and operator
         # keys with zero counts must survive for cross-backend equality
         self.records_processed.update(other.records_processed)
-        self.records_shipped_local += other.records_shipped_local
-        self.records_shipped_remote += other.records_shipped_remote
-        self.solution_accesses += other.solution_accesses
-        self.solution_updates += other.solution_updates
-        self.cache_hits += other.cache_hits
-        self.cache_builds += other.cache_builds
-        self.bytes_shipped += other.bytes_shipped
-        self.batches_shipped += other.batches_shipped
-        self.records_spilled += other.records_spilled
-        self.bytes_spilled += other.bytes_spilled
-        self.columns_zero_copied += other.columns_zero_copied
-        self.bytes_zero_copied += other.bytes_zero_copied
+        for name in _SCALAR_TOTALS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         if align_supersteps:
             if len(self.iteration_log) != len(other.iteration_log) or \
                     self.supersteps != other.supersteps:
@@ -359,28 +291,16 @@ class MetricsCollector:
                         f"superstep numbering diverged while aligning: "
                         f"{mine.superstep} vs {theirs.superstep}"
                     )
-                mine.records_processed += theirs.records_processed
-                mine.records_shipped_local += theirs.records_shipped_local
-                mine.records_shipped_remote += theirs.records_shipped_remote
-                mine.workset_size += theirs.workset_size
-                mine.delta_size += theirs.delta_size
-                mine.solution_accesses += theirs.solution_accesses
-                mine.solution_updates += theirs.solution_updates
-                mine.bytes_shipped += theirs.bytes_shipped
-                mine.batches_shipped += theirs.batches_shipped
-                mine.cache_hits += theirs.cache_hits
-                mine.cache_builds += theirs.cache_builds
-                mine.records_spilled += theirs.records_spilled
-                mine.bytes_spilled += theirs.bytes_spilled
-                mine.columns_zero_copied += theirs.columns_zero_copied
-                mine.bytes_zero_copied += theirs.bytes_zero_copied
+                for name in COUNTERS + BARRIER_SIZES:
+                    setattr(mine, name,
+                            getattr(mine, name) + getattr(theirs, name))
                 mine.duration_s = max(mine.duration_s, theirs.duration_s)
         else:
             self.iteration_log.extend(other.iteration_log)
             self.supersteps += other.supersteps
-        if self.invariants is not None and other.invariants is not None:
+        if self.invariants is not None:
             self.invariants.absorb(other.invariants)
-        if self.tracer is not None and other.tracer is not None:
+        if self.tracer is not None:
             self.tracer.merge(other.tracer, align=align_supersteps)
         return self
 
@@ -390,25 +310,22 @@ class MetricsCollector:
     def total_processed(self) -> int:
         return sum(self.records_processed.values())
 
-    @property
-    def messages(self) -> int:
-        return self.records_shipped_remote
+    def total(self, name: str) -> int:
+        """The global total of counter ``name``."""
+        if name == "records_processed":
+            return self.total_processed
+        return getattr(self, name)
+
+    def sample(self) -> tuple:
+        """The totals of :data:`COUNTERS`, in order — what the tracer
+        diffs at span boundaries."""
+        return tuple(map(self.total, COUNTERS))
 
     def reset(self):
         self.records_processed.clear()
-        self.records_shipped_local = 0
-        self.records_shipped_remote = 0
-        self.solution_accesses = 0
-        self.solution_updates = 0
+        for name in _SCALAR_TOTALS:
+            setattr(self, name, 0)
         self.supersteps = 0
-        self.cache_hits = 0
-        self.cache_builds = 0
-        self.bytes_shipped = 0
-        self.batches_shipped = 0
-        self.records_spilled = 0
-        self.bytes_spilled = 0
-        self.columns_zero_copied = 0
-        self.bytes_zero_copied = 0
         self.iteration_log.clear()
         self._open_superstep = None
         self._superstep_span = None
@@ -422,19 +339,30 @@ class MetricsCollector:
         return {
             "records_processed": dict(self.records_processed),
             "total_processed": self.total_processed,
-            "records_shipped_local": self.records_shipped_local,
-            "records_shipped_remote": self.records_shipped_remote,
+            **{name: getattr(self, name) for name in _SCALAR_TOTALS},
             "messages": self.messages,
-            "solution_accesses": self.solution_accesses,
-            "solution_updates": self.solution_updates,
             "supersteps": self.supersteps,
-            "cache_hits": self.cache_hits,
-            "cache_builds": self.cache_builds,
-            "bytes_shipped": self.bytes_shipped,
-            "batches_shipped": self.batches_shipped,
-            "records_spilled": self.records_spilled,
-            "bytes_spilled": self.bytes_spilled,
-            "columns_zero_copied": self.columns_zero_copied,
-            "bytes_zero_copied": self.bytes_zero_copied,
             "iteration_log": [s.as_dict() for s in self.iteration_log],
         }
+
+    def logical(self) -> dict:
+        """The projection that must match across backends.
+
+        :data:`LOGICAL_COUNTERS` totals, the superstep count and, per
+        superstep, the logical counters and barrier sizes.  Operator
+        names carry globally unique node ids (``update#12``) on which
+        two environments compiling the same program disagree, so
+        processed counts are summed per :func:`canonical_name`.
+        """
+        processed = Counter()
+        for name, count in self.records_processed.items():
+            processed[canonical_name(name)] += count
+        out = {name: getattr(self, name) for name in LOGICAL_COUNTERS}
+        out["records_processed"] = dict(processed)
+        out["supersteps"] = self.supersteps
+        per_step = ("superstep",) + BARRIER_SIZES + LOGICAL_COUNTERS
+        out["iteration_log"] = [
+            {name: getattr(entry, name) for name in per_step}
+            for entry in self.iteration_log
+        ]
+        return out

@@ -37,6 +37,10 @@ class DiskDict:
         self._tail = write_header(self._fh, LOG_MAGIC, LOG_VERSION)
         self._dirty = False
         self.bytes_written = self._tail
+        self.frames_written = 0
+        #: (frames, bytes) written when the owner last took the unbilled
+        #: writes; the header is never billed
+        self._billed = (0, self._tail)
 
     # ------------------------------------------------------------------
     # mapping protocol (the subset SolutionSetIndex and the executor use)
@@ -47,7 +51,14 @@ class DiskDict:
         self._index[key] = self._tail
         self._tail += nbytes
         self.bytes_written += nbytes
+        self.frames_written += 1
         self._dirty = True
+
+    def take_unbilled(self) -> tuple[int, int]:
+        """``(frames, bytes)`` appended since the previous call."""
+        frames, nbytes = self._billed
+        self._billed = (self.frames_written, self.bytes_written)
+        return self.frames_written - frames, self.bytes_written - nbytes
 
     def _read(self, offset):
         if self._dirty:

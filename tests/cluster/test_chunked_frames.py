@@ -14,7 +14,6 @@ import pytest
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
 from repro.algorithms import pagerank as pr
-from repro.bench import audit
 from repro.graphs import erdos_renyi
 from repro.runtime.config import RuntimeConfig
 
@@ -37,10 +36,6 @@ def _env(backend, **overrides):
     return ExecutionEnvironment(PARALLELISM, backend=backend, config=config)
 
 
-def _comparable(env):
-    return audit._comparable_counters(env.metrics)
-
-
 class TestChunkedExchange:
     def test_bulk_cc_is_chunking_invariant(self, graph):
         sim_env = _env("simulated")
@@ -48,7 +43,7 @@ class TestChunkedExchange:
         mp_env = _env("multiprocess", **TINY)
         actual = cc.cc_bulk(mp_env, graph)
         assert actual == expected
-        assert _comparable(mp_env) == _comparable(sim_env)
+        assert mp_env.metrics.logical() == sim_env.metrics.logical()
 
     def test_pagerank_floats_survive_byte_bisection(self, graph):
         """Bisection changes frame boundaries, never arrival order, so
@@ -69,7 +64,7 @@ class TestChunkedExchange:
         mp_env = _env("multiprocess", **TINY)
         actual = cc.cc_incremental(mp_env, graph, variant="match", mode=mode)
         assert actual == expected
-        assert _comparable(mp_env) == _comparable(sim_env)
+        assert mp_env.metrics.logical() == sim_env.metrics.logical()
 
     def test_record_at_a_time_backends_still_agree(self, graph):
         """batch_size=1 on BOTH backends: the degenerate framing the
@@ -79,7 +74,7 @@ class TestChunkedExchange:
         mp_env = _env("multiprocess", batch_size=1)
         actual = cc.cc_bulk(mp_env, graph)
         assert actual == expected
-        assert _comparable(mp_env) == _comparable(sim_env)
+        assert mp_env.metrics.logical() == sim_env.metrics.logical()
 
     def test_chunking_does_not_leak_into_logical_counters(self, graph):
         """Tiny chunks multiply frames and batches, but the logical
@@ -89,7 +84,7 @@ class TestChunkedExchange:
         tiny_env = _env("multiprocess", **TINY)
         actual = cc.cc_bulk(tiny_env, graph)
         assert actual == expected
-        assert _comparable(tiny_env) == _comparable(default_env)
+        assert tiny_env.metrics.logical() == default_env.metrics.logical()
         # physical batch counts DO move — that's what makes them physical
         assert tiny_env.metrics.batches_shipped > \
             default_env.metrics.batches_shipped

@@ -11,7 +11,6 @@ import pytest
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
 from repro.algorithms import pagerank as pr
-from repro.bench import audit
 from repro.cluster import BACKENDS, PoolBackend, resolve_backend
 from repro.graphs import erdos_renyi
 
@@ -23,10 +22,6 @@ PARALLELISM = 3
 @pytest.fixture(scope="module")
 def graph():
     return erdos_renyi(60, 2.5, seed=19)
-
-
-def _comparable(env):
-    return audit._comparable_counters(env.metrics)
 
 
 class TestPoolRegistration:
@@ -66,7 +61,7 @@ class TestPoolReuse:
                 # clean counter state: each job's merged collector equals
                 # the simulator's for that job alone — nothing from the
                 # previous job leaked into it
-                assert _comparable(pool_env) == _comparable(sim_env)
+                assert pool_env.metrics.logical() == sim_env.metrics.logical()
                 if pids is None:
                     pids = backend.pool.worker_pids
                 else:

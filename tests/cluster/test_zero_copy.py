@@ -15,7 +15,6 @@ import pytest
 
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
-from repro.bench import audit
 from repro.cluster import PoolBackend, SimulatedBackend
 from repro.cluster.fabric import Fabric
 from repro.common import columns as columns_mod
@@ -108,8 +107,8 @@ class TestJobZeroCopy:
         # and the physical fast path changed nothing observable
         sim_env = ExecutionEnvironment(2)
         assert cc.cc_bulk(sim_env, graph) == result
-        assert audit._comparable_counters(env.metrics) == \
-            audit._comparable_counters(sim_env.metrics)
+        assert env.metrics.logical() == \
+            sim_env.metrics.logical()
 
     def test_sparklike_job_counts_zero_copied_columns(self, graph):
         """The Spark-like engine's shuffles ship columns too."""
@@ -125,5 +124,5 @@ class TestJobZeroCopy:
         assert metrics.columns_zero_copied > 0
         expect, sim_metrics = SimulatedBackend().run_program(program, 2)
         assert result == expect
-        assert audit._comparable_counters(metrics) == \
-            audit._comparable_counters(sim_metrics)
+        assert metrics.logical() == \
+            sim_metrics.logical()

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
-from repro.bench.audit import _comparable_counters
 from repro.common.hashing import partition_index
 from repro.dataflow.contracts import Contract
 from repro.dataflow.graph import LogicalNode
@@ -339,7 +338,7 @@ def test_cc_match_pins_results_counters_and_spans(case, backend):
                                    variant="match", mode=mode)
         got = (
             _digest(sorted(result.items())),
-            _digest(_comparable_counters(env.metrics)),
+            _digest(env.metrics.logical()),
             _digest(env.tracer.structure(LOGICAL_SPAN_COUNTERS)),
         )
     assert got == GOLDEN[case]

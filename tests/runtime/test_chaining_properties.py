@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionEnvironment
-from repro.bench.audit import _comparable_counters
 from repro.observability import LOGICAL_SPAN_COUNTERS
 from repro.runtime.config import RuntimeConfig
 from tests.conftest import unfused
@@ -97,8 +96,8 @@ def test_fused_is_observationally_identical_simulated(case):
     fused, fused_env = _execute(True, case)
     unfused, unfused_env = _execute(False, case)
     assert fused == unfused
-    assert _comparable_counters(fused_env.metrics) == \
-        _comparable_counters(unfused_env.metrics)
+    assert fused_env.metrics.logical() == \
+        unfused_env.metrics.logical()
     assert _span_totals(fused_env) == _span_totals(unfused_env)
 
 
@@ -113,11 +112,11 @@ def test_fused_is_observationally_identical_multiprocess(case):
         False, case, backend="multiprocess", parallelism=2
     )
     assert fused == unfused
-    assert _comparable_counters(fused_env.metrics) == \
-        _comparable_counters(unfused_env.metrics)
+    assert fused_env.metrics.logical() == \
+        unfused_env.metrics.logical()
     assert _span_totals(fused_env) == _span_totals(unfused_env)
     # and the fused multiprocess run matches the simulated backend too
     simulated, simulated_env = _execute(True, case, parallelism=2)
     assert fused == simulated
-    assert _comparable_counters(fused_env.metrics) == \
-        _comparable_counters(simulated_env.metrics)
+    assert fused_env.metrics.logical() == \
+        simulated_env.metrics.logical()

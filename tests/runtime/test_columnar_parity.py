@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
-from repro.bench.audit import _comparable_counters
 from repro.graphs import erdos_renyi
 from repro.observability import LOGICAL_SPAN_COUNTERS
 from repro.runtime import drivers
@@ -67,7 +66,7 @@ def _run(driver, node, inputs, batch_size, stubbed):
     with _layout(stubbed):
         result = driver(node, [list(part) for part in inputs], metrics,
                         **kwargs)
-    return result, _comparable_counters(metrics)
+    return result, metrics.logical()
 
 
 JOIN = _Node("parity:join", ((0,), (0,)),
@@ -156,8 +155,8 @@ def test_pipelines_are_layout_invariant_simulated(left, right):
                 _pipeline_env(batch_size), left, right
             )
         assert result == expect
-        assert _comparable_counters(env.metrics) == \
-            _comparable_counters(row_env.metrics)
+        assert env.metrics.logical() == \
+            row_env.metrics.logical()
         assert _span_totals(env) == _span_totals(row_env)
 
 
@@ -174,8 +173,8 @@ def test_pipelines_are_layout_invariant_on_pool_workers():
                 _pipeline_env(1024, backend="pool"), left, right
             )
         assert result == expect
-        assert _comparable_counters(env.metrics) == \
-            _comparable_counters(sim_env.metrics)
+        assert env.metrics.logical() == \
+            sim_env.metrics.logical()
         assert _span_totals(env) == _span_totals(sim_env)
 
 
@@ -198,8 +197,8 @@ def test_solution_set_is_layout_invariant(seed):
                 3, config=RuntimeConfig(batch_size=batch_size)
             )
             assert cc.cc_incremental(env, graph, variant="match") == expect
-        assert _comparable_counters(env.metrics) == \
-            _comparable_counters(expect_env.metrics)
+        assert env.metrics.logical() == \
+            expect_env.metrics.logical()
 
 
 def test_solution_set_is_layout_invariant_on_pool_workers():
@@ -210,5 +209,5 @@ def test_solution_set_is_layout_invariant_on_pool_workers():
         with _layout(stubbed):
             env = ExecutionEnvironment(2, backend="pool")
             assert cc.cc_incremental(env, graph, variant="match") == expect
-        assert _comparable_counters(env.metrics) == \
-            _comparable_counters(sim_env.metrics)
+        assert env.metrics.logical() == \
+            sim_env.metrics.logical()

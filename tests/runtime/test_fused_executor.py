@@ -5,7 +5,6 @@ import contextlib
 import pytest
 
 from repro import ExecutionEnvironment
-from repro.bench.audit import _comparable_counters
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import _IterationScope
 from repro.runtime.plan import FusedChain
@@ -113,8 +112,8 @@ class TestFusedEquivalence:
         fused, fused_env = _run(True, workload)
         unfused, unfused_env = _run(False, workload)
         assert fused == unfused
-        assert _comparable_counters(fused_env.metrics) == \
-            _comparable_counters(unfused_env.metrics)
+        assert fused_env.metrics.logical() == \
+            unfused_env.metrics.logical()
         # fusion preserves the Section 4.3 edge caching too
         assert fused_env.metrics.cache_hits == unfused_env.metrics.cache_hits
         assert fused_env.metrics.cache_builds == \
@@ -126,8 +125,8 @@ class TestFusedEquivalence:
         fused, fused_env = _run(True, workload, batch_size=1)
         unfused, unfused_env = _run(False, workload, batch_size=1)
         assert fused == unfused
-        assert _comparable_counters(fused_env.metrics) == \
-            _comparable_counters(unfused_env.metrics)
+        assert fused_env.metrics.logical() == \
+            unfused_env.metrics.logical()
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_multiprocess_matches_simulated_when_fused(self, workload):
@@ -135,8 +134,8 @@ class TestFusedEquivalence:
         mp, mp_env = _run(True, workload, backend="multiprocess",
                           parallelism=3)
         assert mp == sim
-        assert _comparable_counters(mp_env.metrics) == \
-            _comparable_counters(sim_env.metrics)
+        assert mp_env.metrics.logical() == \
+            sim_env.metrics.logical()
 
 
 class TestChainSpans:
@@ -318,8 +317,8 @@ class TestStepMemoEviction:
         # and eviction never forces a recompute: counters stay identical
         unfused, unfused_env = _run(False, "delta")
         assert fused == unfused
-        assert _comparable_counters(fused_env.metrics) == \
-            _comparable_counters(unfused_env.metrics)
+        assert fused_env.metrics.logical() == \
+            unfused_env.metrics.logical()
 
 
 class TestFusedChainStructure:

@@ -15,7 +15,7 @@ from repro.dataflow.contracts import Contract
 from repro.iterations.solution_set import SolutionSetIndex
 from repro.runtime import channels
 from repro.runtime.invariants import InvariantChecker, attach_checker
-from repro.runtime.metrics import MetricsCollector
+from repro.runtime.metrics import COUNTERS, MetricsCollector
 from repro.runtime.plan import BROADCAST, FORWARD, GATHER, partition_on
 
 RECORDS = [(i, i * 10) for i in range(20)]
@@ -230,12 +230,17 @@ class TestVerifyTotals:
         metrics.end_superstep()
         metrics.verify_invariants()
 
-    def test_catches_direct_counter_mutation(self):
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_catches_direct_counter_mutation(self, counter):
         metrics = checked_metrics()
         metrics.begin_superstep(1)
         metrics.add_shipped(local=5, remote=7)
         metrics.end_superstep()
-        metrics.records_shipped_remote += 3  # bypasses the hooks
+        # bypasses the hooks
+        if counter == "records_processed":
+            metrics.records_processed["op"] += 3
+        else:
+            setattr(metrics, counter, getattr(metrics, counter) + 3)
         with pytest.raises(InvariantViolation, match="outside the collector"):
             metrics.verify_invariants()
 

@@ -1,6 +1,10 @@
 """Snapshot/reset round-trips and the new physical counters."""
 
-from repro.runtime.metrics import IterationStats, MetricsCollector
+import pytest
+
+from repro.observability.tracer import attach_tracer
+from repro.runtime.invariants import attach_checker
+from repro.runtime.metrics import COUNTERS, IterationStats, MetricsCollector
 
 
 def _logical(snapshot):
@@ -85,3 +89,75 @@ class TestMergeNewCounters:
         first, second = merged["iteration_log"]
         assert first["bytes_shipped"] == 256
         assert second["cache_hits"] == 2
+
+
+#: the public hook that adds ``n`` to each counter and to no other
+HOOKS = {
+    "records_processed": lambda m, n: m.add_processed("op", n),
+    "records_shipped_local": lambda m, n: m.add_shipped(local=n, remote=0),
+    "records_shipped_remote": lambda m, n: m.add_shipped(local=0, remote=n),
+    "solution_accesses": lambda m, n: m.add_solution_access(n),
+    "solution_updates": lambda m, n: m.add_solution_update(n),
+    "bytes_shipped": lambda m, n: m.add_bytes_shipped(n),
+    "batches_shipped": lambda m, n: m.add_batches_shipped(n),
+    "cache_hits": lambda m, n: m.add_cache_hit(n),
+    "cache_builds": lambda m, n: m.add_cache_build(n),
+    "records_spilled": lambda m, n: m.add_spilled(n, 0),
+    "bytes_spilled": lambda m, n: m.add_spilled(0, n),
+    "columns_zero_copied": lambda m, n: m.add_zero_copied(n, 0),
+    "bytes_zero_copied": lambda m, n: m.add_zero_copied(0, n),
+}
+
+
+def _one_counter(name):
+    """A checked, traced collector that counted 2 of ``name`` outside any
+    superstep and 3 inside superstep 1."""
+    metrics = MetricsCollector()
+    attach_checker(metrics)
+    attach_tracer(metrics)
+    HOOKS[name](metrics, 2)
+    metrics.begin_superstep(1)
+    HOOKS[name](metrics, 3)
+    assert getattr(metrics._open_superstep, name) == 3
+    metrics.end_superstep()
+    return metrics
+
+
+def test_every_counter_has_a_hook():
+    assert set(HOOKS) == set(COUNTERS)
+
+
+@pytest.mark.parametrize("name", COUNTERS)
+def test_counter_hook_round_trips(name):
+    snap_key = "total_processed" if name == "records_processed" else name
+    metrics = _one_counter(name)
+    assert metrics.total(name) == 5
+    assert metrics.sample() == tuple(
+        5 if other == name else 0 for other in COUNTERS
+    )
+    assert getattr(metrics.iteration_log[0], name) == 3
+    snap = metrics.snapshot()
+    assert snap[snap_key] == 5
+    assert snap["iteration_log"][0][name] == 3
+    (span,) = [s for s in metrics.tracer.iter_spans()
+               if s.category == "superstep"]
+    assert span.counters == {name: 3, "workset_size": 0, "delta_size": 0}
+    # totals and the traced superstep span reconcile with the log
+    metrics.verify_invariants()
+
+    aligned = _one_counter(name).merge(_one_counter(name))
+    assert aligned.total(name) == 10
+    assert [getattr(s, name) for s in aligned.iteration_log] == [6]
+    aligned.verify_invariants()
+
+    sequential = _one_counter(name).merge(
+        _one_counter(name), align_supersteps=False
+    )
+    assert sequential.total(name) == 10
+    assert [getattr(s, name) for s in sequential.iteration_log] == [3, 3]
+    sequential.verify_invariants()
+
+    metrics.reset()
+    assert metrics.total(name) == 0
+    assert metrics.snapshot() == MetricsCollector().snapshot()
+    metrics.verify_invariants()

@@ -4,7 +4,6 @@ import pytest
 
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
-from repro.bench import audit
 from repro.cluster import PoolBackend
 from repro.graphs import erdos_renyi
 from repro.runtime.recovery import (
@@ -138,8 +137,8 @@ class TestEndToEndRecovery:
         sim_env, sim_recovered = recover(None)
         assert recovered == sim_recovered
         assert _replay_stats(env) == _replay_stats(sim_env)
-        assert (audit._comparable_counters(env.metrics)
-                == audit._comparable_counters(sim_env.metrics))
+        assert (env.metrics.logical()
+                == sim_env.metrics.logical())
 
     def test_checkpoint_interval_trades_replay_for_snapshots(self, graph):
         env_fine, _r1 = self._run(graph, fail_at=4, interval=1)
@@ -231,5 +230,5 @@ class TestRecoveryInEveryDeltaMode:
         # backend replays them
         sim_env, _ = self._run(graph, mode, variant, fail_at=4, interval=2)
         assert _replay_stats(env) == _replay_stats(sim_env)
-        assert (audit._comparable_counters(env.metrics)
-                == audit._comparable_counters(sim_env.metrics))
+        assert (env.metrics.logical()
+                == sim_env.metrics.logical())

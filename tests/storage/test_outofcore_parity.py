@@ -9,6 +9,8 @@ disk-backed solution set and, end-to-end, for whole programs on the
 simulated and pool backends with ``batch_size=1``.
 """
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -345,6 +347,50 @@ class TestBackendParity:
         with ExecutionEnvironment(parallelism=3, config=config) as env:
             got = cc_incremental(env, graph)
         assert got == expected
+
+    @pytest.mark.parametrize("backend", ["simulated", "pool"])
+    @pytest.mark.parametrize("mode", ["superstep", "microstep"])
+    def test_solution_set_log_writes_are_counted_as_spills(self, backend,
+                                                           mode):
+        """The disk-backed solution set's log frames land in
+        ``records_spilled`` / ``bytes_spilled``; results, the logical
+        counters and the invariant audit are those of the in-memory run."""
+        from repro.algorithms.connected_components import cc_incremental
+        from repro.dataflow.environment import ExecutionEnvironment
+        from repro.graphs.generators import erdos_renyi
+        from repro.runtime.config import RuntimeConfig
+        from repro.storage.format import HEADER_SIZE
+
+        graph = erdos_renyi(400, 3.0, seed=5)
+        runs = []
+        for budget in (None, 4096):
+            config = RuntimeConfig(check_invariants=True,
+                                   memory_budget_bytes=budget)
+            with ExecutionEnvironment(2, backend=backend,
+                                      config=config) as env:
+                result = cc_incremental(env, graph, variant="match",
+                                        mode=mode)
+                env.metrics.verify_invariants()
+                if budget is not None:
+                    logs = [
+                        os.path.join(root, name)
+                        for root, _dirs, names in os.walk(
+                            env.storage_session.path)
+                        for name in names if name.startswith("solution-")
+                    ]
+                    assert logs
+                    log_frame_bytes = sum(
+                        os.path.getsize(path) - HEADER_SIZE for path in logs
+                    )
+                runs.append((result, env.metrics))
+        (expected, reference), (got, budgeted) = runs
+        assert got == expected
+        assert budgeted.logical() == reference.logical()
+        assert reference.records_spilled == 0
+        assert budgeted.records_spilled > 0
+        # nothing else spills in this workload: every spilled byte is a
+        # solution-set log frame
+        assert budgeted.bytes_spilled == log_frame_bytes
 
     def test_env_budget_from_environment_variable(self, monkeypatch):
         from repro.dataflow.environment import ExecutionEnvironment
