@@ -208,6 +208,6 @@ def run_modes_ablation(dataset: str = "wikipedia") -> SimpleReport:
         ["mode", "time", "supersteps/rounds", "solution accesses",
          "messages", "correct"],
         rows,
-        "Shape check: all modes converge to the same fixpoint; async needs "
-        "no barriers (rounds are polling sweeps, not supersteps).",
+        "Shape check: all modes converge to the same fixpoint; async "
+        "rounds are bounded-drain supersteps, so it needs more of them.",
     )

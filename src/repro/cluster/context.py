@@ -369,12 +369,3 @@ class WorkerCluster(ClusterContext):
         for records in self.allgather(list(partitions[self.rank])):
             merged.extend(records)
         return merged
-
-    # ------------------------------------------------------------------
-    # point-to-point (used by the async token ring)
-
-    def send_to(self, target: int, payload, tag: str = "p2p"):
-        self.endpoint.send(target, tag, payload)
-
-    def recv_from(self, source: int, tag: str = "p2p"):
-        return self.endpoint.recv(source, tag)

@@ -62,7 +62,6 @@ from repro.cluster.backends import (
 )
 from repro.cluster.context import WorkerCluster
 from repro.cluster.fabric import Fabric
-from repro.common.errors import InvalidPlanError
 from repro.observability.health import (
     VITALS,
     HealthMonitor,
@@ -453,20 +452,6 @@ class PoolBackend(ExecutionBackend):
         return self._ensure_pool(size).run_job(job)
 
     def execute_plan(self, env, exec_plan):
-        if (
-            env.parallelism > 1
-            and "async" in exec_plan.iteration_modes.values()
-            and (env.checkpoint_interval or env.failure_injector is not None)
-        ):
-            # across workers async runs as a token ring, which has no
-            # superstep boundary to log at; refuse before shipping the
-            # job instead of crashing every worker with it
-            raise InvalidPlanError(
-                "checkpoint/failure injection is not supported for "
-                "async delta iterations on the SPMD backends — "
-                "use mode='superstep' or 'microstep', or the simulated "
-                "backend"
-            )
         payloads = self._run_job(env.parallelism, _PlanJob(exec_plan, env))
         return absorb_plan_payloads(env, payloads)
 

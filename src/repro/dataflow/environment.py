@@ -73,7 +73,7 @@ class DeltaIteration:
         ``should_replace(new, old)`` is the CPO comparator of Section 5.1.
         ``mode`` is one of ``superstep`` (batch-incremental),
         ``microstep`` (per-element with supersteps), ``async``
-        (no barriers), or ``auto`` (microstep if eligible).
+        (bounded-drain rounds), or ``auto`` (microstep if eligible).
         """
         self._node.close(delta.node, next_workset.node, should_replace, mode)
         return DataSet(self._env, self._node)
@@ -159,8 +159,8 @@ class ExecutionEnvironment:
     @property
     def async_poll_batch(self) -> int:
         """Asynchronous execution: how many queue elements one partition
-        drains per polling round (interleaving granularity; any value
-        must converge to the same fixpoint).
+        drains per round (interleaving granularity; any value must
+        converge to the same fixpoint).
 
         This is a validated first-class field of
         :class:`~repro.runtime.config.RuntimeConfig`; assigning here

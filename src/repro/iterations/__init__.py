@@ -10,15 +10,13 @@ package holds the machinery behind them:
   solution set with the ``∪̇`` delta-union of Section 5.1.
 * :mod:`repro.iterations.microstep` — static eligibility analysis for
   microstep execution (Section 5.2).
-* :mod:`repro.iterations.termination` — termination detection for
-  asynchronous (acknowledgement counting) execution.
 * :mod:`repro.iterations.supersteps` — the superstep protocol (barrier vote,
   per-superstep log, step function, restore-and-replay) that every
   superstep-structured iteration runs through.
 * :mod:`repro.iterations.microstep_runtime` — per-element execution of
   delta iterations, drained a run at a time: run-pipeline compilation,
-  the queue drain, the superstep-buffered and asynchronous loops, the
-  SPMD token ring.
+  the queue drain, and the one round loop behind ``microstep`` and
+  ``async`` (whole drains vs. bounded-drain polls).
 
 The last two are the runtime half, imported by the executor; this
 package init deliberately does not import them (see the import-cycle
@@ -33,11 +31,9 @@ from repro.iterations.fixpoint import (
 )
 from repro.iterations.microstep import MicrostepReport, analyze_microstep
 from repro.iterations.solution_set import SolutionSetIndex
-from repro.iterations.termination import AsyncTerminationDetector
 from repro.iterations.vertex_centric import run_vertex_centric
 
 __all__ = [
-    "AsyncTerminationDetector",
     "FixpointResult",
     "MicrostepReport",
     "SolutionSetIndex",

@@ -19,23 +19,25 @@ compiled run pipeline:
 Solution-set accesses, updates, processed and shipped records are
 counted once per run; with an invariant checker attached, every probe
 and write key is audited against the draining partition and each run's
-∪̇ against the size law.  Three loops share the pipeline, the queue
-drain and the seeding:
+∪̇ against the size law.
 
-* **with supersteps** (``mode="microstep"``) — produced workset records
-  are buffered and delivered at the superstep barrier (the buffering
-  queues of Figure 6).  One loop serves every cluster context: it drains
-  the queues of the partitions it *owns* and hands its buffers to
-  ``cluster.route``, so the simulator (owns all, route is the identity)
-  and an SPMD worker (owns one, route is an exchange) run the same code;
-* **asynchronous, in-process** (``mode="async"`` where one context owns
-  every partition) — FIFO queues polled round-robin, termination by
-  acknowledgement counting, rounds as checkpointable pseudo-supersteps;
-* **asynchronous, token ring** (``mode="async"`` across SPMD workers) —
-  the same protocol serialized over a circulating token.  The one
-  deliberate fork: a round's superstep stays open until the worker's
-  next turn, so it cannot use the superstep driver and has no checkpoint
-  support (the backend refuses such a job before shipping it).
+One loop runs both modes on every cluster context: rounds of the
+superstep protocol, each draining the queues of the partitions the
+context *owns* and handing the buffered emissions to ``cluster.route``,
+so the simulator (owns all, route is the identity) and an SPMD worker
+(owns one, route is an exchange) run the same code.
+
+* ``mode="microstep"`` drains every queue whole and buffers every
+  produced workset record until the superstep barrier (the buffering
+  queues of Figure 6);
+* ``mode="async"`` drains at most ``async_poll_batch`` records per
+  partition per round.  A record a partition emits for itself enters its
+  queue at once, visible to the same poll; every other emission is
+  delivered at the end of the round.  A message that arrives one poll
+  later is still a legal asynchronous schedule, and per-key atomicity is
+  all Section 5.2 asks for, so the rounds are bounded-drain supersteps:
+  the barrier vote ends them, and they checkpoint and recover like any
+  other superstep.
 
 See :mod:`repro.iterations.supersteps` for the import cycle this module
 sits in and the two rules that keep it harmless.
@@ -51,13 +53,16 @@ from repro.common.keys import KeyExtractor
 from repro.dataflow.contracts import Contract
 from repro.iterations import supersteps
 from repro.iterations.microstep import analyze_microstep
-from repro.iterations.termination import AsyncTerminationDetector
 from repro.runtime import channels, drivers
 from repro.runtime.plan import partition_on
 
 
-def run_microsteps(executor, node, scope, index, synchronous):
-    """Run a delta iteration per element; returns ``(converged, steps)``."""
+def run_microsteps(executor, node, scope, index, limit):
+    """Run a delta iteration per element; returns ``(converged, steps)``.
+
+    ``limit`` is the records one partition may drain per round: ``None``
+    for ``microstep``, the asynchronous poll size for ``async``.
+    """
     report = analyze_microstep(node).raise_if_ineligible()
     if executor.tracer is not None:
         executor.tracer.instant(
@@ -69,16 +74,12 @@ def run_microsteps(executor, node, scope, index, synchronous):
     # lockstep before any queue exists
     pipeline = _compile_pipeline(executor, scope, report)
     route_fields = report.workset_route_fields or node.solution_key
-    if not synchronous and executor.cluster.size > 1:
-        return _token_ring(executor, node, scope, pipeline, route_fields)
     queues = _seed_queues(
         executor, scope.bindings[node.workset_placeholder.id], route_fields
     )
-    if synchronous:
-        return _micro_supersteps(
-            executor, node, index, queues, route_fields, pipeline
-        )
-    return _micro_async(executor, node, index, queues, route_fields, pipeline)
+    return _micro_supersteps(
+        executor, node, index, queues, route_fields, pipeline, limit
+    )
 
 
 def _route_workset(executor, frames, route_fields):
@@ -113,17 +114,12 @@ def _seed_queues(executor, initial, route_fields):
     return queues
 
 
-def _targets(executor, records, route_fields):
-    """The queue partition of every emitted record, in one pass."""
-    return RecordBatch.wrap(records, route_fields).partition_targets(
-        executor.parallelism
-    )
-
-
 def _scatter(executor, records, source, route_fields, into):
     """Append a run's emissions to ``into[target]`` in emission order and
     count them shipped, local or remote to ``source``."""
-    targets = _targets(executor, records, route_fields)
+    targets = RecordBatch.wrap(records, route_fields).partition_targets(
+        executor.parallelism
+    )
     for target, record in zip(targets, records):
         into[target].append(record)
     local = targets.count(source)
@@ -158,18 +154,14 @@ def _drain_queue(queue, partition, pipeline, route, limit=None):
     return processed
 
 
-def _restore_queues(queues, saved):
-    for queue, records in zip(queues, saved):
-        queue.clear()
-        queue.extend(records)
-
-
 def _micro_supersteps(executor, node, index, queues, route_fields,
-                      pipeline):
-    """Per-element processing with superstep-buffered queues (Fig. 6).
+                      pipeline, limit):
+    """The rounds of the module docstring, ``limit`` records per poll.
 
-    Supports the same checkpoint/recovery protocol as the batch modes:
-    a snapshot logs the solution-set partitions plus the buffered
+    A self-targeted emission is one for the *draining partition*, not
+    for any partition this context owns: only that rule gives the
+    simulator (owns all) and an SPMD worker (owns one) the same
+    schedule.  A snapshot logs the solution-set partitions plus the
     queues, and a failure replays from the latest log.
     """
     cluster = executor.cluster
@@ -183,17 +175,25 @@ def _micro_supersteps(executor, node, index, queues, route_fields,
 
     def restore(checkpoint):
         index._partitions = checkpoint.state
-        _restore_queues(queues, checkpoint.workset)
+        for queue, records in zip(queues, checkpoint.workset):
+            queue.clear()
+            queue.extend(records)
 
     def body(step):
         buffers = [[] for _ in range(parallelism)]
-
-        def route(records, source):
-            _scatter(executor, records, source, route_fields, buffers)
-
         updates_before = metrics.solution_updates
         for p in owned:
-            count = _drain_queue(queues[p], p, pipeline, route)
+            into = buffers
+            if limit is not None:
+                into = buffers.copy()
+                into[p] = queues[p]
+            count = _drain_queue(
+                queues[p], p, pipeline,
+                lambda records, source: _scatter(
+                    executor, records, source, route_fields, into
+                ),
+                limit,
+            )
             metrics.add_processed(label, count)
         # concatenating the frames in source-rank order reproduces, on
         # every context, the queue contents of a scan over all partitions
@@ -201,228 +201,21 @@ def _micro_supersteps(executor, node, index, queues, route_fields,
         for p in owned:
             queues[p].extend(routed[p])
         return False, {
-            "workset_size": sum(len(b) for b in buffers),
+            "workset_size": sum(len(queues[p]) for p in owned),
             "delta_size": metrics.solution_updates - updates_before,
         }
 
+    max_steps = node.max_iterations
+    if limit is not None:
+        # a bounded drain needs more rounds than supersteps: the cap on
+        # poll-starved runs scales with the seeded workset
+        max_steps *= max(1, pending())
     converged, steps = supersteps.run_supersteps(
-        executor, node.max_iterations, pending,
+        executor, max_steps, pending,
         lambda: (index._partitions, [list(q) for q in queues]),
         restore, body,
     )
     return converged or pending() == 0, steps
-
-
-def _micro_async(executor, node, index, queues, route_fields, pipeline):
-    """Fully asynchronous FIFO execution with termination detection.
-
-    Partitions are polled round-robin, each draining a bounded batch
-    per poll — an interleaving that a real asynchronous cluster could
-    produce.  Rounds are recorded as pseudo-supersteps for reporting.
-    Runs only where one context owns every partition: an emitted record
-    goes straight into its target's queue.
-
-    Checkpoints snapshot the solution-set partitions plus the queues
-    *and* the termination detector's counters — restoring the queues
-    without the matching sent/acked state would deadlock or
-    terminate early.
-    """
-    metrics = executor.metrics
-    parallelism = executor.parallelism
-    batch = executor.config.async_poll_batch
-    label = f"{node.name}.microstep"
-    detector = AsyncTerminationDetector(parallelism)
-    detector.sent(sum(len(q) for q in queues))
-
-    def route(records, source):
-        detector.sent(len(records))
-        _scatter(executor, records, source, route_fields, queues)
-
-    def restore(checkpoint):
-        index._partitions = checkpoint.state
-        saved_queues, detector_state = checkpoint.workset
-        _restore_queues(queues, saved_queues)
-        detector.restore_state(detector_state)
-
-    def body(step):
-        updates_before = metrics.solution_updates
-        for p in range(parallelism):
-            queue = queues[p]
-            detector.set_idle(p, False)
-            taken = _drain_queue(queue, p, pipeline, route, limit=batch)
-            metrics.add_processed(label, taken)
-            detector.acked(taken)
-            detector.set_idle(p, len(queue) == 0)
-        return False, {
-            "workset_size": sum(len(q) for q in queues),
-            "delta_size": metrics.solution_updates - updates_before,
-        }
-
-    _converged, rounds = supersteps.run_supersteps(
-        executor,
-        # the cap on detector-starved runs
-        node.max_iterations * (detector.sent_count or 1),
-        lambda: not detector.terminated,
-        lambda: (
-            index._partitions,
-            ([list(q) for q in queues], detector.snapshot_state()),
-        ),
-        restore, body,
-    )
-    return detector.terminated, rounds
-
-
-def _token_ring(executor, node, scope, pipeline, route_fields):
-    """One worker's side of asynchronous execution: a token ring.
-
-    Workers take turns in rank order; the circulating token carries
-    the in-flight records (tagged with the round they were emitted
-    in), the termination detector's counters, and the round number.
-    Exactly one worker is active at a time, so the execution is a
-    deterministic serialization of the asynchronous protocol — and a
-    record-for-record replay of the simulator's round-robin polling:
-    a record emitted by worker ``s`` in round ``k`` reaches worker
-    ``r`` within round ``k`` iff ``s < r``, which is precisely when
-    the simulator's partition scan would have made it visible.
-
-    Each worker's round-``k`` superstep stays open until its round-
-    ``k+1`` turn: only then have the late (higher-rank) round-``k``
-    emissions arrived, so only then is the end-of-round queue length
-    known.  The stop token closes the last open supersteps.
-    """
-    cluster = executor.cluster
-    metrics = executor.metrics
-    rank = cluster.rank
-    size = cluster.size
-    label = f"{node.name}.microstep"
-    batch = executor.config.async_poll_batch
-
-    detector = AsyncTerminationDetector(executor.parallelism)
-    queue = deque()
-    open_round = None
-    last_updates = 0
-
-    def ring_send(target, token):
-        """Pass the token on, attributing its wire bytes here."""
-        bytes_before = cluster.bytes_sent
-        cluster.send_to(target, token, tag="ring")
-        metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
-
-    def take_mine(pending, max_seq):
-        """Pop records destined to this rank with seq <= max_seq,
-        preserving the token's chronological order."""
-        mine, rest = [], []
-        for entry in pending:
-            if entry[2] == rank and entry[0] <= max_seq:
-                mine.append(entry[3])
-            else:
-                rest.append(entry)
-        pending[:] = rest
-        return mine
-
-    def deliver(pending, round_number, records):
-        """Route a run's emissions: ours to the queue, the rest onto
-        the token tagged with the round they were emitted in."""
-        targets = _targets(executor, records, route_fields)
-        detector.sent(len(targets))
-        for target, record in zip(targets, records):
-            if target == rank:
-                queue.append(record)
-            else:
-                pending.append((round_number, rank, target, record))
-        local = targets.count(rank)
-        metrics.add_shipped(local=local, remote=len(targets) - local)
-
-    def my_turn(token, round_number):
-        """Stage A: settle the previous round; stage B: run this one."""
-        nonlocal open_round, last_updates
-        pending = token["pending"]
-        # stage A — ingest last round's late emissions, then close
-        # the superstep they belong to at its true queue length
-        queue.extend(take_mine(pending, round_number - 1))
-        if open_round is not None:
-            metrics.end_superstep(
-                workset_size=len(queue), delta_size=last_updates
-            )
-            open_round = None
-        # stage B — ingest this round's earlier emissions and drain
-        queue.extend(take_mine(pending, round_number))
-        detector.restore_state(token["detector"])
-        metrics.begin_superstep(round_number)
-        open_round = round_number
-        detector.set_idle(rank, False)
-        updates_before = metrics.solution_updates
-        taken = _drain_queue(
-            queue, rank, pipeline,
-            lambda records, _source: deliver(pending, round_number, records),
-            limit=batch,
-        )
-        metrics.add_processed(label, taken)
-        detector.acked(taken)
-        detector.set_idle(rank, len(queue) == 0)
-        last_updates = metrics.solution_updates - updates_before
-        token["detector"] = detector.snapshot_state()
-
-    def seed_turn(token):
-        """Ingest earlier ranks' seeds, then route the local ones."""
-        pending = token["pending"]
-        queue.extend(take_mine(pending, 0))
-        detector.restore_state(token["detector"])
-        seeds = list(scope.bindings[node.workset_placeholder.id][rank])
-        if seeds:
-            deliver(pending, 0, seeds)
-        token["detector"] = detector.snapshot_state()
-
-    def stop_turn(token):
-        """Drain remaining deliveries and close the open superstep."""
-        queue.extend(take_mine(token["pending"], token["round"]))
-        if open_round is not None:
-            metrics.end_superstep(
-                workset_size=len(queue), delta_size=last_updates
-            )
-
-    next_rank = (rank + 1) % size
-    prev_rank = (rank - 1) % size
-    if rank == 0:
-        token = {"phase": "seed", "pending": [],
-                 "detector": detector.snapshot_state()}
-        seed_turn(token)
-        ring_send(next_rank, token)
-        token = cluster.recv_from(prev_rank, tag="ring")
-        detector.restore_state(token["detector"])
-        # mirrors the in-process loop's cap on detector-starved runs
-        max_rounds = node.max_iterations * (detector.sent_count or 1)
-        rounds = 0
-        while not detector.terminated and rounds < max_rounds:
-            rounds += 1
-            token["phase"] = "round"
-            token["round"] = rounds
-            my_turn(token, rounds)
-            ring_send(next_rank, token)
-            token = cluster.recv_from(prev_rank, tag="ring")
-            detector.restore_state(token["detector"])
-        terminated = detector.terminated
-        token["phase"] = "stop"
-        token["round"] = rounds
-        token["terminated"] = terminated
-        stop_turn(token)
-        ring_send(next_rank, token)
-        cluster.recv_from(prev_rank, tag="ring")
-        return terminated, rounds
-    while True:
-        token = cluster.recv_from(prev_rank, tag="ring")
-        phase = token["phase"]
-        if phase == "seed":
-            seed_turn(token)
-        elif phase == "round":
-            my_turn(token, token["round"])
-        else:  # stop
-            stop_turn(token)
-            terminated = token["terminated"]
-            rounds = token["round"]
-            ring_send(next_rank, token)
-            return terminated, rounds
-        ring_send(next_rank, token)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,15 @@ execution of them follows one protocol: take the barrier vote, log a
 fresh version of the state if this superstep is a logged one, run the
 step function, and on a machine failure restore the latest log and
 replay.  :func:`run_supersteps` is that protocol; bulk iterations, delta
-supersteps, microsteps-with-supersteps and the in-process asynchronous
-rounds are its four callers and supply only what differs between them.
+supersteps and the microstep rounds (whole drains for ``microstep``,
+bounded drains for ``async``) are its three callers and supply only what
+differs between them.
+
+Termination is the simple voting scheme of Section 5.3: at the barrier
+every partition reports the work it has left, and the iteration ends
+when the global sum is zero.  That vote needs no class of its own — it
+is one ``cluster.allreduce_sum``, taken as the ``pending()`` callback of
+:func:`run_supersteps`.
 
 This module and :mod:`repro.iterations.microstep_runtime` import
 ``repro.runtime``, whose package init imports the executor, which

@@ -97,7 +97,7 @@ class RuntimeConfig:
     (SPMD backends only — the simulator never serializes).
 
     ``async_poll_batch`` — how many queue elements one partition drains
-    per polling round in asynchronous delta iterations (interleaving
+    per round in asynchronous delta iterations (interleaving
     granularity; any value must converge to the same fixpoint).
 
     ``memory_budget_bytes`` — per-process budget for operator state in

@@ -17,8 +17,9 @@ Three execution modes are supported, mirroring Section 5.3:
   element updates the solution set immediately (queues drain in runs
   folded through it in arrival order), but produced workset records are
   buffered for the next superstep (the buffering queues of Figure 6).
-* ``async`` — per-element execution without barriers: queues pass records
-  through FIFO; termination is detected by acknowledgement counting.
+* ``async`` — per-element execution in bounded-drain rounds: each
+  partition drains at most ``async_poll_batch`` records per round, sees
+  its own emissions at once and the others' at the end of the round.
 
 This module supplies the step functions that evaluate the plan (one bulk
 step, one Δ superstep); the superstep protocol around them is
@@ -600,7 +601,9 @@ class Executor:
             converged, steps = self._delta_supersteps(node, scope, index)
         else:
             converged, steps = microstep_runtime.run_microsteps(
-                self, node, scope, index, synchronous=(mode == "microstep")
+                self, node, scope, index,
+                limit=(None if mode == "microstep"
+                       else self.config.async_poll_batch),
             )
         self.iteration_summaries.append(
             IterationSummary(node.name, steps, converged)

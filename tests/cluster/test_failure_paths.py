@@ -37,7 +37,7 @@ def _stall_peer(cluster):
     # rank 1 returns without ever participating; rank 0's recv must
     # time out instead of blocking forever
     if cluster.rank == 0:
-        cluster.recv_from(1, tag="never-sent")
+        cluster.endpoint.recv(1, "never-sent")
     return cluster.rank, None
 
 

@@ -125,48 +125,3 @@ class TestPoolReuse:
             ) == expected
         finally:
             backend.close()
-
-
-class TestRefusedBeforeDispatch:
-    """A job the SPMD runtime cannot run is a configuration error raised
-    in the driver — not a WorkerCrash wrapping it from every worker."""
-
-    @pytest.mark.parametrize("name", ["pool", "multiprocess"])
-    @pytest.mark.parametrize("hook", ["checkpoint_interval",
-                                      "failure_injector"])
-    def test_async_with_recovery_hooks_raises_invalid_plan(self, graph,
-                                                           name, hook):
-        from repro import InvalidPlanError
-        from repro.runtime.recovery import FailureInjector
-
-        def run(env):
-            return cc.cc_incremental(env, graph, variant="match",
-                                     mode="async")
-
-        expected = run(ExecutionEnvironment(PARALLELISM))
-        backend = resolve_backend(name)
-        try:
-            assert run(ExecutionEnvironment(
-                PARALLELISM, backend=backend)) == expected
-            # "pool" holds its workers now; "multiprocess" holds nothing
-            pool = backend.pool
-            jobs_before = pool._job_seq if pool is not None else None
-            env = ExecutionEnvironment(PARALLELISM, backend=backend)
-            if hook == "checkpoint_interval":
-                env.checkpoint_interval = 2
-            else:
-                env.failure_injector = FailureInjector(2)
-            with pytest.raises(InvalidPlanError, match="async"):
-                run(env)
-            # no worker saw the job: nothing was forked or dispatched
-            assert backend.pool is pool
-            if pool is not None:
-                assert not pool.closed
-                assert pool._job_seq == jobs_before
-            # ... and the same backend (same workers) runs the next job
-            assert run(ExecutionEnvironment(
-                PARALLELISM, backend=backend)) == expected
-            if pool is not None:
-                assert backend.pool.worker_pids == pool.worker_pids
-        finally:
-            backend.close()

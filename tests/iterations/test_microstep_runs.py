@@ -11,9 +11,10 @@ queues and poll limits must leave both worlds identical after every
 drain: queue contents and order, routed buffers, solution partitions
 (insertion order included) and the logical counters.
 
-The end-to-end pins record what CC-match printed before drains became
-run-at-a-time: results, logical counters with the iteration log, and
-the logical span structure, for microstep and async on both backends.
+The end-to-end pins record what CC-match prints — results, logical
+counters with the iteration log, and the logical span structure — for
+microstep and async at several poll sizes: one digest per case, the
+same on both backends, and one results digest for every mode.
 """
 
 import hashlib
@@ -267,30 +268,32 @@ def _world(scenario, compiled):
 
 
 def _drive(world, drain, make_route, limit):
-    """Round-robin polls; ``limit=None`` buffers emissions to the end of
-    the round (microstep), a limit routes them straight into the queues,
-    the draining one included (async).  One snapshot per drain."""
+    """Round-robin polls.  Emissions for another partition are buffered
+    and delivered at the end of the round; under a limit (async) one for
+    the draining partition enters its own queue at once, visible to the
+    same poll, and without one (microstep) it is buffered too.  One
+    snapshot per drain."""
     snapshots = []
     for _round in range(ROUNDS):
-        into = (
-            [[] for _ in world.queues] if limit is None else world.queues
-        )
-        route = make_route(world, into)
+        buffers = [[] for _ in world.queues]
         for p, queue in enumerate(world.queues):
-            taken = drain(world, queue, p, route, limit)
+            into = buffers
+            if limit is not None:
+                into = buffers.copy()
+                into[p] = queue
+            taken = drain(world, queue, p, make_route(world, into), limit)
             metrics = world.metrics
             snapshots.append((
                 taken,
                 [list(q) for q in world.queues],
-                [list(b) for b in into],
+                [list(b) for b in buffers],
                 [list(part.items()) for part in world.index._partitions],
                 metrics.solution_accesses, metrics.solution_updates,
                 metrics.records_shipped_local,
                 metrics.records_shipped_remote,
             ))
-        if limit is None:
-            for queue, buffered in zip(world.queues, into):
-                queue.extend(buffered)
+        for queue, buffered in zip(world.queues, buffers):
+            queue.extend(buffered)
     return snapshots
 
 
@@ -316,18 +319,19 @@ def _digest(value):
 GOLDEN = {
     "microstep": ("77287652efe8559b", "80bc33b71401ecd2",
                   "0d9f6b6b27c17950"),
-    "async": ("77287652efe8559b", "4ef48217fee25d7b", "972a37c696f2d21d"),
-    "async-poll-1": ("77287652efe8559b", "2ce2511fcfab4e01",
-                     "f26dfb31f7284c16"),
-    "async-poll-3": ("77287652efe8559b", "7251d2a0b5a39f81",
-                     "9d8e526202005a6f"),
+    "async": ("77287652efe8559b", "25bd1bb7dd58d953", "a502de0e94d6fb64"),
+    "async-poll-1": ("77287652efe8559b", "5f9b8d6a1b5cc444",
+                     "8ec13b0fe86ca6b9"),
+    "async-poll-3": ("77287652efe8559b", "68f0978bf85b4987",
+                     "881bad80267fc5bc"),
 }
 
 
 @pytest.mark.parametrize("case,backend", [
     ("microstep", "simulated"), ("microstep", "pool"),
     ("async", "simulated"), ("async", "pool"),
-    ("async-poll-1", "simulated"), ("async-poll-3", "simulated"),
+    ("async-poll-1", "simulated"), ("async-poll-1", "pool"),
+    ("async-poll-3", "simulated"), ("async-poll-3", "pool"),
 ])
 def test_cc_match_pins_results_counters_and_spans(case, backend):
     mode, _, poll = case.partition("-poll-")

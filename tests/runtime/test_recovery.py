@@ -175,14 +175,15 @@ class TestPickledCheckpoints:
         assert CheckpointStore(interval=1).latest is None
 
 
-#: (mode, variant, backend); the SPMD token ring has no superstep
-#: boundary to log at, so async recovery stays simulated-only
+#: (mode, variant, backend); every mode runs as supersteps of one loop,
+#: so every mode logs and replays on every backend
 RECOVERY_CASES = [
     ("superstep", "cogroup", "simulated"),
     ("superstep", "cogroup", "pool"),
     ("microstep", "match", "simulated"),
     ("microstep", "match", "pool"),
     ("async", "match", "simulated"),
+    ("async", "match", "pool"),
 ]
 
 
