@@ -49,6 +49,7 @@ def _cc(variant, mode):
 #: workload name -> runner(env, graph) -> result
 WORKLOADS = {
     "connected_components": _cc("cogroup", "superstep"),
+    "cc_superstep_match": _cc("match", "superstep"),
     "cc_microstep": _cc("match", "microstep"),
     "cc_async": _cc("match", "async"),
     "cc_bulk": lambda env, graph: cc.cc_bulk(env, graph, 10_000),

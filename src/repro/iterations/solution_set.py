@@ -3,8 +3,10 @@
 The solution set ``S`` is a bag of records uniquely identified by a key
 ``k(s)``.  It lives partitioned by that key across all partitions, each
 partition holding a primary hash index, so that lookups from the stateful
-solution-join operator and point updates from the delta set are O(1)
-(Section 5.3).
+solution operators and point updates from the delta set are O(1)
+(Section 5.3).  Lookups are run-wise reads of the partition mapping: the
+engine's operators map a run's keys through its ``get`` in one pass and
+count the accesses once per run.
 
 The delta union ``S ∪̇ D`` replaces the stored record on key collision;
 when a ``should_replace(new, old)`` comparator is supplied, a colliding
@@ -76,7 +78,8 @@ class SolutionSetIndex:
     # reads
 
     def lookup(self, partition: int, key_value):
-        """Partition-local point lookup; counts a solution-set access."""
+        """Partition-local point lookup; counts a solution-set access.
+        The reference and probe API, not the engine's run-wise reads."""
         if self.metrics is not None:
             self.metrics.add_solution_access()
             checker = self.metrics.invariants
@@ -87,12 +90,8 @@ class SolutionSetIndex:
         return self._partitions[partition].get(key_value)
 
     def lookup_global(self, key_value):
-        """Route-by-key lookup (used by drivers that know only the key)."""
+        """:meth:`lookup` in the partition that owns ``key_value``."""
         return self.lookup(partition_index(key_value, self.parallelism), key_value)
-
-    def contains(self, key_value) -> bool:
-        part = partition_index(key_value, self.parallelism)
-        return key_value in self._partitions[part]
 
     def __len__(self):
         return sum(len(p) for p in self._partitions)

@@ -33,7 +33,11 @@ without numpy takes the row kernel.  That is a property of the input,
 not a setting.  The fold-based drivers (hash aggregate, reduce-group,
 cogroup) keep their dict loops: a fold's per-record UDF call dominates
 and dict insertion order is the contract, so there is nothing left to
-vectorize without changing observable order.
+vectorize without changing observable order.  The superstep solution
+operators read runs with these kernels: the solution cogroup groups a
+partition with :func:`group_by_key`, the solution join takes each
+chunk's key vector, and both probe the solution partition in one
+``get`` pass per run.
 """
 
 from __future__ import annotations

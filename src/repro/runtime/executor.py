@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from repro.cluster.context import LOCAL
 from repro.common.errors import InvalidPlanError
-from repro.common.keys import KeyExtractor
 from repro.dataflow.contracts import Contract
 from repro.dataflow.graph import dynamic_path_nodes, iteration_body_nodes
 # module objects, not names: see repro.iterations.supersteps
@@ -455,54 +454,68 @@ class Executor:
         return found
 
     def _run_solution_join(self, node, step_memo, scope):
-        owner = self._solution_scope(node, scope)
-        index = owner.solution_index
+        index = self._solution_scope(node, scope).solution_index
         probe_parts = self._ship_one_input(
             node, 0, step_memo, scope,
             default=partition_on(node.key_fields[0]),
         )
-        probe_key = KeyExtractor(node.key_fields[0])
         fn = node.udf
         flat = getattr(node, "flat", False)
+        checker = self.metrics.invariants
         out = []
-        for p in range(self.parallelism):
+        for p, part in enumerate(probe_parts):
+            get = index._partitions[p].get
             results = []
-            self.metrics.add_processed(node.name, len(probe_parts[p]))
-            for probe in probe_parts[p]:
-                stored = index.lookup(p, probe_key(probe))
-                if stored is None:
-                    continue
-                drivers._emit_join_result(fn(probe, stored), flat, results)
+            for records, keys in drivers._key_chunks(
+                part, node.key_fields[0], self.batch_size
+            ):
+                if checker is not None:
+                    self._audit_probes(checker, p, keys)
+                for probe, stored in zip(records, map(get, keys)):
+                    if stored is not None:
+                        drivers._emit_join_result(
+                            fn(probe, stored), flat, results
+                        )
+            self.metrics.add_processed(node.name, len(part))
+            self.metrics.add_solution_access(len(part))
             out.append(results)
         return out
 
     def _run_solution_cogroup(self, node, step_memo, scope):
-        owner = self._solution_scope(node, scope)
-        index = owner.solution_index
+        index = self._solution_scope(node, scope).solution_index
         probe_parts = self._ship_one_input(
             node, 0, step_memo, scope,
             default=partition_on(node.key_fields[0]),
         )
-        probe_key = KeyExtractor(node.key_fields[0])
         fn = node.udf
         inner = getattr(node, "inner", True)
+        checker = self.metrics.invariants
         out = []
-        for p in range(self.parallelism):
-            groups: dict = {}
-            for record in probe_parts[p]:
-                groups.setdefault(probe_key(record), []).append(record)
-            self.metrics.add_processed(node.name, len(probe_parts[p]))
+        for p, part in enumerate(probe_parts):
+            groups = drivers.group_by_key(
+                part, node.key_fields[0], self.batch_size
+            )
+            self.metrics.add_processed(node.name, len(part))
+            self.metrics.add_solution_access(len(groups))
+            if checker is not None:
+                self._audit_probes(checker, p, groups)
             results = []
-            for key_value, group in groups.items():
-                stored = index.lookup(p, key_value)
-                if stored is None:
-                    if inner:
-                        continue  # InnerCoGroup semantics (Fig. 5)
-                    results.extend(fn(key_value, group, []))
-                else:
+            stored_values = map(index._partitions[p].get, groups)
+            for (key_value, group), stored in zip(groups.items(),
+                                                  stored_values):
+                if stored is not None:
                     results.extend(fn(key_value, group, [stored]))
+                elif not inner:
+                    results.extend(fn(key_value, group, []))
+                # else: InnerCoGroup semantics (Fig. 5) drop the group
             out.append(results)
         return out
+
+    def _audit_probes(self, checker, partition, keys):
+        """Every run-wise probe must hit the partition owning its key."""
+        for key_value in keys:
+            checker.check_solution_lookup(partition, key_value,
+                                          self.parallelism)
 
     # ------------------------------------------------------------------
     # bulk iterations (Section 4)
@@ -670,28 +683,43 @@ class Executor:
         return next_workset, applied
 
     def _stage_delta(self, node, index, routed_parts):
-        """Resolve ∪̇ winners per partition without touching S yet."""
+        """Resolve ∪̇ winners per partition without touching S yet.  A key
+        is probed in S until a record for it is staged (so the record
+        after a rejected one probes again); probes count per partition."""
+        metrics, checker = self.metrics, self.metrics.invariants
+        should_replace = node.should_replace
         staged = []
-        accepted_parts = []
         for p, part in enumerate(routed_parts):
+            get = index._partitions[p].get
             winners: dict = {}
+            probes = 0
+            accesses_before = metrics.solution_accesses
             for records, keys in drivers._key_chunks(
                 part, node.solution_key, self.batch_size
             ):
+                if checker is not None:
+                    self._audit_probes(checker, p, keys)
                 for k, record in zip(keys, records):
                     incumbent = winners.get(k)
                     if incumbent is None:
-                        incumbent = index.lookup(p, k)
+                        incumbent = get(k)
+                        probes += 1
                     if (
                         incumbent is not None
-                        and node.should_replace is not None
-                        and not node.should_replace(record, incumbent)
+                        and should_replace is not None
+                        and not should_replace(record, incumbent)
                     ):
                         continue
                     winners[k] = record
+            metrics.add_solution_access(probes)
+            if checker is not None:  # staging reads S, accepts nothing
+                checker.check_delta_application(
+                    "stage_delta", 0, 0, 0, 0, probed=probes,
+                    accesses_counted=(
+                        metrics.solution_accesses - accesses_before),
+                )
             staged.append(winners)
-            accepted_parts.append(list(winners.values()))
-        return staged, accepted_parts
+        return staged, [list(winners.values()) for winners in staged]
 
     def _commit_delta(self, index, staged) -> int:
         checker = self.metrics.invariants

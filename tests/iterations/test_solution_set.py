@@ -41,11 +41,6 @@ class TestLookups:
         index.lookup_global(99)  # miss still counts as an access
         assert metrics.solution_accesses == 2
 
-    def test_contains(self):
-        index = build([(5, "x")])
-        assert index.contains(5)
-        assert not index.contains(6)
-
     def test_partition_local_lookup(self):
         index = build([(3, "v")])
         p = partition_index(3, 4)
