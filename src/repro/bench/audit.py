@@ -44,7 +44,6 @@ from repro.cluster import resolve_backend
 from repro.common.errors import InvariantViolation
 from repro.graphs import erdos_renyi
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.invariants import attach_checker
 from repro.runtime.metrics import MetricsCollector
 from repro.systems.sparklike import SparkLikeContext
 
@@ -122,12 +121,6 @@ def _checked_env(parallelism: int, backend) -> ExecutionEnvironment:
     return ExecutionEnvironment(parallelism, config=CHECKED, backend=backend)
 
 
-def _checked_metrics() -> MetricsCollector:
-    metrics = MetricsCollector()
-    attach_checker(metrics)
-    return metrics
-
-
 def _cc_engines(parallelism, backend, max_iterations=10_000):
     """(engine name, runner(graph) -> (result, metrics)) for every engine."""
     def stratosphere(variant, mode):
@@ -166,7 +159,9 @@ def _cc_engines(parallelism, backend, max_iterations=10_000):
 
     def pregel(graph):
         def program(cluster):
-            metrics = _checked_metrics()
+            metrics = MetricsCollector.for_config(
+                CHECKED, rank=cluster.rank
+            )
             result = cc.cc_pregel(graph, parallelism=parallelism,
                                   metrics=metrics, cluster=cluster)
             return result, metrics
@@ -202,7 +197,9 @@ def _pagerank_engines(parallelism, iterations, backend):
 
     def pregel(graph):
         def program(cluster):
-            metrics = _checked_metrics()
+            metrics = MetricsCollector.for_config(
+                CHECKED, rank=cluster.rank
+            )
             result = pr.pagerank_pregel(graph, iterations,
                                         parallelism=parallelism,
                                         metrics=metrics, cluster=cluster)

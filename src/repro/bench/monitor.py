@@ -37,8 +37,8 @@ EXCERPT_METRICS = frozenset({
     "repro_fabric_frames_shm",
     "repro_fabric_frames_inline",
     "repro_fabric_inline_fallbacks",
-    "repro_fabric_bytes_sent",
-    "repro_spill_bytes_spilled",
+    "repro_bytes_shipped",
+    "repro_bytes_spilled",
 })
 
 

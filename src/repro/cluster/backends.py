@@ -26,6 +26,7 @@ and, by construction, identical — to a simulated run.
 
 from __future__ import annotations
 
+import operator
 import time
 
 from repro.cluster.context import LOCAL
@@ -71,35 +72,22 @@ class SimulatedBackend(ExecutionBackend):
 
     def execute_plan(self, env, exec_plan):
         from repro.runtime.executor import Executor
-        telemetry = getattr(env, "telemetry", None)
-        if telemetry is not None:
+        if env.telemetry is not None:
+            # the env's collector accumulates across jobs: the bill
+            # counts this job's change, not the running totals
+            before = env.metrics.sample()
             wall_started = time.perf_counter()
             cpu_started = time.process_time()
-            # the env's collector accumulates across jobs: ledger
-            # entries bill this job's deltas, not the running totals
-            shipped_before = env.metrics.bytes_shipped
-            spilled_bytes_before = env.metrics.bytes_spilled
-            spilled_records_before = env.metrics.records_spilled
         executor = Executor(env)
         results = executor.run(exec_plan)
         env.last_executor = executor
-        if telemetry is not None:
-            from repro.observability.telemetry import (
-                JobResources,
-                read_peak_rss_bytes,
-            )
-            env.resource_ledger.add(JobResources(
-                job=getattr(env, "_job_seq", 0), rank=0,
-                wall_s=time.perf_counter() - wall_started,
-                cpu_s=time.process_time() - cpu_started,
-                peak_rss_bytes=read_peak_rss_bytes(),
-                bytes_shipped=env.metrics.bytes_shipped - shipped_before,
-                bytes_spilled=(
-                    env.metrics.bytes_spilled - spilled_bytes_before
-                ),
-                records_spilled=(
-                    env.metrics.records_spilled - spilled_records_before
-                ),
+        if env.telemetry is not None:
+            from repro.observability.telemetry import bill_job
+            env.resource_ledger.add(bill_job(
+                env.telemetry, env._job_seq, 0,
+                time.perf_counter() - wall_started,
+                time.process_time() - cpu_started,
+                executor, map(operator.sub, env.metrics.sample(), before),
             ))
         return results
 
@@ -125,21 +113,15 @@ def absorb_plan_payloads(env, payloads):
     env.last_worker_traces = timelines
     env.metrics.merge(merged, align_supersteps=False)
     env.metrics.verify_invariants()
-    registry = getattr(env, "telemetry", None)
-    if registry is not None:
+    if env.telemetry is not None:
         from repro.observability.telemetry import JobResources
-        job = getattr(env, "_job_seq", 0)
         # rank order: snapshot merging is deterministic regardless, but
         # the series keeps a stable arrival order this way
         for payload in payloads:
-            snapshot = payload.get("telemetry")
-            if snapshot is not None:
-                registry.merge_snapshot(snapshot)
-            resources = payload.get("resources")
-            if resources is not None:
-                entry = dict(resources)
-                entry["job"] = job
-                env.resource_ledger.add(JobResources(**entry))
+            env.telemetry.merge_snapshot(payload["telemetry"])
+            env.resource_ledger.add(JobResources(
+                **{**payload["resources"], "job": env._job_seq}
+            ))
     env.last_executor = _ExecutorShim(payloads[0]["summaries"])
     if payloads[0]["checkpoint_store"] is not None:
         env.last_checkpoint_store = payloads[0]["checkpoint_store"]

@@ -218,45 +218,24 @@ class Endpoint:
         #: frames that arrived before anyone asked for them, per stream
         self._pending: dict[tuple, deque] = {}
         self.begin_job(0)
-        #: live metric registry when telemetry is enabled, else None
-        self.telemetry = None
-        #: shm bytes announced but not yet acked, keyed by lead slot
-        self._inflight: dict[int, int] = {}
-        self._inflight_bytes = 0
-
-    def enable_telemetry(self, registry) -> None:
-        """Attach a registry; transport counters get a ``rank`` label."""
-        self.telemetry = registry
-        labels = {"rank": self.rank}
-        self._t_frames_shm = registry.counter("fabric.frames_shm", labels)
-        self._t_frames_inline = registry.counter(
-            "fabric.frames_inline", labels
-        )
-        self._t_inline_fallbacks = registry.counter(
-            "fabric.inline_fallbacks", labels
-        )
-        self._t_bytes_sent = registry.counter("fabric.bytes_sent", labels)
-        self._t_columns_zero_copied = registry.counter(
-            "fabric.columns_zero_copied", labels
-        )
-        self._t_bytes_zero_copied = registry.counter(
-            "fabric.bytes_zero_copied", labels
-        )
 
     def telemetry_probe(self) -> dict:
-        """Gauge samples for the registry's superstep-boundary poll."""
-        ring_slots = len(self._ring) if self._ring is not None else 0
-        free = self._ring.free_slots if self._ring is not None else 0
+        """Gauge samples for the registry's superstep-boundary poll.
+
+        ``fabric.bytes_in_flight`` is rounded up to whole slots: the
+        slots announced but not yet acked, times the slot size.
+        """
+        ring = self._ring
+        slots = len(ring) if ring is not None else 0
+        held = slots - ring.free_slots if ring is not None else 0
         return {
-            "fabric.ring_slots": ring_slots,
-            "fabric.ring_free_slots": free,
-            "fabric.ring_occupancy":
-                (ring_slots - free) / ring_slots if ring_slots else 0.0,
-            "fabric.bytes_in_flight": self._inflight_bytes,
+            "fabric.ring_slots": slots,
+            "fabric.ring_free_slots": slots - held,
+            "fabric.ring_occupancy": held / slots if slots else 0.0,
+            "fabric.bytes_in_flight":
+                held * ring.slot_bytes if ring is not None else 0,
             "fabric.pending_frames":
                 sum(len(bucket) for bucket in self._pending.values()),
-            "fabric.columns_zero_copied": self.columns_zero_copied,
-            "fabric.bytes_zero_copied": self.bytes_zero_copied,
         }
 
     def begin_job(self, epoch) -> None:
@@ -279,6 +258,11 @@ class Endpoint:
         #: on the shm path only; inline fallbacks don't count)
         self.columns_zero_copied = 0
         self.bytes_zero_copied = 0
+        #: frames by path: through ring slots, inline on the control
+        #: queue, and inline only because the ring could not hold them
+        self.frames_shm = 0
+        self.frames_inline = 0
+        self.inline_fallbacks = 0
 
     # ------------------------------------------------------------------
     # sending
@@ -299,11 +283,8 @@ class Endpoint:
         posted = self._post(target, tag, "s", (blob,), len(blob))
         self.bytes_sent += len(blob)
         self.frames_sent += 1
-        if self.telemetry is not None:
-            self._t_bytes_sent.inc(len(blob))
         if not posted:
-            if self.telemetry is not None:
-                self._t_frames_inline.inc()
+            self.frames_inline += 1
             self._mailboxes[target].put(
                 ("f", self.epoch, self.rank, tag, blob)
             )
@@ -341,10 +322,6 @@ class Endpoint:
         raw = [len(b) for b in buffers if isinstance(b, memoryview)]
         self.columns_zero_copied += len(raw)
         self.bytes_zero_copied += sum(raw)
-        if self.telemetry is not None:
-            self._t_bytes_sent.inc(nbytes)
-            self._t_columns_zero_copied.inc(len(raw))
-            self._t_bytes_zero_copied.inc(sum(raw))
 
     def _post(self, target: int, tag, kind: str, pieces, nbytes: int) -> bool:
         """Post a frame's ``pieces`` through this rank's ring.
@@ -362,14 +339,10 @@ class Endpoint:
         slots = self._acquire_slots(nbytes)
         if slots is None:
             # large frame, but the whole ring cannot hold it: inline
-            if self.telemetry is not None:
-                self._t_inline_fallbacks.inc()
+            self.inline_fallbacks += 1
             return False
         self._write_pieces(slots, pieces)
-        if self.telemetry is not None:
-            self._t_frames_shm.inc()
-            self._inflight[slots[0]] = nbytes
-            self._inflight_bytes += nbytes
+        self.frames_shm += 1
         self._mailboxes[target].put(
             (kind, self.epoch, self.rank, tag, nbytes, slots)
         )
@@ -461,10 +434,6 @@ class Endpoint:
         kind = message[0]
         if kind == "a":  # ack: our slots came home
             self._ring.release(message[1])
-            if self.telemetry is not None:
-                self._inflight_bytes -= self._inflight.pop(
-                    message[1][0], 0
-                )
             return
         if kind in ("s", "c"):
             _, epoch, src, tag, nbytes, slots = message

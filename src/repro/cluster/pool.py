@@ -125,25 +125,7 @@ def _pool_worker(job_queue, fabric, rank: int, size: int) -> None:
                 payload.get("metrics") if isinstance(payload, dict) else None
             )
             if metrics is not None:
-                # control-plane traffic (barrier votes, allgathers) that
-                # no instrumented site attributed; route it through the
-                # hook so the total equals the endpoint's wire counter
-                leftover = endpoint.bytes_sent - metrics.bytes_shipped
-                if leftover > 0:
-                    metrics.add_bytes_shipped(leftover)
-                # same reconciliation for the zero-copy column counters:
-                # exchanges outside an instrumented ship site (microstep
-                # routing) still show up in the job's physical totals
-                zc_cols = (
-                    endpoint.columns_zero_copied - metrics.columns_zero_copied
-                )
-                zc_bytes = (
-                    endpoint.bytes_zero_copied - metrics.bytes_zero_copied
-                )
-                if zc_cols > 0 or zc_bytes > 0:
-                    metrics.add_zero_copied(
-                        max(zc_cols, 0), max(zc_bytes, 0)
-                    )
+                reconcile_wire_counts(metrics, endpoint)
             out = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             fabric.results.put(("ok", job_id, rank, out))
         except BaseException:
@@ -162,6 +144,24 @@ def _pool_worker(job_queue, fabric, rank: int, size: int) -> None:
                     )
                 except Exception:  # pragma: no cover - pool teardown
                     pass
+
+
+def reconcile_wire_counts(metrics, endpoint) -> None:
+    """Bring ``metrics``' wire counts up to ``endpoint``'s (idempotent).
+
+    Control-plane traffic (barrier votes, allgathers) and exchanges
+    outside an instrumented ship site (microstep routing) reach the wire
+    without a counter hook; route the difference through the hooks, so
+    the job's ``bytes_shipped`` and zero-copy totals equal what the
+    endpoint sent.
+    """
+    leftover = endpoint.bytes_sent - metrics.bytes_shipped
+    if leftover > 0:
+        metrics.add_bytes_shipped(leftover)
+    columns = endpoint.columns_zero_copied - metrics.columns_zero_copied
+    nbytes = endpoint.bytes_zero_copied - metrics.bytes_zero_copied
+    if columns > 0 or nbytes > 0:
+        metrics.add_zero_copied(max(columns, 0), max(nbytes, 0))
 
 
 def _shutdown_pool(workers, job_queues, fabric, force: bool = False) -> None:
@@ -359,13 +359,9 @@ class _PlanJob:
         from repro.runtime.metrics import MetricsCollector
 
         self.cluster = cluster
-        self.metrics = metrics = MetricsCollector()
-        if self.config.check_invariants:
-            from repro.runtime.invariants import attach_checker
-            attach_checker(metrics)
-        if self.config.trace:
-            from repro.observability import attach_tracer
-            attach_tracer(metrics, rank=cluster.rank)
+        self.metrics = metrics = MetricsCollector.for_config(
+            self.config, rank=cluster.rank
+        )
         registry = None
         if self.config.telemetry:
             from repro.observability.telemetry import attach_telemetry
@@ -383,20 +379,20 @@ class _PlanJob:
             "checkpoint_store": self.last_checkpoint_store,
         }
         if registry is not None:
-            from repro.observability.telemetry import (
-                job_resources_from_metrics,
-            )
+            from repro.observability.telemetry import bill_job
             # the registry stays home: the payload carries a plain-dict
             # snapshot, and the parent's collector merge never has to
             # reconcile live instruments
             metrics.telemetry = None
-            payload["telemetry"] = registry.snapshot()
-            payload["resources"] = job_resources_from_metrics(
-                job=None, rank=cluster.rank,
-                wall_s=time.perf_counter() - wall_started,
-                cpu_s=time.process_time() - cpu_started,
-                metrics=metrics,
+            reconcile_wire_counts(metrics, cluster.endpoint)
+            entry = bill_job(
+                registry, None, cluster.rank,
+                time.perf_counter() - wall_started,
+                time.process_time() - cpu_started,
+                executor, metrics.sample(),
             )
+            payload["telemetry"] = registry.snapshot()
+            payload["resources"] = entry.as_dict()
         return payload
 
 

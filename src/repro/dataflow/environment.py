@@ -100,17 +100,11 @@ class ExecutionEnvironment:
         #: under pytest) attaches the conservation-law audit layer of
         #: :mod:`repro.runtime.invariants` to this session's metrics
         self.config = config or RuntimeConfig()
-        self.metrics = MetricsCollector()
-        if self.config.check_invariants:
-            from repro.runtime.invariants import attach_checker
-            attach_checker(self.metrics)
+        self.metrics = MetricsCollector.for_config(self.config)
         #: the session's tracer when ``config.trace`` is set; the SPMD
         #: backends additionally attach per-worker tracers and leave
         #: their timelines in ``last_worker_traces``
-        self.tracer = None
-        if self.config.trace:
-            from repro.observability import attach_tracer
-            self.tracer = attach_tracer(self.metrics)
+        self.tracer = self.metrics.tracer
         #: the session's live metric registry when ``config.telemetry``
         #: is set, else None; SPMD backends merge worker snapshots into
         #: it after every job, and ``resource_ledger`` accumulates the

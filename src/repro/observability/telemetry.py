@@ -4,8 +4,8 @@ Tracing (:mod:`repro.observability.tracer`) explains a run *after* it
 finished; this module is the engine's view of a run *while it runs*.
 A :class:`MetricRegistry` holds three typed instruments —
 
-* :class:`Counter` — monotonically increasing totals (frames sent,
-  bytes spilled),
+* :class:`Counter` — monotonically increasing totals (bytes shipped,
+  records spilled),
 * :class:`Gauge` — instantaneous levels (resident bytes, free ring
   slots, memo residency),
 * :class:`Histogram` — distributions over **fixed bucket bounds**, so
@@ -15,20 +15,24 @@ A :class:`MetricRegistry` holds three typed instruments —
 plus an append-only *time series* of ``(t_s, name, labels, value)``
 samples recorded on the same ``time.perf_counter`` timebase the span
 tracer uses, which is what lets the Perfetto exporter draw counter
-tracks under the span timeline.
+tracks under the span timeline.  Every name holds one kind.
 
-Instrumented sites (executor, spill manager, fabric endpoints, pool
-workers) hold a registry reference that is ``None`` when telemetry is
-disabled — the disabled hot path is one attribute test.  Enablement is
-``RuntimeConfig(telemetry=...)`` / ``REPRO_TELEMETRY``; results and
-logical counters are bitwise identical either way (enforced by the
-differential audit's telemetry leg).
+The registry counts nothing itself: the metrics collector owns every
+count (:data:`~repro.runtime.metrics.COUNTERS`), and :func:`bill_job`
+takes a job's counts from it once per rank, as ``rank``-labelled
+counters.  Otherwise the registry keeps levels: the superstep
+histogram, gauges read from the probes the executor registers for one
+job, and the time series.  Instrumented sites (fabric endpoints, the
+spill manager) hold no registry, only plain ints and a
+``telemetry_probe``.  Enablement is ``RuntimeConfig(telemetry=...)`` /
+``REPRO_TELEMETRY``; results and logical counters are bitwise identical
+either way (enforced by the differential audit's telemetry legs).
 
 Registries are per-process.  SPMD workers ship ``snapshot()`` dicts
 home with their job payloads; the parent folds them in rank order with
 :meth:`MetricRegistry.merge_snapshot` (counters and histogram buckets
 sum, gauges take the elementwise max, label sets union) — per-rank
-instruments carry a ``rank`` label, so nothing collides.
+counters carry a ``rank`` label, so nothing collides.
 
 Consumers: :func:`prometheus_text` (Prometheus exposition format),
 :func:`write_prometheus`, :func:`write_series_jsonl` (the JSONL
@@ -41,6 +45,8 @@ from __future__ import annotations
 import json
 import os
 import time
+
+from repro.runtime.metrics import COUNTERS
 
 #: default histogram bounds for superstep durations (seconds); chosen
 #: once and fixed so cross-rank merges are bucket-wise sums
@@ -175,6 +181,8 @@ class MetricRegistry:
     def __init__(self, rank: int = 0):
         self.rank = rank
         self._metrics: dict[tuple, object] = {}
+        #: the one kind each name holds, whatever its labels
+        self._kinds: dict[str, str] = {}
         #: recorded time-series samples: dicts of t_s/name/labels/value
         self.series: list[dict] = []
         self.series_dropped = 0
@@ -185,21 +193,25 @@ class MetricRegistry:
         #: polled at every superstep boundary (executor residency, spill
         #: levels, fabric ring state)
         self._probes: list = []
+        #: set by the executor for a job with a memory budget: only
+        #: then do its supersteps' ``bytes_spilled`` make a series
+        self.spill_track = False
 
     # ------------------------------------------------------------------
     # instruments
 
     def _instrument(self, cls, name, labels, **kwargs):
+        kind = self._kinds.setdefault(name, cls.kind)
+        if kind != cls.kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {kind}, "
+                f"not {cls.kind}"
+            )
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls(name, labels=key[1], **kwargs)
             self._metrics[key] = metric
-        elif metric.kind != cls.kind:
-            raise ValueError(
-                f"metric {name!r} already registered as {metric.kind}, "
-                f"not {cls.kind}"
-            )
         return metric
 
     def counter(self, name: str, labels=None) -> Counter:
@@ -275,7 +287,9 @@ class MetricRegistry:
         """Fold one finished superstep into instruments and the series.
 
         ``stats`` is the superstep's
-        :class:`~repro.runtime.metrics.IterationStats`.
+        :class:`~repro.runtime.metrics.IterationStats`; its
+        ``bytes_spilled`` is the spill counter track while
+        :attr:`spill_track` is set.
         """
         duration = stats.duration_s
         self.histogram("executor.superstep_duration_s").observe(duration)
@@ -287,15 +301,25 @@ class MetricRegistry:
             self.record("executor.batches_per_s",
                         stats.batches_shipped / duration, t_s=now)
         self.record("executor.workset_size", stats.workset_size, t_s=now)
+        if self.spill_track:
+            self.record("spill.bytes_spilled", stats.bytes_spilled, t_s=now)
         rss = read_rss_bytes()
         self.gauge("worker.rss_bytes").set(rss)
         self.record("worker.rss_bytes", rss, t_s=now)
+        self.read_probes(now)
+        if self.vitals is not None:
+            self.vitals.progress(stats.superstep, rss_bytes=rss)
+
+    def read_probes(self, t_s=None) -> None:
+        """Set every probe's gauges; with a timestamp, also record each
+        value as a series sample.  The executor reads them once more at
+        job end, without one, so a job that ran no superstep still
+        reports its levels."""
         for probe in self._probes:
             for name, value in probe().items():
                 self.gauge(name).set(value)
-                self.record(name, value, t_s=now)
-        if self.vitals is not None:
-            self.vitals.progress(stats.superstep, rss_bytes=rss)
+                if t_s is not None:
+                    self.record(name, value, t_s=t_s)
 
     # ------------------------------------------------------------------
     # snapshots and deterministic merging
@@ -382,22 +406,27 @@ def attach_telemetry(metrics, rank: int = 0,
 # per-job resource accounting (admission-control input)
 
 
+#: the collector counters a job's resource bill carries
+BILLED_COUNTERS = ("bytes_shipped", "bytes_spilled", "records_spilled")
+
+
 class JobResources:
     """One worker's resource bill for one job."""
 
-    __slots__ = ("job", "rank", "wall_s", "cpu_s", "peak_rss_bytes",
-                 "bytes_shipped", "bytes_spilled", "records_spilled")
+    __slots__ = ("job", "rank", "wall_s", "cpu_s",
+                 "peak_rss_bytes") + BILLED_COUNTERS
 
     def __init__(self, job, rank, wall_s, cpu_s, peak_rss_bytes,
-                 bytes_shipped=0, bytes_spilled=0, records_spilled=0):
+                 **billed):
         self.job = job
         self.rank = rank
         self.wall_s = wall_s
         self.cpu_s = cpu_s
         self.peak_rss_bytes = peak_rss_bytes
-        self.bytes_shipped = bytes_shipped
-        self.bytes_spilled = bytes_spilled
-        self.records_spilled = records_spilled
+        for name in BILLED_COUNTERS:
+            setattr(self, name, billed.pop(name, 0))
+        if billed:
+            raise TypeError(f"not a billed counter: {sorted(billed)}")
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -409,7 +438,7 @@ class ResourceLedger:
     The input the multi-tenant job manager (ROADMAP item 5) needs for
     admission control and per-job caps: for every job, cpu seconds
     (summed over ranks), peak RSS (max over ranks — budgets are
-    per-process), and bytes shipped/spilled (summed).
+    per-process), and the :data:`BILLED_COUNTERS` (summed).
     """
 
     def __init__(self):
@@ -436,9 +465,8 @@ class ResourceLedger:
             "wall_s": max(e.wall_s for e in mine),
             "cpu_s": sum(e.cpu_s for e in mine),
             "peak_rss_bytes": max(e.peak_rss_bytes for e in mine),
-            "bytes_shipped": sum(e.bytes_shipped for e in mine),
-            "bytes_spilled": sum(e.bytes_spilled for e in mine),
-            "records_spilled": sum(e.records_spilled for e in mine),
+            **{name: sum(getattr(e, name) for e in mine)
+               for name in BILLED_COUNTERS},
         }
 
     def totals(self) -> dict:
@@ -451,21 +479,34 @@ class ResourceLedger:
             "peak_rss_bytes": max(
                 (t["peak_rss_bytes"] for t in per_job), default=0
             ),
-            "bytes_shipped": sum(t["bytes_shipped"] for t in per_job),
-            "bytes_spilled": sum(t["bytes_spilled"] for t in per_job),
-            "records_spilled": sum(t["records_spilled"] for t in per_job),
+            **{name: sum(t[name] for t in per_job)
+               for name in BILLED_COUNTERS},
         }
 
 
-def job_resources_from_metrics(job, rank, wall_s, cpu_s, metrics) -> dict:
-    """Build a picklable :class:`JobResources` payload for one worker."""
+def bill_job(registry, job, rank, wall_s, cpu_s, executor,
+             totals) -> JobResources:
+    """Bill one rank's job and return its :class:`ResourceLedger` line.
+
+    ``totals`` (the job's :data:`~repro.runtime.metrics.COUNTERS`, in
+    order), the spill files ``executor`` opened and the frames its
+    endpoint sent, by path (all zero on the simulator, which has no
+    endpoint), become ``rank``-labelled counters in ``registry`` — the
+    only place the registry counts.
+    """
+    counts = dict(zip(COUNTERS, totals))
+    spill = executor.spill
+    counts["spill.files"] = spill.spill_files if spill is not None else 0
+    endpoint = getattr(executor.cluster, "endpoint", None)
+    for name in ("frames_shm", "frames_inline", "inline_fallbacks"):
+        counts[f"fabric.{name}"] = getattr(endpoint, name, 0)
+    labels = {"rank": rank}
+    for name, value in counts.items():
+        registry.counter(name, labels).inc(value)
     return JobResources(
-        job=job, rank=rank, wall_s=wall_s, cpu_s=cpu_s,
-        peak_rss_bytes=read_peak_rss_bytes(),
-        bytes_shipped=metrics.bytes_shipped,
-        bytes_spilled=metrics.bytes_spilled,
-        records_spilled=metrics.records_spilled,
-    ).as_dict()
+        job, rank, wall_s, cpu_s, read_peak_rss_bytes(),
+        **{name: counts[name] for name in BILLED_COUNTERS},
+    )
 
 
 # ----------------------------------------------------------------------

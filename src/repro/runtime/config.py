@@ -114,15 +114,16 @@ class RuntimeConfig:
 
     ``telemetry`` — attach a live
     :class:`~repro.observability.telemetry.MetricRegistry` to the
-    session: the executor, spill manager, fabric endpoints, and pool
-    workers publish counters/gauges/histograms and a resource time
-    series while the job runs, pool workers ship heartbeats for the
+    session: superstep barriers sample levels (executor residency,
+    spill levels, fabric ring state) into gauges, a histogram and a
+    resource time series while the job runs, every job bills its
+    collector counts into it, pool workers ship heartbeats for the
     :class:`~repro.observability.health.HealthMonitor`, and the session
     keeps a per-job :class:`~repro.observability.telemetry.ResourceLedger`.
-    Off by default (every instrumented site is a single ``None`` check);
+    Off by default (the superstep hooks are a single ``None`` check);
     ``REPRO_TELEMETRY`` supplies the default.  Telemetry never touches
-    results or logical counters — the differential audit's telemetry leg
-    enforces bitwise identity.
+    results or logical counters — the differential audit's telemetry legs
+    enforce bitwise identity.
 
     ``heartbeat_interval_s`` — cadence of pool-worker heartbeats when
     telemetry is on, a positive finite number of seconds;

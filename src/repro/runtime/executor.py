@@ -123,7 +123,6 @@ class Executor:
             probes.append(self.spill.telemetry_probe)
         endpoint = getattr(self.cluster, "endpoint", None)
         if endpoint is not None:
-            endpoint.enable_telemetry(self.telemetry)
             probes.append(endpoint.telemetry_probe)
         return probes
 
@@ -143,14 +142,20 @@ class Executor:
         probes = self._telemetry_probes()
         for probe in probes:
             self.telemetry.add_probe(probe)
+        if self.telemetry is not None:
+            self.telemetry.spill_track = self.spill is not None
         results = {}
         try:
             for sink in exec_plan.logical_plan.sinks:
                 parts = self._evaluate(sink, self._memo, scope=None)
                 results[sink.id] = channels.merge(parts)
+            if self.telemetry is not None:
+                self.telemetry.read_probes()
         finally:
             for probe in probes:
                 self.telemetry.remove_probe(probe)
+            if self.telemetry is not None:
+                self.telemetry.spill_track = False
         # the run ends at a barrier, so the attribution totals must be
         # consistent: per-superstep counters + out-of-superstep remainder
         # sum to the global collector totals

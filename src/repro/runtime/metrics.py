@@ -115,14 +115,28 @@ class MetricsCollector(AdditiveCounters):
     tracer: object | None = None
     #: optional :class:`~repro.observability.telemetry.MetricRegistry`;
     #: when attached (``RuntimeConfig.telemetry``), superstep barriers
-    #: feed the live instruments and resource time series.  Unlike the
-    #: checker and tracer it never influences results or logical
-    #: counters, so ``merge`` ignores it (workers detach their registry
-    #: and ship a snapshot instead)
+    #: feed its levels and resource time series.  It keeps no counts of
+    #: its own: each job's counts reach it from this collector, through
+    #: ``telemetry.bill_job``.  Unlike the checker and tracer it never
+    #: influences results or logical counters, so ``merge`` ignores it
+    #: (workers detach their registry and ship a snapshot instead)
     telemetry: object | None = None
     _open_superstep: IterationStats | None = None
     _superstep_started: float = 0.0
     _superstep_span: object | None = None
+
+    @classmethod
+    def for_config(cls, config, rank: int = 0) -> "MetricsCollector":
+        """A fresh collector carrying the checker and tracer ``config``
+        asks for (the tracer labelled with ``rank``)."""
+        metrics = cls()
+        if config.check_invariants:
+            from repro.runtime.invariants import attach_checker
+            attach_checker(metrics)
+        if config.trace:
+            from repro.observability import attach_tracer
+            attach_tracer(metrics, rank=rank)
+        return metrics
 
     # ------------------------------------------------------------------
     # raw counter hooks (called by channels / drivers / solution set)

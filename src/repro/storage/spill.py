@@ -200,20 +200,12 @@ class SpillManager:
             return None
         return self.metrics.invariants
 
-    @property
-    def telemetry(self):
-        """The collector's live metric registry, if attached."""
-        if self.metrics is None:
-            return None
-        return self.metrics.telemetry
-
     def telemetry_probe(self) -> dict:
         """Gauge samples for the registry's superstep-boundary poll."""
         return {
             "spill.resident_bytes": self.tracked_bytes,
             "spill.budget_utilization":
                 self.tracked_bytes / self.budget_bytes,
-            "spill.bytes_spilled": self.bytes_spilled,
         }
 
     # ------------------------------------------------------------------
@@ -237,9 +229,6 @@ class SpillManager:
 
     def new_spill_file(self, prefix: str = "spill") -> SpillFile:
         self.spill_files += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.counter("spill.files").inc()
         return SpillFile(self.session.new_file(prefix))
 
     def io_span(self, kind: str, operator: str):
@@ -269,13 +258,3 @@ class SpillManager:
         self.bytes_spilled += nbytes
         if self.metrics is not None:
             self.metrics.add_spilled(records, nbytes)
-            telemetry = self.metrics.telemetry
-            if telemetry is not None:
-                telemetry.counter("spill.records_spilled").inc(records)
-                telemetry.counter("spill.bytes_spilled").inc(nbytes)
-                telemetry.gauge("spill.resident_bytes").set(
-                    self.tracked_bytes
-                )
-                telemetry.gauge("spill.budget_utilization").set(
-                    self.tracked_bytes / self.budget_bytes
-                )

@@ -55,13 +55,9 @@ class PregelMaster:
         #: data-plane framing bounds for the SPMD message exchange
         self.config = config or RuntimeConfig()
         if metrics is None:
-            metrics = MetricsCollector()
-            if self.config.check_invariants:
-                from repro.runtime.invariants import attach_checker
-                attach_checker(metrics)
-            if self.config.trace:
-                from repro.observability import attach_tracer
-                attach_tracer(metrics, rank=self.cluster.rank)
+            metrics = MetricsCollector.for_config(
+                self.config, rank=self.cluster.rank
+            )
         self.metrics = metrics
         self.run_all_first_superstep = run_all_first_superstep
         #: {name: (initial value, merge fn)} — Pregel's global aggregators;

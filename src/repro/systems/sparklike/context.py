@@ -27,13 +27,9 @@ class SparkLikeContext:
         self.cluster = cluster or LOCAL
         self.config = config or RuntimeConfig()
         if metrics is None:
-            metrics = MetricsCollector()
-            if self.config.check_invariants:
-                from repro.runtime.invariants import attach_checker
-                attach_checker(metrics)
-            if self.config.trace:
-                from repro.observability import attach_tracer
-                attach_tracer(metrics, rank=self.cluster.rank)
+            metrics = MetricsCollector.for_config(
+                self.config, rank=self.cluster.rank
+            )
         self.metrics = metrics
 
     def parallelize(self, records, name: str = "parallelize") -> RDD:

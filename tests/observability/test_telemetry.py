@@ -8,6 +8,7 @@ import pytest
 
 from repro import ExecutionEnvironment
 from repro.algorithms import connected_components as cc
+from repro.algorithms import pagerank as pr
 from repro.graphs import erdos_renyi
 from repro.observability.telemetry import (
     JobResources,
@@ -18,7 +19,7 @@ from repro.observability.telemetry import (
     write_series_jsonl,
 )
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.metrics import MetricsCollector
+from repro.runtime.metrics import COUNTERS, MetricsCollector
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +41,10 @@ def test_kind_mismatch_rejected():
     registry.counter("x")
     with pytest.raises(ValueError):
         registry.gauge("x")
+    # one kind per name, whatever the labels
+    registry.counter("y", {"rank": 0})
+    with pytest.raises(ValueError):
+        registry.gauge("y")
 
 
 def test_histogram_buckets_and_overflow():
@@ -190,10 +195,11 @@ def test_attach_telemetry_idempotent():
     assert registry.rank == 3
 
 
-def _run_cc(backend, telemetry):
+def _run_cc(backend, telemetry, budget=None):
     env = ExecutionEnvironment(
         parallelism=4, backend=backend,
-        config=RuntimeConfig(telemetry=telemetry),
+        config=RuntimeConfig(telemetry=telemetry,
+                             memory_budget_bytes=budget),
     )
     graph = erdos_renyi(120, 2.5, seed=11)
     result = cc.cc_incremental(env, graph, variant="cogroup",
@@ -206,14 +212,55 @@ LOGICAL = ("records_processed", "records_shipped_local",
            "solution_updates", "supersteps")
 
 
-@pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
-def test_results_and_logical_counters_identical_with_telemetry(backend):
-    env_off, result_off = _run_cc(backend, telemetry=False)
-    env_on, result_on = _run_cc(backend, telemetry=True)
+@pytest.mark.parametrize("backend,budget", [
+    pytest.param(backend, budget, id=backend + ("-budget" if budget else ""))
+    for budget in (None, 4096)
+    for backend in ("simulated", "multiprocess")
+])
+def test_results_and_logical_counters_identical_with_telemetry(
+        backend, budget):
+    """With a budget this fails at the parent commit: the spill manager
+    counted ``spill.bytes_spilled`` while its probe sampled a gauge of
+    the same name, and the first superstep barrier raised."""
+    env_off, result_off = _run_cc(backend, telemetry=False, budget=budget)
+    env_on, result_on = _run_cc(backend, telemetry=True, budget=budget)
     assert result_on == result_off
     for name in LOGICAL:
         assert getattr(env_on.metrics, name) == \
             getattr(env_off.metrics, name), name
+    if budget is not None:
+        assert env_on.metrics.records_spilled > 0
+
+
+@pytest.mark.parametrize("budget", [None, 4096])
+@pytest.mark.parametrize("backend", ["simulated", "pool"])
+def test_registry_counts_are_the_collector_counts(backend, budget):
+    """The registry counts nothing of its own: over a session of delta,
+    microstep and bulk jobs, every schema counter it exports equals the
+    collector's total, and no name holds two kinds.  Fails at the
+    parent commit: a budget crashed the jobs, and on the pool
+    ``fabric.columns_zero_copied`` was both a counter and a gauge."""
+    env = ExecutionEnvironment(
+        parallelism=4, backend=backend,
+        config=RuntimeConfig(telemetry=True, memory_budget_bytes=budget),
+    )
+    graph = erdos_renyi(120, 2.5, seed=11)
+    try:
+        cc.cc_incremental(env, graph, variant="cogroup", mode="superstep")
+        cc.cc_incremental(env, graph, variant="match", mode="microstep")
+        pr.pagerank_bulk(env, graph, 5)
+    finally:
+        if backend == "pool":
+            env.backend.close()
+    for name in COUNTERS:
+        assert env.telemetry.total(name) == env.metrics.total(name), name
+    kinds = {}
+    for metric in env.telemetry.metrics():
+        assert kinds.setdefault(metric.name, metric.kind) == metric.kind, \
+            metric.name
+    assert len(env.resource_ledger.jobs) == 3
+    assert env.resource_ledger.totals()["bytes_shipped"] == \
+        env.metrics.bytes_shipped
 
 
 def test_simulated_run_populates_registry_and_ledger():
