@@ -25,9 +25,13 @@ attribute to fork on.
 outboxes); ``route`` hands the frames to :meth:`~ClusterContext.exchange`,
 which streams each to its peer as bounded chunks — a pickled row run
 ``("c", records)`` or a raw column frame ``("cols", header, buffers)`` —
-closed by an ``("e", n_chunks)`` terminator; and the fabric endpoint
-posts each chunk through its shared-memory ring or inline
-(:mod:`repro.cluster.fabric`).
+closed by an ``("e", n_chunks)`` terminator (a frame that is one
+pickled chunk travels as the single message ``("e", 1, chunk)``); and
+the fabric endpoint posts each chunk through its shared-memory ring or
+inline on the per-pair pipe to the peer (:mod:`repro.cluster.fabric`).
+A hash ship whose input already sits on its hash partitions — the
+staged delta of a superstep, re-hashed on the solution key — takes no
+``route`` at all (:func:`repro.runtime.channels.ship`, ``placed``).
 
 The collectives are designed so that the SPMD execution is *bitwise
 identical* to the simulator in every record ordering: ``exchange``
@@ -61,6 +65,17 @@ def _estimate_record_bytes(run) -> int:
         sample = run[:: len(run) // _SIZE_SAMPLE][:_SIZE_SAMPLE]
     blob = pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL)
     return max(1, len(blob) // len(sample))
+
+
+def _extend(records: list, chunk) -> None:
+    """Append one received chunk's records, whichever encoding it took."""
+    if chunk[0] == "cols":
+        length, cols, _key_fields = columns_mod.decode_frame(
+            chunk[1], chunk[2]
+        )
+        records.extend(columns_mod.materialize_rows(cols, length))
+    else:
+        records.extend(chunk[1])
 
 
 class ClusterContext:
@@ -259,22 +274,63 @@ class WorkerCluster(ClusterContext):
             )
         tag = self._next_tag()
         for target, frame in enumerate(frames):
-            if target == self.rank:
-                continue
-            sent = 0
-            if len(frame):
-                for chunk in RecordBatch.wrap(frame, key_fields).split(
-                    batch_size
-                ):
-                    sent += self._send_chunk(
-                        target, tag, chunk, max_frame_bytes
-                    )
-            self.endpoint.send(target, tag, ("e", sent))
+            if target != self.rank:
+                self._send_frame(target, tag, frame, batch_size,
+                                 max_frame_bytes, key_fields)
         return [
             list(frames[source]) if source == self.rank
             else self._recv_stream(source, tag)
             for source in range(self.size)
         ]
+
+    def _send_frame(self, target, tag, frame, batch_size, max_frame_bytes,
+                    key_fields) -> None:
+        """Stream one peer's frame: its chunks, then ``("e", n_chunks)``.
+
+        A frame that is one pickled chunk — a row run, or a column
+        chunk small enough to ride inline — travels as the single
+        message ``("e", 1, chunk)``; an empty frame is ``("e", 0)``.
+        Column chunks bound for the ring keep their raw buffers and are
+        closed by a separate terminator.
+        """
+        sent = 0
+        if len(frame):
+            chunks = RecordBatch.wrap(frame, key_fields).split(batch_size)
+            if len(chunks) == 1:
+                single = self._single_chunk(chunks[0], max_frame_bytes)
+                if single is not None:
+                    self.endpoint.send_raw(target, tag, single)
+                    return
+            for chunk in chunks:
+                sent += self._send_chunk(target, tag, chunk, max_frame_bytes)
+        self.endpoint.send(target, tag, ("e", sent))
+
+    def _single_chunk(self, chunk, max_frame_bytes):
+        """``chunk`` pickled as the whole ``("e", 1, chunk)`` stream, or
+        ``None`` when it needs the ring or more than one frame."""
+        layout = chunk.columns()
+        if layout is not None:
+            length, cols = layout
+            nbytes = columns_mod.frame_nbytes(cols, length)
+            if nbytes is not None:
+                if (max_frame_bytes is not None and nbytes > max_frame_bytes
+                        and length > 1):
+                    return None
+                header, buffers = columns_mod.encode_frame(
+                    cols, length, chunk.key_fields
+                )
+                wire = 4 + len(header) + sum(4 + len(b) for b in buffers)
+                if not self.endpoint.rides_inline(wire):
+                    return None
+                payload = ("cols", header, [bytes(b) for b in buffers])
+                return pickle.dumps(("e", 1, payload),
+                                    protocol=pickle.HIGHEST_PROTOCOL)
+        run = chunk.records
+        if (max_frame_bytes is not None and len(run) > 1
+                and _estimate_record_bytes(run) * len(run) > max_frame_bytes):
+            return None
+        return pickle.dumps(("e", 1, ("c", run)),
+                            protocol=pickle.HIGHEST_PROTOCOL)
 
     def _send_chunk(self, target, tag, chunk, max_frame_bytes) -> int:
         """Ship one :class:`RecordBatch` chunk, columnar when possible.
@@ -325,21 +381,17 @@ class WorkerCluster(ClusterContext):
         chunks = 0
         while True:
             message = self.endpoint.recv(source, tag)
-            kind = message[0]
-            if kind == "e":
+            if message[0] == "e":
+                if len(message) == 3:  # the stream's only chunk rode along
+                    _extend(records, message[2])
+                    chunks += 1
                 if message[1] != chunks:
                     raise RuntimeError(
                         f"chunked exchange stream from worker {source} "
                         f"announced {message[1]} chunks but {chunks} arrived"
                     )
                 return records
-            if kind == "cols":
-                length, cols, _key_fields = columns_mod.decode_frame(
-                    message[1], message[2]
-                )
-                records.extend(columns_mod.materialize_rows(cols, length))
-            else:
-                records.extend(message[1])
+            _extend(records, message)
             chunks += 1
 
     def route(self, frames, **framing):

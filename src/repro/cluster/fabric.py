@@ -1,30 +1,38 @@
-"""Inter-worker transport: shared-memory frame rings + control queues.
+"""Inter-worker transport: shared-memory frame rings + per-pair pipes.
 
 A :class:`Fabric` is created by the parent process *before* forking: it
-owns one mailbox queue per worker, a results queue back to the parent,
-and — the data plane — one :class:`FrameRing` of reusable
-``multiprocessing.shared_memory`` slots per worker.  Because the rings
-are allocated pre-fork, every worker inherits the same mappings and a
-frame crosses processes as **one memcpy into a shared slot plus a tiny
-pickled control message**, instead of being squeezed through a pipe in
-64 KiB feeder-thread writes.  Small frames (below
-``SHM_THRESHOLD_BYTES``) still ride the control queue inline — at that
-size the queue copy is cheaper than slot bookkeeping.
+owns one pipe per ordered worker pair (the control path), a results
+queue back to the parent, and — the data plane — one :class:`FrameRing`
+of reusable ``multiprocessing.shared_memory`` slots per worker.  Because
+pipes and rings are allocated pre-fork, every worker inherits the same
+descriptors and mappings, and a frame crosses processes as **one memcpy
+into a shared slot plus a tiny pickled control message**.  Small frames
+(below ``SHM_THRESHOLD_BYTES``) ride the pipe inline — at that size the
+pipe copy is cheaper than slot bookkeeping.
+
+**Control path.**  A control message is pickled, prefixed with its
+length and written by the sending thread itself — no feeder thread, no
+cross-process lock: pipe ``(s, t)`` has exactly one writer (rank ``s``)
+and one reader (rank ``t``).  Writes never block.  What the pipe cannot
+take at once waits, in order, in a per-target outbox that drains
+whenever the endpoint waits, so two ranks that flood each other at once
+both make progress.  A waiting endpoint ``poll``s its inbound pipes and
+its non-empty outboxes together.
 
 **Ownership handoff.**  A ring's slots belong to their owning rank: the
 owner acquires free slots, writes the frame, and announces
-``(slots, nbytes)`` to the receiver's mailbox; the receiver deserializes
-straight out of shared memory and posts an ack back to the owner's
-mailbox, returning the slots to the owner's free list.  A slot is never
-rewritten before its ack arrives.  Frames larger than one slot span
-several; frames larger than the whole ring fall back to the inline
-path, so any size is always deliverable.
+``(slots, nbytes)`` to the receiver; the receiver deserializes straight
+out of shared memory and acks back to the owner, returning the slots to
+the owner's free list.  A slot is never rewritten before its ack
+arrives.  Frames larger than one slot span several; frames larger than
+the whole ring fall back to the inline path, so any size is always
+deliverable.
 
 **Overlap.**  Sends are posted without waiting (the superstep's
 exchange posts every outgoing frame before its first receive), and
-:meth:`Endpoint.recv` drains *everything* already queued — acks and
-early frames from fast peers — each time it touches the mailbox, so
-communication progresses while the worker computes.
+whenever an endpoint waits it handles *everything* that arrives — acks
+and early frames from fast peers — so communication progresses while
+the worker computes.
 
 **Job epochs.**  Persistent pool workers run many jobs over one fabric.
 Every frame carries the sender's job epoch; frames from a superseded
@@ -35,14 +43,16 @@ space.
 Frames are tagged ``(source, tag)`` so that out-of-order arrivals (a
 fast peer racing ahead to the next collective) are buffered rather than
 misdelivered; within one ``(source, tag)`` stream FIFO order is
-preserved end to end, because ``multiprocessing.Queue`` is FIFO and the
+preserved end to end, because a pipe and its outbox are FIFO and the
 receive buffer is a deque per stream.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
-import queue as queue_module
+import select
+import struct
 import time
 from collections import deque
 from multiprocessing import shared_memory
@@ -75,11 +85,17 @@ def _parse_columns_wire(view) -> tuple:
 
 
 #: pickled frames at least this large travel through a shared-memory
-#: slot; smaller ones ride the control queue inline
+#: slot; smaller ones ride the pipe inline
 SHM_THRESHOLD_BYTES = 16 << 10
 
 #: default capacity of one ring slot
 DEFAULT_SLOT_BYTES = 1 << 20
+
+#: the length prefix of one control message on a pipe
+_LENGTH = struct.Struct(">Q")
+
+#: how much one ``os.read`` takes from a pipe: a default pipe's capacity
+_READ_BYTES = 1 << 16
 
 
 class FrameRing:
@@ -155,7 +171,20 @@ class Fabric:
                  use_shared_memory: bool = True):
         self.size = size
         self.timeout = timeout
-        self._mailboxes = [mp_context.Queue() for _ in range(size)]
+        self._closed = False
+        #: ``(source, target) -> (read fd, write fd)``, both non-blocking
+        self._pipes: dict[tuple, tuple] = {}
+        try:
+            for source in range(size):
+                for target in range(size):
+                    if source != target:
+                        read_fd, write_fd = os.pipe()
+                        self._pipes[(source, target)] = (read_fd, write_fd)
+                        os.set_blocking(read_fd, False)
+                        os.set_blocking(write_fd, False)
+        except OSError:
+            self._close_pipes()
+            raise
         #: workers report completion payloads / errors here
         self.results = mp_context.Queue()
         self._rings = None
@@ -174,29 +203,38 @@ class Fabric:
                 for ring in rings:
                     ring.destroy()
                 self._rings = None
-        self._closed = False
 
     def endpoint(self, rank: int) -> "Endpoint":
-        return Endpoint(rank, self._mailboxes, self.timeout,
+        inbound = {s: fds[0] for (s, t), fds in self._pipes.items()
+                   if t == rank}
+        outbound = {t: fds[1] for (s, t), fds in self._pipes.items()
+                    if s == rank}
+        return Endpoint(rank, inbound, outbound, self.timeout,
                         rings=self._rings)
 
+    def _close_pipes(self):
+        for fds in self._pipes.values():
+            for fd in fds:
+                try:
+                    os.close(fd)
+                except OSError:  # pragma: no cover - already closed
+                    pass
+        self._pipes.clear()
+
     def close(self):
-        """Tear down queues and rings.
+        """Tear down pipes, the results queue and rings.
 
         Idempotent, and safe after a *partial* teardown — crashed
-        workers, queues with unread frames, rings whose segments were
+        workers, pipes with unread frames, rings whose segments were
         already unlinked — so crash-handling paths can always call it.
         """
         if self._closed:
             return
         self._closed = True
-        for q in [*self._mailboxes, self.results]:
+        self._close_pipes()
+        for teardown in (self.results.cancel_join_thread, self.results.close):
             try:
-                q.cancel_join_thread()
-            except Exception:  # pragma: no cover - defensive
-                pass
-            try:
-                q.close()
+                teardown()
             except Exception:  # pragma: no cover - defensive
                 pass
         if self._rings:
@@ -207,15 +245,27 @@ class Fabric:
 class Endpoint:
     """One worker's view of the fabric: tagged send/recv of frames."""
 
-    def __init__(self, rank: int, mailboxes, timeout: float, rings=None,
+    def __init__(self, rank: int, inbound: dict, outbound: dict,
+                 timeout: float, rings=None,
                  shm_threshold: int = SHM_THRESHOLD_BYTES):
         self.rank = rank
-        self._mailboxes = mailboxes
         self.timeout = timeout
         self._rings = rings
         self._ring = rings[rank] if rings is not None else None
         self.shm_threshold = shm_threshold
+        #: write end of the pipe to each peer, and what it could not
+        #: take yet (whole wire messages, the head possibly cut short)
+        self._outbound = outbound
+        self._outboxes = {target: deque() for target in outbound}
+        self._target_of = {fd: target for target, fd in outbound.items()}
+        #: read end of the pipe from each peer, and the bytes read from
+        #: it that do not yet form a whole message
+        self._inbound = {fd: bytearray() for fd in inbound.values()}
+        self._poller = select.poll()
+        for fd in self._inbound:
+            self._poller.register(fd, select.POLLIN)
         #: frames that arrived before anyone asked for them, per stream
+        #: (a drained stream's key is deleted)
         self._pending: dict[tuple, deque] = {}
         self.begin_job(0)
 
@@ -244,7 +294,9 @@ class Endpoint:
         Counters restart at zero, buffered frames from any previous
         (possibly aborted) job are discarded, and the epoch advances so
         in-flight leftovers are dropped on receipt — their shared-memory
-        slots still acked back to their owners.
+        slots still acked back to their owners.  Outboxes and partly
+        read pipe bytes carry over: a pipe is one ordered byte stream,
+        and cutting a message in half would garble every later one.
         """
         #: the current job's epoch; frames from other epochs are dropped
         self.epoch = epoch
@@ -258,8 +310,8 @@ class Endpoint:
         #: on the shm path only; inline fallbacks don't count)
         self.columns_zero_copied = 0
         self.bytes_zero_copied = 0
-        #: frames by path: through ring slots, inline on the control
-        #: queue, and inline only because the ring could not hold them
+        #: frames by path: through ring slots, inline on the
+        #: pipe, and inline only because the ring could not hold them
         self.frames_shm = 0
         self.frames_inline = 0
         self.inline_fallbacks = 0
@@ -285,9 +337,7 @@ class Endpoint:
         self.frames_sent += 1
         if not posted:
             self.frames_inline += 1
-            self._mailboxes[target].put(
-                ("f", self.epoch, self.rank, tag, blob)
-            )
+            self._push(target, ("f", self.epoch, self.rank, tag, blob))
 
     def send_columns(self, target: int, tag, header: bytes, buffers):
         """Send a struct-of-arrays frame without pickling its payload.
@@ -302,7 +352,7 @@ class Endpoint:
         arrive here already pickled and are copied like any bytes.
 
         Frames below the shm threshold — or larger than the ring — ride
-        the control queue as one pickled ``("cols", header, buffers)``
+        the pipe as one pickled ``("cols", header, buffers)``
         frame instead: correct either way, but pickling bytes is still
         serialization, so the zero-copy counters stay untouched.
         """
@@ -330,11 +380,11 @@ class Endpoint:
         ``shm_threshold`` bytes that the ring can hold is written across
         a run of slots and announced to ``target`` as ``(kind, epoch,
         source, tag, nbytes, slots)``.  Returns ``False`` — nothing
-        posted — when the frame must ride the control queue inline.
+        posted — when the frame must ride the pipe inline.
         """
         if target == self.rank:
             raise ValueError("a worker does not send frames to itself")
-        if self._ring is None or nbytes < self.shm_threshold:
+        if self.rides_inline(nbytes):
             return False
         slots = self._acquire_slots(nbytes)
         if slots is None:
@@ -343,10 +393,53 @@ class Endpoint:
             return False
         self._write_pieces(slots, pieces)
         self.frames_shm += 1
-        self._mailboxes[target].put(
-            (kind, self.epoch, self.rank, tag, nbytes, slots)
-        )
+        self._push(target, (kind, self.epoch, self.rank, tag, nbytes, slots))
         return True
+
+    def rides_inline(self, nbytes: int) -> bool:
+        """Whether a frame of ``nbytes`` wire bytes skips the ring."""
+        return self._ring is None or nbytes < self.shm_threshold
+
+    def _push(self, target: int, message) -> None:
+        """Queue one control message for ``target`` and write what the
+        pipe takes now; never blocks."""
+        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        outbox = self._outboxes[target]
+        if not outbox:
+            self._poller.register(self._outbound[target], select.POLLOUT)
+        outbox.append(_LENGTH.pack(len(data)) + data)
+        self._flush(target)
+
+    def _flush(self, target: int) -> None:
+        """Write ``target``'s outbox until it is empty or the pipe full;
+        a pipe that is waited on for room stays registered with the
+        poller until its outbox is empty."""
+        outbox = self._outboxes[target]
+        fd = self._outbound[target]
+        while outbox:
+            head = outbox[0]
+            try:
+                written = os.write(fd, head)
+            except BlockingIOError:
+                return
+            if written < len(head):
+                outbox[0] = memoryview(head)[written:]
+                return
+            outbox.popleft()
+            if not outbox:
+                self._poller.unregister(fd)
+
+    def flush(self) -> None:
+        """Wait until every outbox has reached its pipe.
+
+        A worker calls this before it stops talking — at the end of a
+        job — so a peer still waiting on a frame this rank queued is not
+        left without it.
+        """
+        self._await(
+            lambda: None if any(self._outboxes.values()) else True,
+            "flushing frames to its peers",
+        )
 
     def _write_pieces(self, slots, pieces) -> None:
         """Lay ``pieces`` contiguously across a run of acquired slots."""
@@ -368,7 +461,7 @@ class Endpoint:
     def _acquire_slots(self, nbytes: int):
         """Free slots covering ``nbytes``, or ``None`` for inline fallback.
 
-        When every slot is in flight, wait on our own mailbox — acks
+        When every slot is in flight, wait on our inbound pipes — acks
         return slots — until enough come back or the timeout expires.
         """
         ring = self._ring
@@ -387,24 +480,24 @@ class Endpoint:
     def recv(self, source: int, tag):
         """Block until the next frame of stream ``(source, tag)`` arrives."""
         key = (source, tag)
-        bucket = self._await(
-            lambda: self._pending.get(key) or None,
+        pending = self._pending
+        bucket = pending.get(key) or self._await(
+            lambda: pending.get(key),
             f"waiting for frame {tag!r} from worker {source}",
         )
         payload = bucket.popleft()
-        # opportunistic drain: pull in whatever already arrived (acks,
-        # fast peers' frames) before handing compute back
-        self._drain(self._mailboxes[self.rank])
+        if not bucket:
+            del pending[key]
         return payload
 
     def _await(self, ready, what: str):
-        """Ingest this rank's mailbox until ``ready()`` returns a value.
+        """Move messages both ways until ``ready()`` returns a value.
 
-        Whoever waits, everything that arrives is handled: acks return
-        slots, early data frames are buffered, not lost.
+        Whoever waits, everything that arrives is handled — acks return
+        slots, early data frames are buffered, not lost — and every
+        outbox drains as far as its pipe takes it.
         """
         deadline = time.monotonic() + self.timeout
-        inbox = self._mailboxes[self.rank]
         while True:
             result = ready()
             if result is not None:
@@ -415,19 +508,40 @@ class Endpoint:
                     f"worker {self.rank} timed out after "
                     f"{self.timeout:.0f}s {what}"
                 )
-            try:
-                message = inbox.get(timeout=min(remaining, 1.0))
-            except queue_module.Empty:
-                continue
-            self._ingest(message)
-            self._drain(inbox)
+            for fd, _event in self._poller.poll(min(remaining, 1.0) * 1e3):
+                target = self._target_of.get(fd)
+                if target is None:
+                    self._read(fd)
+                else:
+                    self._flush(target)
 
-    def _drain(self, inbox) -> None:
+    def _read(self, fd: int) -> None:
+        """Take what one inbound pipe holds and ingest every whole
+        message in it."""
+        buffer = self._inbound[fd]
         while True:
             try:
-                message = inbox.get_nowait()
-            except queue_module.Empty:
-                return
+                data = os.read(fd, _READ_BYTES)
+            except BlockingIOError:
+                break
+            if not data:  # every writer closed: the fabric is gone
+                self._poller.unregister(fd)
+                break
+            buffer += data
+            if len(data) < _READ_BYTES:
+                break
+        messages = []
+        pos = 0
+        with memoryview(buffer) as view:
+            while len(buffer) - pos >= _LENGTH.size:
+                (size,) = _LENGTH.unpack_from(buffer, pos)
+                end = pos + _LENGTH.size + size
+                if end > len(buffer):
+                    break
+                messages.append(pickle.loads(view[pos + _LENGTH.size:end]))
+                pos = end
+        del buffer[:pos]
+        for message in messages:
             self._ingest(message)
 
     def _ingest(self, message) -> None:
@@ -444,7 +558,7 @@ class Endpoint:
                     pickle.loads if kind == "s" else _parse_columns_wire,
                 )
             # handoff complete either way: return the slots to their owner
-            self._mailboxes[src].put(("a", slots))
+            self._push(src, ("a", slots))
             if epoch != self.epoch:
                 return
         else:

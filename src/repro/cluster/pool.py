@@ -13,10 +13,10 @@ in-process simulator:
   :mod:`~repro.cluster.codec`.
 * **Frames travel through shared memory.**  The pool's
   :class:`~repro.cluster.fabric.Fabric` allocates its reusable
-  shared-memory frame rings before forking, so cross-worker record
-  batches move as one memcpy plus a tiny control message, with explicit
-  slot ownership handoff and receives drained opportunistically (see
-  :mod:`repro.cluster.fabric`).
+  shared-memory frame rings and its per-pair pipes before forking, so
+  cross-worker record batches move as one memcpy plus a tiny control
+  message written straight to the peer's pipe, with explicit slot
+  ownership handoff (see :mod:`repro.cluster.fabric`).
 * **Crashes are bounded, not hung.**  The gather loop waits for every
   rank's report (bounded by the fabric timeout) and raises the first
   error to *arrive* as the root cause; it treats any
@@ -121,6 +121,8 @@ def _pool_worker(job_queue, fabric, rank: int, size: int) -> None:
                 _heartbeat_sender.resume(interval)
             cluster = WorkerCluster(endpoint, size)
             payload = body(cluster)
+            # a peer may still wait on a frame this rank queued
+            endpoint.flush()
             metrics = (
                 payload.get("metrics") if isinstance(payload, dict) else None
             )

@@ -74,7 +74,7 @@ def _chunk_count(n: int, batch_size) -> int:
 
 
 def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
-         batch_size=None, max_frame_bytes=None, columnar=True):
+         batch_size=None, max_frame_bytes=None, columnar=True, placed=False):
     """Move ``partitions`` according to ``strategy``; returns new partitions.
 
     Enforces the partition-count contract above: ``partitions`` must hold
@@ -89,6 +89,13 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
     ``batch_size`` frames the move in record-batch chunks (see the
     module docstring); ``max_frame_bytes`` additionally bounds the
     serialized size of one fabric frame.
+
+    ``placed`` declares a hash ship's input already sitting on its hash
+    partitions (every record's key owns the partition it is in).  Such
+    a ship is neither framed nor routed — every context decides it from
+    the plan alone, so collective tags stay in lockstep — yet it counts
+    its records local and its chunks exactly as the routed ship would,
+    and the checker audits the claim record by record.
 
     The hash framer computes partition targets with one vectorized
     pass over a chunk's int64 key column when it has one (the row loop
@@ -125,6 +132,12 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
             frames = None
             out, local, remote = _ship_forward(partitions)
             batches = 0
+        elif placed and kind is ShipKind.PARTITION_HASH:
+            out, local, batches = _keep_placed(
+                partitions, owned, strategy, batch_size, checker
+            )
+            # what each owned source framed: its records, for itself
+            frames, remote = out, 0
         else:
             frames, local, remote, batches = frame(
                 partitions, owned, strategy, batch_size, checker
@@ -169,6 +182,27 @@ def _ship_forward(partitions):
         for p in partitions
     ]
     return out, total, 0
+
+
+def _keep_placed(partitions, owned, strategy, batch_size, checker):
+    """A hash ship whose input is already placed: every owned record
+    stays where it is, counted local, in the chunks the framer would
+    have cut; returns ``(out, local, batches)``."""
+    out = empty_partitions(len(partitions))
+    local = batches = 0
+    for p in owned:
+        part = partitions[p]
+        if not len(part):
+            continue
+        if checker is not None:
+            for chunk in RecordBatch.wrap(part, strategy.key_fields).chunks(
+                batch_size
+            ):
+                checker.check_batch(chunk)
+        out[p] = list(part)
+        local += len(part)
+        batches += _chunk_count(len(part), batch_size)
+    return out, local, batches
 
 
 def frame(partitions, owned, strategy, batch_size=None, checker=None):

@@ -52,6 +52,8 @@ class _IterationScope:
         self.iter_memo: dict[int, list] = {}
         self.edge_cache: dict = {}
         self.table_cache: dict = {}
+        #: node id -> the hash ship its step-memo output already obeys
+        self.placed: dict = {}
 
 
 class IterationSummary:
@@ -300,12 +302,12 @@ class Executor:
             channels.round_robin(node.data, self.parallelism)
         )
 
-    def _ship(self, partitions, strategy):
+    def _ship(self, partitions, strategy, placed=False):
         """Ship through this executor's cluster context."""
         return channels.ship(
             partitions, strategy, self.parallelism, self.metrics,
             cluster=self.cluster, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes,
+            max_frame_bytes=self.max_frame_bytes, placed=placed,
         )
 
     def _resolve_placeholder(self, node, scope):
@@ -357,7 +359,10 @@ class Executor:
             # them (see repro.optimizer.pushdown)
             parts = [drivers.filter_records(predicate, part)
                      for part in parts]
-        routed = self._ship(parts, strategy)
+        placed = (
+            scope is not None and scope.placed.get(producer.id) == strategy
+        )
+        routed = self._ship(parts, strategy, placed=placed)
         if cacheable:
             scope.edge_cache[cache_key] = routed
             self.metrics.add_cache_build()
@@ -650,6 +655,10 @@ class Executor:
         def restore(checkpoint):
             index._partitions = checkpoint.state
             bindings[workset_id] = checkpoint.workset
+
+        # the staged delta the step memo holds (below) is routed on the
+        # solution key, so a consumer hashing it on that key keeps it
+        scope.placed[node.delta_output.id] = partition_on(node.solution_key)
 
         def body(step):
             next_workset, applied = self._delta_one_superstep(

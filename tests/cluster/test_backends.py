@@ -1,7 +1,10 @@
 """Backend resolution, SPMD collectives, and the one-shot pool lifecycle."""
 
+import gc
 import multiprocessing
 import os
+import time
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -145,13 +148,25 @@ class TestOneShotLifecycle:
 
     @staticmethod
     def _leftovers():
+        # the process-wide shared-memory tracker holds one pipe for the
+        # life of the process: start it before the first snapshot
+        resource_tracker.ensure_running()
         return (set(multiprocessing.active_children()),
-                set(os.listdir("/dev/shm")))
+                set(os.listdir("/dev/shm")),
+                set(os.listdir("/proc/self/fd")))
 
     def _assert_nothing_new_since(self, before, env):
-        children, segments = self._leftovers()
+        children, segments, fds = self._leftovers()
         assert children - before[0] == set()
         assert segments - before[1] == set()
+        # no pipe (or any other descriptor) outlives the job; queue
+        # feeder threads close their ends a moment after the teardown
+        deadline = time.monotonic() + 5.0
+        while fds - before[2] and time.monotonic() < deadline:
+            time.sleep(0.02)
+            gc.collect()
+            fds = set(os.listdir("/proc/self/fd"))
+        assert fds - before[2] == set()
         assert env.backend.pool is None
 
     def test_nothing_survives_a_successful_collect(self):

@@ -1,10 +1,12 @@
 """The frame transport: tagged streams, buffering, timeouts, shm rings."""
 
 import multiprocessing
+import threading
 import time
 
 import pytest
 
+from repro.cluster import PoolBackend
 from repro.cluster.fabric import (
     SHM_THRESHOLD_BYTES,
     Fabric,
@@ -168,17 +170,9 @@ class TestSharedMemoryRings:
         for i in range(8):
             a.send(1, tag=i, payload=payload)
             assert b.recv(0, tag=i) == payload
-        # after rank 0 drains its inbox, every ack has come home; the
-        # acks ride a queue with a feeder thread, so allow them a
-        # moment to arrive before the drain sees them
-        deadline = time.monotonic() + 5.0
-        while (
-            a._ring.free_slots < len(a._ring)
-            and time.monotonic() < deadline
-        ):
-            a._drain(a._mailboxes[0])
-            time.sleep(0.01)
-        assert a._ring.free_slots == len(a._ring)
+        # every ack is already in rank 0's pipe: waiting takes them in
+        a._await(lambda: a._ring.free_slots == len(a._ring) or None,
+                 "acks")
 
     def test_sender_blocks_then_raises_when_no_acks_return(self,
                                                            small_fabric):
@@ -202,8 +196,8 @@ class TestSharedMemoryRings:
             b.recv(0, tag="old")
         assert b.frames_received == 0  # dropped, not misdelivered
         # ...but the slots were still acked back to the sender
-        a._drain(a._mailboxes[0])
-        assert a._ring.free_slots == len(a._ring)
+        a._await(lambda: a._ring.free_slots == len(a._ring) or None,
+                 "acks")
 
     def test_stale_inline_frames_are_dropped_too(self, fabric):
         a, b = fabric.endpoint(0), fabric.endpoint(1)
@@ -234,8 +228,18 @@ class TestSharedMemoryRings:
             a, b = fab.endpoint(0), fab.endpoint(1)
             assert a._ring is None
             payload = list(range(50_000))
+            # more than one pipe buffer: rank 0 drains its outbox while
+            # rank 1 reads
+            received = []
+            reader = threading.Thread(
+                target=lambda: received.append(b.recv(0, tag="big"))
+            )
+            reader.start()
             a.send(1, tag="big", payload=payload)
-            assert b.recv(0, tag="big") == payload
+            a.flush()
+            reader.join(timeout=10.0)
+            assert not reader.is_alive()
+            assert received == [payload]
         finally:
             fab.close()
 
@@ -245,3 +249,74 @@ class TestSharedMemoryRings:
         a.send(1, tag="orphan", payload=bytes(6000))  # never received
         small_fabric.close()
         small_fabric.close()  # second close: no-op, no raise
+
+
+#: one stream per collective per peer: the allreduce tags run 1..ROUNDS
+ROUNDS = 1_000
+
+
+
+def _pending_after_allreduces(cluster):
+    for _ in range(ROUNDS):
+        cluster.allreduce_sum(1)
+    # streams of finished collectives only: a fast peer's next frame
+    # may already wait under a later tag
+    leftover = [key for key in cluster.endpoint._pending if key[1] <= ROUNDS]
+    return cluster.allgather(leftover), None
+
+
+def _flood(records):
+    """Every rank sends each peer ``records`` one-record chunks at once."""
+    def program(cluster):
+        frames = [
+            [] if target == cluster.rank
+            else [(cluster.rank, i) for i in range(records)]
+            for target in range(cluster.size)
+        ]
+        out = cluster.route(frames, batch_size=1)
+        return cluster.allgather(out[cluster.rank]), None
+    return program
+
+
+def _flood_one_way(cluster):
+    # rank 0 floods rank 1, which starts reading late, and then has
+    # nothing left to wait for: only flushing its outbox before it
+    # reports the job done lets rank 1 finish (its stream's chunk count
+    # is verified on arrival)
+    if cluster.rank == 1:
+        time.sleep(0.5)
+    records = [(0, i) for i in range(20_000)] if cluster.rank == 0 else []
+    out = cluster.route([[], records], batch_size=1)
+    return len(out[cluster.rank]), None
+
+
+class TestPoolTraffic:
+    """The transport between real forked workers."""
+
+    @staticmethod
+    def _run(program, size=2):
+        backend = PoolBackend(timeout=10.0)
+        try:
+            result, _metrics = backend.run_program(program, size)
+        finally:
+            backend.close()
+        return result
+
+    def test_drained_streams_leave_no_buffer_behind(self):
+        assert self._run(_pending_after_allreduces) == [[], []]
+
+    def test_a_rank_done_early_still_delivers_what_it_queued(self):
+        assert self._run(_flood_one_way) == 0
+
+    # two ranks as in a pool job; three is more workers than cores
+    @pytest.mark.parametrize("size,records", [(2, 20_000), (3, 5_000)])
+    def test_ranks_flooding_each_other_at_once_all_finish(self, size,
+                                                          records):
+        # each rank queues far more than a pipe holds before it reads:
+        # a sender that blocked on a full pipe would deadlock here
+        gathered = self._run(_flood(records), size)
+        assert gathered == [
+            [(source, i) for source in range(size) if source != rank
+             for i in range(records)]
+            for rank in range(size)
+        ]

@@ -1,9 +1,10 @@
-"""How many control collectives one superstep costs.
+"""How many collectives one superstep costs.
 
-On the pool every ``allreduce_sum`` is a fabric round trip, so the count
-per superstep is the iteration's fixed overhead (ROADMAP item 1 wants to
-piggy-back it on the data exchange).  Pinned here with a counting local
-context, whose collectives are identities.
+On the pool every ``allreduce_sum`` and every ``route`` is a fabric
+round trip, so the count per superstep is the iteration's fixed
+overhead (ROADMAP item 2 wants to piggy-back the vote on the data
+exchange).  Pinned here with a counting local context, whose
+collectives are identities.
 
 ``test_delta_superstep_votes_once`` fails at the parent commit, where
 the adaptive match probe allreduced the workset size a second time in
@@ -21,10 +22,15 @@ from repro.optimizer import DEFAULT_WEIGHTS
 class _CountingCluster(LocalCluster):
     def __init__(self):
         self.allreduces = 0
+        self.routes = 0
 
     def allreduce_sum(self, value):
         self.allreduces += 1
         return value
+
+    def route(self, frames, **framing):
+        self.routes += 1
+        return frames
 
 
 def _counting_env(**settings):
@@ -33,21 +39,35 @@ def _counting_env(**settings):
     return env
 
 
-def test_delta_superstep_votes_once(small_random):
+def _delta_cc(graph):
     # edges too big to replicate, as on the benchmark's graphs: the
     # constant edge table is hash-placed and the workset hash-probes it
     env = _counting_env(cost_weights=dataclasses.replace(
         DEFAULT_WEIGHTS, broadcast_limit=100.0
     ))
     result = cc.cc_incremental(
-        env, small_random, variant="cogroup", mode="superstep"
+        env, graph, variant="cogroup", mode="superstep"
     )
-    assert result == cc.cc_ground_truth(small_random)
-    supersteps = env.metrics.supersteps
-    assert supersteps > 2
+    assert result == cc.cc_ground_truth(graph)
+    assert env.metrics.supersteps > 2
+    return env
+
+
+def test_delta_superstep_votes_once(small_random):
+    env = _delta_cc(small_random)
     # one workset vote ahead of every superstep, and the empty vote
     # that ends the iteration
-    assert env.cluster.allreduces == supersteps + 1
+    assert env.cluster.allreduces == env.metrics.supersteps + 1
+
+
+def test_delta_superstep_routes_twice(small_random):
+    env = _delta_cc(small_random)
+    # the workset routes to the solution cogroup and the staged delta to
+    # its solution-key partitions; the workset join hashes that delta on
+    # the same key, so it keeps it where it is instead of routing it.
+    # Before the loop the edge table, the initial solution set and the
+    # initial workset route once each.
+    assert env.cluster.routes == 2 * env.metrics.supersteps + 3
 
 
 def test_bulk_superstep_with_termination_votes_once():
