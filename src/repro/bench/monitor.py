@@ -34,9 +34,7 @@ EXCERPT_METRICS = frozenset({
     "repro_executor_superstep",
     "repro_executor_memo_nodes",
     "repro_worker_rss_bytes",
-    "repro_fabric_frames_shm",
-    "repro_fabric_frames_inline",
-    "repro_fabric_inline_fallbacks",
+    "repro_fabric_frames_sent",
     "repro_bytes_shipped",
     "repro_bytes_spilled",
 })

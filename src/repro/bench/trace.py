@@ -72,9 +72,7 @@ class TraceRun:
     chrome_path: str | None = None
     #: fabric transport totals from the run's telemetry registry
     #: (zero on the simulated backend — nothing crosses processes)
-    frames_shm: int = 0
-    frames_inline: int = 0
-    inline_fallbacks: int = 0
+    frames_sent: int = 0
 
 
 @dataclass
@@ -122,11 +120,7 @@ class TraceResult:
                  "remote", "bytes", "cache h/b", "spilled", "spill B"],
                 rows,
             ))
-            blocks.append(
-                f"fabric: {run.frames_shm} shm frames, "
-                f"{run.frames_inline} inline, "
-                f"{run.inline_fallbacks} inline fallbacks"
-            )
+            blocks.append(f"fabric: {run.frames_sent} frames sent")
             artifacts = [p for p in (run.jsonl_path, run.chrome_path) if p]
             if artifacts:
                 blocks.append("artifacts:\n" + "\n".join(
@@ -172,7 +166,7 @@ def run(workload: str = "connected_components",
     out = TraceResult(workload=workload)
     baseline = None
     for backend in backends:
-        # telemetry rides along: the registry feeds the shm-ring report
+        # telemetry rides along: the registry feeds the fabric's report
         # line and the Chrome trace's counter tracks, and adds no spans,
         # so the cross-backend structure comparison is unaffected
         env = ExecutionEnvironment(
@@ -217,11 +211,7 @@ def run(workload: str = "connected_components",
             result=_comparable_result(result),
             jsonl_path=jsonl_path,
             chrome_path=chrome_path,
-            frames_shm=int(env.telemetry.total("fabric.frames_shm")),
-            frames_inline=int(env.telemetry.total("fabric.frames_inline")),
-            inline_fallbacks=int(
-                env.telemetry.total("fabric.inline_fallbacks")
-            ),
+            frames_sent=int(env.telemetry.total("fabric.frames_sent")),
         )
         out.runs.append(run_record)
         if baseline is None:

@@ -3,8 +3,8 @@
 ``repro.cluster`` makes the engine/abstraction split of the paper's
 Nephele substrate real: the same plans and driver programs run on the
 in-process simulator (:class:`SimulatedBackend`, the reference) or on a
-**pool** of forked worker processes exchanging frames through reusable
-shared-memory segments (:class:`PoolBackend`) — with
+**pool** of forked worker processes exchanging frames over one pipe per
+worker pair (:class:`PoolBackend`) — with
 barrier-synchronized supersteps and bitwise-identical results and
 logical counters on both.  Backend name ``"pool"`` keeps the workers
 across jobs; ``"multiprocess"`` (:class:`MultiprocessBackend`) is the
@@ -19,7 +19,7 @@ from repro.cluster.backends import (
     resolve_backend,
 )
 from repro.cluster.context import LOCAL, ClusterContext, LocalCluster, WorkerCluster
-from repro.cluster.fabric import Endpoint, Fabric, FabricTimeout, FrameRing
+from repro.cluster.fabric import Endpoint, Fabric, FabricTimeout
 from repro.cluster.pool import MultiprocessBackend, PoolBackend, WorkerPool
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ExecutionBackend",
     "Fabric",
     "FabricTimeout",
-    "FrameRing",
     "LOCAL",
     "LocalCluster",
     "MultiprocessBackend",

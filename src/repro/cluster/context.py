@@ -23,12 +23,12 @@ attribute to fork on.
 *frames* the partitions it owns into ``frames[target]``
 (:func:`repro.runtime.channels.frame`, the microstep buffers, the Pregel
 outboxes); ``route`` hands the frames to :meth:`~ClusterContext.exchange`,
-which streams each to its peer as bounded chunks — a pickled row run
-``("c", records)`` or a raw column frame ``("cols", header, buffers)`` —
-closed by an ``("e", n_chunks)`` terminator (a frame that is one
-pickled chunk travels as the single message ``("e", 1, chunk)``); and
-the fabric endpoint posts each chunk through its shared-memory ring or
-inline on the per-pair pipe to the peer (:mod:`repro.cluster.fabric`).
+which streams each to its peer as bounded chunks — a row run
+``("c", records)`` or a column frame ``("cols", header, buffers)`` —
+the last of which rides in the ``("e", n_chunks, chunk)`` terminator
+(an empty frame is ``("e", 0)``); and the fabric endpoint writes each
+as one message on the per-pair pipe to the peer
+(:mod:`repro.cluster.fabric`).
 A hash ship whose input already sits on its hash partitions — the
 staged delta of a superstep, re-hashed on the solution key — takes no
 ``route`` at all (:func:`repro.runtime.channels.ship`, ``placed``).
@@ -78,6 +78,42 @@ def _extend(records: list, chunk) -> None:
         records.extend(chunk[1])
 
 
+def _encode(chunk, max_frame_bytes) -> list:
+    """One :class:`RecordBatch` chunk as wire chunks, columnar when it can.
+
+    A chunk whose columns are all fixed-width is ``("cols", header,
+    buffers)``; its exact payload size is linear in the row count, so
+    an oversize chunk is re-split arithmetically — no probe
+    serialization.  Any other chunk is row runs ``("c", records)``,
+    sliced up front from a sampled per-record pickle estimate.  An
+    estimate miss only makes a chunk land off the target size: the bound
+    is a framing target, not a correctness limit.
+    """
+    layout = chunk.columns()
+    if layout is not None:
+        length, cols = layout
+        nbytes = columns_mod.frame_nbytes(cols, length)
+        if nbytes is not None:
+            if (max_frame_bytes is not None and nbytes > max_frame_bytes
+                    and length > 1):
+                pieces = -(-nbytes // max_frame_bytes)
+                rows = max(1, -(-length // pieces))
+                if rows < length:
+                    return [wire for sub in chunk.split(rows)
+                            for wire in _encode(sub, max_frame_bytes)]
+            header, buffers = columns_mod.encode_frame(
+                cols, length, chunk.key_fields
+            )
+            return [("cols", header, [bytes(b) for b in buffers])]
+    run = chunk.records
+    rows = len(run)
+    if max_frame_bytes is not None and rows > 1:
+        rows = min(
+            rows, max(1, max_frame_bytes // _estimate_record_bytes(run))
+        )
+    return [("c", run[i:i + rows]) for i in range(0, len(run), rows)]
+
+
 class ClusterContext:
     """Interface shared by the local simulator and SPMD workers."""
 
@@ -96,17 +132,6 @@ class ClusterContext:
         instrumentation samples this before/after a collective to
         attribute wire bytes to the enclosing superstep.
         """
-        return 0
-
-    @property
-    def columns_zero_copied(self) -> int:
-        """Fixed-width column buffers shipped as raw shm memcpy (no
-        pickle on the payload path); always 0 in the local setting."""
-        return 0
-
-    @property
-    def bytes_zero_copied(self) -> int:
-        """Payload bytes of those zero-copied column buffers."""
         return 0
 
     def owned_partitions(self, parallelism: int):
@@ -215,14 +240,6 @@ class WorkerCluster(ClusterContext):
     def bytes_sent(self) -> int:
         return self.endpoint.bytes_sent
 
-    @property
-    def columns_zero_copied(self) -> int:
-        return self.endpoint.columns_zero_copied
-
-    @property
-    def bytes_zero_copied(self) -> int:
-        return self.endpoint.bytes_zero_copied
-
     def owned_partitions(self, parallelism):
         return (self.rank,)
 
@@ -245,24 +262,12 @@ class WorkerCluster(ClusterContext):
         """All-to-all exchange as one chunk stream per peer.
 
         Each target frame is split into runs of ``batch_size`` records
-        (``None``: one run) and the stream is closed by an
-        ``("e", n_chunks)`` terminator the receiver verifies.  Chunks of
-        one ``(source, tag)`` stream arrive in FIFO order, so reassembly
-        by concatenation reproduces the frame exactly.  A run travels in
-        one of two encodings, sized against ``max_frame_bytes`` without
-        ever pickling a probe copy:
-
-        * **column** runs (every column of the chunk is fixed-width)
-          know their payload size exactly from
-          ``rows * sum(itemsize)``, so oversize chunks are re-split by
-          row-count arithmetic and ship as raw column buffers
-          (:meth:`~repro.cluster.fabric.Endpoint.send_columns` — zero
-          payload pickling on the shm path);
-        * **row** runs are sliced up front from a sampled per-record
-          pickle estimate and each slice is pickled exactly once.  An
-          estimate miss only makes a frame land off the target size —
-          the fabric ships any blob (multi-slot shm or inline), so the
-          bound is a framing target, not a correctness limit.
+        (``None``: one run), each run is encoded by :func:`_encode`
+        into chunks of about ``max_frame_bytes``, and the stream's last
+        chunk rides in the ``("e", n_chunks, chunk)`` terminator the
+        receiver verifies.  Chunks of one ``(source, tag)`` stream
+        arrive in FIFO order, so reassembly by concatenation reproduces
+        the frame exactly.
 
         ``columnar`` has no effect; ``benchmarks/perf/probes.py`` still
         passes it.
@@ -285,96 +290,17 @@ class WorkerCluster(ClusterContext):
 
     def _send_frame(self, target, tag, frame, batch_size, max_frame_bytes,
                     key_fields) -> None:
-        """Stream one peer's frame: its chunks, then ``("e", n_chunks)``.
-
-        A frame that is one pickled chunk — a row run, or a column
-        chunk small enough to ride inline — travels as the single
-        message ``("e", 1, chunk)``; an empty frame is ``("e", 0)``.
-        Column chunks bound for the ring keep their raw buffers and are
-        closed by a separate terminator.
-        """
-        sent = 0
+        """Stream one peer's frame: its chunks, the last one riding in the
+        ``("e", n_chunks, chunk)`` terminator (``("e", 0)`` when empty)."""
+        chunks = []
         if len(frame):
-            chunks = RecordBatch.wrap(frame, key_fields).split(batch_size)
-            if len(chunks) == 1:
-                single = self._single_chunk(chunks[0], max_frame_bytes)
-                if single is not None:
-                    self.endpoint.send_raw(target, tag, single)
-                    return
-            for chunk in chunks:
-                sent += self._send_chunk(target, tag, chunk, max_frame_bytes)
-        self.endpoint.send(target, tag, ("e", sent))
-
-    def _single_chunk(self, chunk, max_frame_bytes):
-        """``chunk`` pickled as the whole ``("e", 1, chunk)`` stream, or
-        ``None`` when it needs the ring or more than one frame."""
-        layout = chunk.columns()
-        if layout is not None:
-            length, cols = layout
-            nbytes = columns_mod.frame_nbytes(cols, length)
-            if nbytes is not None:
-                if (max_frame_bytes is not None and nbytes > max_frame_bytes
-                        and length > 1):
-                    return None
-                header, buffers = columns_mod.encode_frame(
-                    cols, length, chunk.key_fields
-                )
-                wire = 4 + len(header) + sum(4 + len(b) for b in buffers)
-                if not self.endpoint.rides_inline(wire):
-                    return None
-                payload = ("cols", header, [bytes(b) for b in buffers])
-                return pickle.dumps(("e", 1, payload),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-        run = chunk.records
-        if (max_frame_bytes is not None and len(run) > 1
-                and _estimate_record_bytes(run) * len(run) > max_frame_bytes):
-            return None
-        return pickle.dumps(("e", 1, ("c", run)),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _send_chunk(self, target, tag, chunk, max_frame_bytes) -> int:
-        """Ship one :class:`RecordBatch` chunk, columnar when possible.
-
-        All-fixed-width chunks go out as raw column buffers; their exact
-        payload size is linear in the row count, so an oversize chunk is
-        re-split arithmetically — no probe serialization.  Chunks with
-        any object column fall back to the pickled row run.
-        """
-        layout = chunk.columns()
-        if layout is not None:
-            length, cols = layout
-            nbytes = columns_mod.frame_nbytes(cols, length)
-            if nbytes is not None:
-                if (
-                    max_frame_bytes is not None
-                    and nbytes > max_frame_bytes
-                    and length > 1
-                ):
-                    pieces = -(-nbytes // max_frame_bytes)
-                    rows = max(1, -(-length // pieces))
-                    if rows < length:
-                        return sum(
-                            self._send_chunk(target, tag, sub, max_frame_bytes)
-                            for sub in chunk.split(rows)
-                        )
-                header, buffers = columns_mod.encode_frame(
-                    cols, length, chunk.key_fields
-                )
-                self.endpoint.send_columns(target, tag, header, buffers)
-                return 1
-        return self._send_run(target, tag, chunk.records, max_frame_bytes)
-
-    def _send_run(self, target, tag, run, max_frame_bytes) -> int:
-        rows = len(run)
-        if max_frame_bytes is not None and rows > 1:
-            rows = min(
-                rows, max(1, max_frame_bytes // _estimate_record_bytes(run))
-            )
-        for i in range(0, len(run), rows):
-            self.endpoint.send_raw(target, tag, pickle.dumps(
-                ("c", run[i:i + rows]), protocol=pickle.HIGHEST_PROTOCOL
-            ))
-        return -(-len(run) // rows)
+            for batch in RecordBatch.wrap(frame, key_fields).split(batch_size):
+                chunks.extend(_encode(batch, max_frame_bytes))
+        send = self.endpoint.send
+        for chunk in chunks[:-1]:
+            send(target, tag, chunk)
+        send(target, tag,
+             ("e", len(chunks), chunks[-1]) if chunks else ("e", 0))
 
     def _recv_stream(self, source, tag) -> list:
         records: list = []

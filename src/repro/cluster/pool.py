@@ -1,4 +1,4 @@
-"""The SPMD worker runtime: a shared-memory worker pool.
+"""The SPMD worker runtime: a pool of forked workers.
 
 Every job that leaves the calling process runs here — one worker loop
 (:func:`_pool_worker`), one plan-job body (:class:`_PlanJob`), one
@@ -11,12 +11,11 @@ in-process simulator:
   supersteps) are dispatched to those processes over per-worker job
   queues.  Jobs cross by value through the closure-capable
   :mod:`~repro.cluster.codec`.
-* **Frames travel through shared memory.**  The pool's
-  :class:`~repro.cluster.fabric.Fabric` allocates its reusable
-  shared-memory frame rings and its per-pair pipes before forking, so
-  cross-worker record batches move as one memcpy plus a tiny control
-  message written straight to the peer's pipe, with explicit slot
-  ownership handoff (see :mod:`repro.cluster.fabric`).
+* **Frames travel over per-pair pipes.**  The pool's
+  :class:`~repro.cluster.fabric.Fabric` makes one pipe per ordered
+  worker pair before forking, so a cross-worker record batch is one
+  pickled message written straight to the peer's pipe (see
+  :mod:`repro.cluster.fabric`).
 * **Crashes are bounded, not hung.**  The gather loop waits for every
   rank's report (bounded by the fabric timeout) and raises the first
   error to *arrive* as the root cause; it treats any
@@ -153,21 +152,23 @@ def reconcile_wire_counts(metrics, endpoint) -> None:
 
     Control-plane traffic (barrier votes, allgathers) and exchanges
     outside an instrumented ship site (microstep routing) reach the wire
-    without a counter hook; route the difference through the hooks, so
-    the job's ``bytes_shipped`` and zero-copy totals equal what the
-    endpoint sent.
+    without a counter hook; route the difference through the hook, so
+    the job's ``bytes_shipped`` equals what the endpoint sent.
     """
     leftover = endpoint.bytes_sent - metrics.bytes_shipped
     if leftover > 0:
         metrics.add_bytes_shipped(leftover)
-    columns = endpoint.columns_zero_copied - metrics.columns_zero_copied
-    nbytes = endpoint.bytes_zero_copied - metrics.bytes_zero_copied
-    if columns > 0 or nbytes > 0:
-        metrics.add_zero_copied(max(columns, 0), max(nbytes, 0))
 
 
 def _shutdown_pool(workers, job_queues, fabric, force: bool = False) -> None:
-    """Best-effort teardown usable from ``close`` and GC finalization."""
+    """Best-effort teardown usable from ``close`` and GC finalization.
+
+    On the clean path every worker has read its ``None`` sentinel and
+    exited by the time it is reaped, so each queue's feeder thread has
+    nothing left to write: joining it closes the queue's pipe ends
+    before this returns.  A forced teardown, or one where a worker had
+    to be killed, does not wait on the feeders.
+    """
     if not force:
         for q in job_queues:
             try:
@@ -176,20 +177,20 @@ def _shutdown_pool(workers, job_queues, fabric, force: bool = False) -> None:
                 force = True
                 break
     reap_workers(workers, incomplete=force)
+    force = force or any(worker.exitcode != 0 for worker in workers)
     for q in job_queues:
-        try:
-            q.cancel_join_thread()
-        except Exception:  # pragma: no cover - defensive
-            pass
-        try:
-            q.close()
-        except Exception:  # pragma: no cover - defensive
-            pass
+        teardown = ((q.cancel_join_thread, q.close) if force
+                    else (q.close, q.join_thread))
+        for step in teardown:
+            try:
+                step()
+            except Exception:  # pragma: no cover - defensive
+                pass
     fabric.close()
 
 
 class WorkerPool:
-    """``size`` long-lived SPMD workers over one shared-memory fabric."""
+    """``size`` long-lived SPMD workers over one fabric."""
 
     def __init__(self, size: int, timeout: float = 120.0, mp_context=None):
         if mp_context is None:
@@ -198,8 +199,8 @@ class WorkerPool:
             except ValueError as exc:  # pragma: no cover - non-POSIX
                 raise RuntimeError(
                     "the pool backend needs the 'fork' start method "
-                    "(workers inherit loaded modules and shared-memory "
-                    "frame rings)"
+                    "(workers inherit loaded modules and the fabric's "
+                    "pipes)"
                 ) from exc
         self.size = size
         self.timeout = timeout
@@ -410,7 +411,7 @@ class _ProgramJob:
 
 
 class PoolBackend(ExecutionBackend):
-    """Persistent worker pool with shared-memory frame transport."""
+    """Persistent worker pool; frames cross over per-pair pipes."""
 
     name = "pool"
 
@@ -463,8 +464,8 @@ class PoolBackend(ExecutionBackend):
 class MultiprocessBackend(PoolBackend):
     """The pool, cold: forked for one job and closed after it.
 
-    Nothing survives the job — no worker process, no shared-memory
-    segment — whether it returns or raises.
+    Nothing survives the job — no worker process, no pipe — whether it
+    returns or raises.
     """
 
     name = "multiprocess"

@@ -6,9 +6,8 @@ buffer per field, in the spirit of the paper's Nephele channel buffers
 (Sec. 4.2) and Arrow-style morsel engines.  Fixed-width fields live in
 ``array.array`` buffers (``'q'`` for int64-range ints, ``'d'`` for
 floats), everything else in a plain object list.  The fixed-width
-buffers are what the SPMD fabric copies into shared-memory ring slots as
-raw ``memoryview`` payloads (no pickle on the payload path) and what the
-spill files write without serializing records.
+buffers cross the SPMD fabric as raw bytes (no per-record pickle) and
+are what the spill files write without serializing records.
 
 **Strict typing rules** keep the layout bitwise-faithful to the row
 representation:
@@ -197,12 +196,12 @@ def int64_from_values(values):
 def encode_frame(columns, length, key_fields):
     """Encode typed columns as ``(header_bytes, buffers)``.
 
-    ``buffers`` holds one entry per column: a raw buffer
-    (``memoryview``-able, copied byte-for-byte into shm slots) for
-    fixed-width columns, a pickle blob for object columns.  The header
-    is a small pickled tuple — schema only, never records — so a frame
-    whose columns are all fixed-width crosses the fabric with **zero
-    payload pickling**.
+    ``buffers`` holds one entry per column: a raw ``memoryview`` over
+    the column's bytes (written as is to a spill file; the fabric copies
+    it into ``bytes``) for fixed-width columns, a pickle blob for object
+    columns.  The header is a small pickled tuple — schema only, never
+    records — so a fixed-width column's values are never pickled one
+    by one.
     """
     typecodes = []
     buffers = []
@@ -222,8 +221,8 @@ def decode_frame(header, buffers):
     """Inverse of :func:`encode_frame`.
 
     Returns ``(length, columns, key_fields)``; fixed-width buffers are
-    copied into fresh ``array`` objects (the shm slot is recycled after
-    the receive), object blobs are unpickled.
+    copied into fresh ``array`` objects (the source buffer may be
+    reused after the read), object blobs are unpickled.
     """
     length, typecodes, key_fields = pickle.loads(header)
     columns = []

@@ -93,7 +93,7 @@ def to_chrome_trace(timelines, series=None) -> dict:
     ``series`` optionally carries telemetry time-series samples (the
     dicts of :attr:`~repro.observability.telemetry.MetricRegistry.series`);
     they are rendered as counter (``C``) tracks.  Spans and samples
-    share the ``perf_counter`` timebase, so spill bytes, ring occupancy,
+    share the ``perf_counter`` timebase, so spill bytes, pending frames
     and worker RSS line up under the span timeline in the Perfetto UI.
     """
     timelines = _normalize_timelines(timelines)

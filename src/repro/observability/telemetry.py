@@ -6,8 +6,8 @@ A :class:`MetricRegistry` holds three typed instruments —
 
 * :class:`Counter` — monotonically increasing totals (bytes shipped,
   records spilled),
-* :class:`Gauge` — instantaneous levels (resident bytes, free ring
-  slots, memo residency),
+* :class:`Gauge` — instantaneous levels (resident bytes, frames
+  pending at an endpoint, memo residency),
 * :class:`Histogram` — distributions over **fixed bucket bounds**, so
   that merging histograms from different ranks is a plain bucket-wise
   sum and therefore deterministic regardless of merge order —
@@ -191,7 +191,7 @@ class MetricRegistry:
         self.vitals = None
         #: zero-argument callables returning {name: value} gauge samples,
         #: polled at every superstep boundary (executor residency, spill
-        #: levels, fabric ring state)
+        #: levels, frames pending at the fabric endpoint)
         self._probes: list = []
         #: set by the executor for a job with a memory budget: only
         #: then do its supersteps' ``bytes_spilled`` make a series
@@ -490,16 +490,15 @@ def bill_job(registry, job, rank, wall_s, cpu_s, executor,
 
     ``totals`` (the job's :data:`~repro.runtime.metrics.COUNTERS`, in
     order), the spill files ``executor`` opened and the frames its
-    endpoint sent, by path (all zero on the simulator, which has no
-    endpoint), become ``rank``-labelled counters in ``registry`` — the
+    endpoint sent (zero on the simulator, which has no endpoint),
+    become ``rank``-labelled counters in ``registry`` — the
     only place the registry counts.
     """
     counts = dict(zip(COUNTERS, totals))
     spill = executor.spill
     counts["spill.files"] = spill.spill_files if spill is not None else 0
     endpoint = getattr(executor.cluster, "endpoint", None)
-    for name in ("frames_shm", "frames_inline", "inline_fallbacks"):
-        counts[f"fabric.{name}"] = getattr(endpoint, name, 0)
+    counts["fabric.frames_sent"] = getattr(endpoint, "frames_sent", 0)
     labels = {"rank": rank}
     for name, value in counts.items():
         registry.counter(name, labels).inc(value)

@@ -126,8 +126,6 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
     try:
         owned = cluster.owned_partitions(parallelism)
         bytes_before = cluster.bytes_sent
-        zc_cols_before = cluster.columns_zero_copied
-        zc_bytes_before = cluster.bytes_zero_copied
         if kind is ShipKind.FORWARD:
             frames = None
             out, local, remote = _ship_forward(partitions)
@@ -149,10 +147,6 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
             )
         if metrics is not None:
             metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
-            metrics.add_zero_copied(
-                cluster.columns_zero_copied - zc_cols_before,
-                cluster.bytes_zero_copied - zc_bytes_before,
-            )
             metrics.add_shipped(local=local, remote=remote)
             if batches:
                 metrics.add_batches_shipped(batches)

@@ -115,7 +115,7 @@ class RuntimeConfig:
     ``telemetry`` — attach a live
     :class:`~repro.observability.telemetry.MetricRegistry` to the
     session: superstep barriers sample levels (executor residency,
-    spill levels, fabric ring state) into gauges, a histogram and a
+    spill levels, pending fabric frames) into gauges, a histogram and a
     resource time series while the job runs, every job bills its
     collector counts into it, pool workers ship heartbeats for the
     :class:`~repro.observability.health.HealthMonitor`, and the session

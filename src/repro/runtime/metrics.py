@@ -53,11 +53,6 @@ class AdditiveCounters:
     #: resident share)
     records_spilled: int = 0
     bytes_spilled: int = 0
-    #: fixed-width column buffers / payload bytes that crossed the shm
-    #: ring as raw memcpy without pickling (only the worker pool's
-    #: fixed-width column frames take the zero-copy path)
-    columns_zero_copied: int = 0
-    bytes_zero_copied: int = 0
 
     @property
     def messages(self) -> int:
@@ -99,11 +94,13 @@ class MetricsCollector(AdditiveCounters):
     #: per-operator processed counts (the total is ``total_processed``)
     records_processed: Counter = field(default_factory=Counter)
     supersteps: int = 0
-    #: always 0: mid-iteration plan switching was deleted (DESIGN.md §6).
-    #: ``benchmarks/perf/layers.py`` still reads this attribute by name
-    #: and a non-benchmark PR may not edit that directory; the benchmark
-    #: PR that drops its ``optimizer.plan_switches`` row drops this too
+    #: always 0: mid-iteration plan switching was deleted (DESIGN.md §6),
+    #: and so was the fabric's zero-copy data path (every frame is
+    #: pickled onto its pipe).  ``benchmarks/perf/layers.py`` still
+    #: reads both by name; they go with its ``optimizer.plan_switches``
+    #: and ``fabric.bytes_zero_copied`` rows (ROADMAP item 1)
     plan_switches: int = 0
+    bytes_zero_copied: int = 0
     iteration_log: list[IterationStats] = field(default_factory=list)
     #: optional :class:`~repro.runtime.invariants.InvariantChecker`; when
     #: attached (``RuntimeConfig.check_invariants``), every counter hook
@@ -192,11 +189,6 @@ class MetricsCollector(AdditiveCounters):
         """One spill-file frame written by the out-of-core substrate."""
         self._add("records_spilled", records)
         self._add("bytes_spilled", nbytes)
-
-    def add_zero_copied(self, columns: int, nbytes: int):
-        """Column buffers the fabric memcpy'd into shm without pickling."""
-        self._add("columns_zero_copied", columns)
-        self._add("bytes_zero_copied", nbytes)
 
     # ------------------------------------------------------------------
     # superstep scoping

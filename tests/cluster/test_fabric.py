@@ -1,48 +1,18 @@
-"""The frame transport: tagged streams, buffering, timeouts, shm rings."""
+"""The frame transport: tagged streams, buffering, timeouts, pipe sizes."""
 
+import fcntl
 import multiprocessing
+import os
 import threading
 import time
 
 import pytest
 
 from repro.cluster import PoolBackend
-from repro.cluster.fabric import (
-    SHM_THRESHOLD_BYTES,
-    Fabric,
-    FabricTimeout,
-)
-from repro.common import columns as columns_mod
+from repro.cluster.fabric import PIPE_BYTES, Fabric, FabricTimeout
 
-#: the two frame encodings that share the ring-or-inline routine
-ENCODINGS = ("pickled", "columnar")
-
-
-def _rows(n):
-    """``n`` two-int records, 16 payload bytes each as columns and
-    about 12 pickled (both ints need four bytes)."""
-    return [(i + (1 << 20), i + (1 << 30)) for i in range(n)]
-
-
-def _post(endpoint, tag, rows, encoding):
-    """Send ``rows`` to rank 1 as one frame; returns its wire bytes."""
-    before = endpoint.bytes_sent
-    if encoding == "pickled":
-        endpoint.send(1, tag=tag, payload=rows)
-    else:
-        _arity, cols = columns_mod.columnarize(rows)
-        header, buffers = columns_mod.encode_frame(cols, len(rows), None)
-        endpoint.send_columns(1, tag=tag, header=header, buffers=buffers)
-    return endpoint.bytes_sent - before
-
-
-def _take(endpoint, tag):
-    """Receive rank 0's frame as rows, whichever encoding it took."""
-    payload = endpoint.recv(0, tag=tag)
-    if isinstance(payload, tuple) and payload[0] == "cols":
-        length, cols, _fields = columns_mod.decode_frame(*payload[1:])
-        return columns_mod.materialize_rows(cols, length)
-    return payload
+#: a 4 MiB frame: four times the size of one grown pipe
+BIG = 4 * PIPE_BYTES
 
 
 @pytest.fixture
@@ -51,6 +21,16 @@ def fabric():
     fab = Fabric(size=2, mp_context=ctx, timeout=2.0)
     yield fab
     fab.close()
+
+
+def _recv_in_thread(endpoint, source, tag):
+    """Start a thread that receives one frame; returns ``(thread, box)``."""
+    box = []
+    thread = threading.Thread(
+        target=lambda: box.append(endpoint.recv(source, tag=tag))
+    )
+    thread.start()
+    return thread, box
 
 
 class TestEndpoint:
@@ -102,102 +82,64 @@ class TestEndpoint:
 
 
 class TestSharedMemoryRings:
-    """Frames above the threshold travel through shared-memory slots."""
+    """Frames larger than a pipe, job epochs and teardown (the frames
+    that once took the shared-memory rings now ride the pipes too)."""
 
-    @pytest.fixture
-    def small_fabric(self):
-        # tiny slots so modest payloads exercise multi-slot spanning
+    def test_frame_bigger_than_a_pipe_round_trips(self, fabric):
+        a, b = fabric.endpoint(0), fabric.endpoint(1)
+        payload = bytes(range(256)) * (BIG // 256)
+        # rank 0 drains its outbox while rank 1 reads
+        reader, received = _recv_in_thread(b, 0, "big")
+        a.send(1, tag="big", payload=payload)
+        a.flush()
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert received == [payload]
+        assert b.bytes_received == a.bytes_sent > BIG
+
+    def test_ranks_sending_big_frames_to_each_other_both_finish(self):
+        # each rank queues far more than its pipe holds before it reads;
+        # a sender that blocked on a full pipe would deadlock here
         ctx = multiprocessing.get_context("fork")
-        fab = Fabric(size=2, mp_context=ctx, timeout=2.0,
-                     slot_bytes=4096, slots_per_worker=4)
-        yield fab
-        fab.close()
+        fab = Fabric(size=2, mp_context=ctx, timeout=10.0)
+        try:
+            ends = fab.endpoint(0), fab.endpoint(1)
+            payloads = bytes([1]) * BIG, bytes([2]) * BIG
+            received = [None, None]
 
-    @staticmethod
-    def _endpoints(fab):
-        # drop the shm threshold so the kilobyte-scale payloads these
-        # tests use take the shared-memory path, not the inline one
-        a, b = fab.endpoint(0), fab.endpoint(1)
-        a.shm_threshold = b.shm_threshold = 1024
-        return a, b
+            def swap(rank):
+                ends[rank].send(1 - rank, tag="x", payload=payloads[rank])
+                received[rank] = ends[rank].recv(1 - rank, tag="x")
+                ends[rank].flush()
 
-    @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_big_payload_round_trips_through_shm(self, fabric, encoding):
+            threads = [threading.Thread(target=swap, args=(rank,))
+                       for rank in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=15.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert received == [payloads[1], payloads[0]]
+        finally:
+            fab.close()
+
+    def test_stale_frame_bigger_than_a_pipe_is_dropped(self, fabric):
         a, b = fabric.endpoint(0), fabric.endpoint(1)
-        rows = _rows(5000)  # well past the threshold in either encoding
-        before = a._ring.free_slots
-        assert _post(a, "big", rows, encoding) >= SHM_THRESHOLD_BYTES
-        assert a._ring.free_slots < before  # slots in flight
-        assert _take(b, "big") == rows
-        assert b.bytes_received == a.bytes_sent
-        # only raw column buffers count as zero-copied
-        assert a.bytes_zero_copied == \
-            (16 * len(rows) if encoding == "columnar" else 0)
-
-    @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_small_payload_stays_inline(self, fabric, encoding):
-        a, b = fabric.endpoint(0), fabric.endpoint(1)
-        before = a._ring.free_slots
-        _post(a, "small", _rows(3), encoding)
-        assert a._ring.free_slots == before  # no slot touched
-        assert _take(b, "small") == _rows(3)
-        assert a.bytes_zero_copied == 0
-
-    @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_frame_spans_multiple_slots(self, small_fabric, encoding):
-        a, b = self._endpoints(small_fabric)
-        rows = _rows(800)  # 9.6-12.8 KB over 4 KB slots
-        before = a._ring.free_slots
-        _post(a, "span", rows, encoding)
-        assert before - a._ring.free_slots >= 3
-        assert _take(b, "span") == rows
-
-    @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_oversize_frame_falls_back_inline(self, small_fabric, encoding):
-        a, b = self._endpoints(small_fabric)
-        rows = _rows(4000)  # larger than the whole 4-slot ring
-        before = a._ring.free_slots
-        assert _post(a, "huge", rows, encoding) > 4 * 4096
-        assert a._ring.free_slots == before  # inline path, no slots
-        assert _take(b, "huge") == rows
-        assert a.bytes_zero_copied == 0
-
-    def test_acks_recycle_slots_across_repeated_sends(self, small_fabric):
-        # 8 sends through a 4-slot ring only work if receiving acks the
-        # slots back; the interleaved recv drives that recycling
-        a, b = self._endpoints(small_fabric)
-        payload = bytes(6000)  # 2 slots per frame
-        for i in range(8):
-            a.send(1, tag=i, payload=payload)
-            assert b.recv(0, tag=i) == payload
-        # every ack is already in rank 0's pipe: waiting takes them in
-        a._await(lambda: a._ring.free_slots == len(a._ring) or None,
-                 "acks")
-
-    def test_sender_blocks_then_raises_when_no_acks_return(self,
-                                                           small_fabric):
-        a, _ = self._endpoints(small_fabric)
-        a.timeout = 0.2
-        payload = bytes(12_000)  # 3 of the 4 slots
-        a.send(1, tag=0, payload=payload)
-        # nobody is receiving, so no acks: the second send cannot get
-        # slots and must time out rather than deadlock silently
-        with pytest.raises(FabricTimeout):
-            a.send(1, tag=1, payload=payload)
-
-    def test_stale_epoch_frames_are_dropped_but_acked(self, small_fabric):
-        a, b = self._endpoints(small_fabric)
         a.begin_job(1)
         b.begin_job(1)
-        a.send(1, tag="old", payload=bytes(6000))  # epoch-1 frame, shm path
+        a.send(1, tag="old", payload=bytes(BIG))  # cannot fit one pipe
         b.begin_job(2)  # receiver moves on before the frame lands
-        with pytest.raises(FabricTimeout):
-            b.timeout = 0.2
-            b.recv(0, tag="old")
-        assert b.frames_received == 0  # dropped, not misdelivered
-        # ...but the slots were still acked back to the sender
-        a._await(lambda: a._ring.free_slots == len(a._ring) or None,
-                 "acks")
+        a.begin_job(2)
+        a.send(1, tag="fresh", payload="current")
+        reader, received = _recv_in_thread(b, 0, "fresh")
+        a.flush()
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        # the stale frame was read off the pipe whole and dropped; the
+        # next message on the same pipe arrived intact after it
+        assert received == ["current"]
+        assert b.frames_received == 1
+        assert not b._pending
 
     def test_stale_inline_frames_are_dropped_too(self, fabric):
         a, b = fabric.endpoint(0), fabric.endpoint(1)
@@ -220,35 +162,56 @@ class TestSharedMemoryRings:
                 b.frames_sent) == (0, 0, 0, 0)
         assert not b._pending
 
-    def test_shared_memory_can_be_disabled(self):
-        ctx = multiprocessing.get_context("fork")
-        fab = Fabric(size=2, mp_context=ctx, timeout=2.0,
-                     use_shared_memory=False)
+    def test_close_is_idempotent_and_safe_after_partial_use(self, fabric):
+        a = fabric.endpoint(0)
+        a.send(1, tag="orphan", payload=bytes(BIG))  # never received
+        fabric.close()
+        fabric.close()  # second close: no-op, no raise
+
+
+def _pipe_sizes(fab):
+    return [fcntl.fcntl(write_fd, fcntl.F_GETPIPE_SZ)
+            for _read_fd, write_fd in fab._pipes.values()]
+
+
+def _kernel_grows_pipes() -> bool:
+    """Whether this kernel lets this user grow a pipe to PIPE_BYTES."""
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        return False
+    read_fd, write_fd = os.pipe()
+    try:
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        return True
+    except OSError:
+        return False
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+
+
+@pytest.mark.skipif(not _kernel_grows_pipes(),
+                    reason="the kernel refuses to grow pipes")
+class TestPipeCapacity:
+    """Pipes are grown once, when the fabric is made; no process runs."""
+
+    @staticmethod
+    def _sizes(size):
+        fab = Fabric(size=size, mp_context=multiprocessing.get_context(
+            "fork"), timeout=1.0)
         try:
-            a, b = fab.endpoint(0), fab.endpoint(1)
-            assert a._ring is None
-            payload = list(range(50_000))
-            # more than one pipe buffer: rank 0 drains its outbox while
-            # rank 1 reads
-            received = []
-            reader = threading.Thread(
-                target=lambda: received.append(b.recv(0, tag="big"))
-            )
-            reader.start()
-            a.send(1, tag="big", payload=payload)
-            a.flush()
-            reader.join(timeout=10.0)
-            assert not reader.is_alive()
-            assert received == [payload]
+            return _pipe_sizes(fab)
         finally:
             fab.close()
 
-    def test_close_is_idempotent_and_safe_after_partial_use(self,
-                                                            small_fabric):
-        a, _ = self._endpoints(small_fabric)
-        a.send(1, tag="orphan", payload=bytes(6000))  # never received
-        small_fabric.close()
-        small_fabric.close()  # second close: no-op, no raise
+    def test_two_workers_get_one_mebibyte_pipes(self):
+        assert self._sizes(2) == [1 << 20] * 2
+
+    def test_eight_workers_share_at_most_sixteen_mebibytes(self):
+        sizes = self._sizes(8)
+        assert len(sizes) == 8 * 7
+        assert sum(sizes) <= 16 << 20
+        # never below the kernel's default
+        assert min(sizes) >= 1 << 16
 
 
 #: one stream per collective per peer: the allreduce tags run 1..ROUNDS

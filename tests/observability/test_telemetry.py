@@ -236,10 +236,9 @@ def test_results_and_logical_counters_identical_with_telemetry(
 @pytest.mark.parametrize("backend", ["simulated", "pool"])
 def test_registry_counts_are_the_collector_counts(backend, budget):
     """The registry counts nothing of its own: over a session of delta,
-    microstep and bulk jobs, every schema counter it exports equals the
-    collector's total, and no name holds two kinds.  Fails at the
-    parent commit: a budget crashed the jobs, and on the pool
-    ``fabric.columns_zero_copied`` was both a counter and a gauge."""
+    microstep and bulk jobs, every one of the eleven schema counters it
+    exports equals the collector's total, no name holds two kinds, and a
+    memory budget does not crash the jobs."""
     env = ExecutionEnvironment(
         parallelism=4, backend=backend,
         config=RuntimeConfig(telemetry=True, memory_budget_bytes=budget),
@@ -261,6 +260,9 @@ def test_registry_counts_are_the_collector_counts(backend, budget):
     assert len(env.resource_ledger.jobs) == 3
     assert env.resource_ledger.totals()["bytes_shipped"] == \
         env.metrics.bytes_shipped
+    # every frame the endpoints sent, on the one path there is
+    frames = env.telemetry.total("fabric.frames_sent")
+    assert (frames > 0) == (backend == "pool")
 
 
 def test_simulated_run_populates_registry_and_ledger():

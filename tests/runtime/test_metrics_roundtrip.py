@@ -104,8 +104,6 @@ HOOKS = {
     "cache_builds": lambda m, n: m.add_cache_build(n),
     "records_spilled": lambda m, n: m.add_spilled(n, 0),
     "bytes_spilled": lambda m, n: m.add_spilled(0, n),
-    "columns_zero_copied": lambda m, n: m.add_zero_copied(n, 0),
-    "bytes_zero_copied": lambda m, n: m.add_zero_copied(0, n),
 }
 
 
