@@ -29,9 +29,10 @@ the last of which rides in the ``("e", n_chunks, chunk)`` terminator
 (an empty frame is ``("e", 0)``); and the fabric endpoint writes each
 as one message on the per-pair pipe to the peer
 (:mod:`repro.cluster.fabric`).
-A hash ship whose input already sits on its hash partitions — the
-staged delta of a superstep, re-hashed on the solution key — takes no
-``route`` at all (:func:`repro.runtime.channels.ship`, ``placed``).
+Where data already sits on the partitions its consumer needs — the
+staged delta of a superstep, read on the solution key — the plan says
+FORWARD, and a forward ship takes no ``route`` at all
+(:func:`repro.runtime.channels.ship`).
 
 The collectives are designed so that the SPMD execution is *bitwise
 identical* to the simulator in every record ordering: ``exchange``

@@ -80,7 +80,7 @@ def _pipe_bytes(size: int) -> int:
 _SETPIPE_SZ = getattr(fcntl, "F_SETPIPE_SZ", None)
 
 
-def _grow(fd: int, capacity: int) -> None:
+def grow_pipe(fd: int, capacity: int) -> None:
     """Ask the kernel for a ``capacity``-byte pipe; where it refuses
     (another OS, a lowered ``pipe-max-size``, the user's pipe quota
     spent), the pipe keeps its default size."""
@@ -110,7 +110,7 @@ class Fabric:
                         self._pipes[(source, target)] = (read_fd, write_fd)
                         os.set_blocking(read_fd, False)
                         os.set_blocking(write_fd, False)
-                        _grow(write_fd, capacity)
+                        grow_pipe(write_fd, capacity)
         except OSError:
             self._close_pipes()
             raise
@@ -144,11 +144,12 @@ class Fabric:
             return
         self._closed = True
         self._close_pipes()
-        for teardown in (self.results.cancel_join_thread, self.results.close):
-            try:
-                teardown()
-            except Exception:  # pragma: no cover - defensive
-                pass
+        self.results.cancel_join_thread()
+        self.results.close()
+        # the parent only reads results, so no feeder thread of its own
+        # closes the queue's pipe: both ends close here
+        self.results._reader.close()
+        self.results._writer.close()
 
 
 class Endpoint:

@@ -8,9 +8,9 @@ in-process simulator:
 
 * **Workers outlive a job.**  A :class:`WorkerPool` forks its workers
   once; ``execute_plan`` / ``run_program`` jobs (and all their
-  supersteps) are dispatched to those processes over per-worker job
-  queues.  Jobs cross by value through the closure-capable
-  :mod:`~repro.cluster.codec`.
+  supersteps) are dispatched to those processes over one job pipe per
+  worker, which the parent writes from its own thread.  Jobs cross by
+  value through the closure-capable :mod:`~repro.cluster.codec`.
 * **Frames travel over per-pair pipes.**  The pool's
   :class:`~repro.cluster.fabric.Fabric` makes one pipe per ordered
   worker pair before forking, so a cross-worker record batch is one
@@ -24,8 +24,9 @@ in-process simulator:
   on teardown.  A job that fails *cleanly* on every rank (a Python
   exception, a :class:`~repro.cluster.fabric.FabricTimeout` on a
   stalled peer) leaves the pool healthy — workers return to their job
-  queue and the next job runs without re-forking; job epochs stop any
-  leftover frames from leaking into it.
+  pipe and the next job runs without re-forking; job epochs stop any
+  leftover frames from leaking into it.  Teardown closes every pipe the
+  pool made before it returns, a crashed pool's included.
 
 Two backend names select the pool's lifetime, nothing else:
 
@@ -60,7 +61,7 @@ from repro.cluster.backends import (
     reap_workers,
 )
 from repro.cluster.context import WorkerCluster
-from repro.cluster.fabric import Fabric
+from repro.cluster.fabric import PIPE_BYTES, Fabric, grow_pipe
 from repro.observability.health import (
     VITALS,
     HealthMonitor,
@@ -82,14 +83,14 @@ def stop_heartbeats() -> None:
         _heartbeat_sender.stop()
 
 
-def _pool_worker(job_queue, fabric, rank: int, size: int) -> None:
+def _pool_worker(jobs, fabric, rank: int, size: int) -> None:
     """One long-lived worker: loop jobs until the ``None`` sentinel.
 
     A job that raises — including a :class:`FabricTimeout` on a dead or
-    stalled peer — reports an error payload and returns to the queue;
-    only process death (or the sentinel) ends the loop.  ``begin_job``
-    resets the endpoint's counters, buffered frames, and epoch, so no
-    state leaks between consecutive jobs.
+    stalled peer — reports an error payload and returns to its job
+    pipe; only process death (or the sentinel) ends the loop.
+    ``begin_job`` resets the endpoint's counters, buffered frames, and
+    epoch, so no state leaks between consecutive jobs.
 
     Jobs carrying a ``heartbeat_interval`` (telemetry-enabled plans)
     start a daemon :class:`HeartbeatSender` on first use; it samples the
@@ -101,7 +102,7 @@ def _pool_worker(job_queue, fabric, rank: int, size: int) -> None:
     VITALS.configure(rank)
     endpoint = fabric.endpoint(rank)
     while True:
-        message = job_queue.get()
+        message = jobs.recv()
         if message is None:
             return
         job_id, blob = message
@@ -160,32 +161,24 @@ def reconcile_wire_counts(metrics, endpoint) -> None:
         metrics.add_bytes_shipped(leftover)
 
 
-def _shutdown_pool(workers, job_queues, fabric, force: bool = False) -> None:
+def _shutdown_pool(workers, job_pipes, fabric, force: bool = False) -> None:
     """Best-effort teardown usable from ``close`` and GC finalization.
 
-    On the clean path every worker has read its ``None`` sentinel and
-    exited by the time it is reaped, so each queue's feeder thread has
-    nothing left to write: joining it closes the queue's pipe ends
-    before this returns.  A forced teardown, or one where a worker had
-    to be killed, does not wait on the feeders.
+    The clean path hands every worker its ``None`` sentinel; a forced
+    one terminates them.  Either way every pipe the pool made — the job
+    pipes and the fabric's — is closed here, in this thread, before
+    this returns.
     """
     if not force:
-        for q in job_queues:
+        for pipe in job_pipes:
             try:
-                q.put(None)
-            except Exception:  # pragma: no cover - queue already broken
+                pipe.send(None)
+            except OSError:  # the worker is gone
                 force = True
                 break
     reap_workers(workers, incomplete=force)
-    force = force or any(worker.exitcode != 0 for worker in workers)
-    for q in job_queues:
-        teardown = ((q.cancel_join_thread, q.close) if force
-                    else (q.close, q.join_thread))
-        for step in teardown:
-            try:
-                step()
-            except Exception:  # pragma: no cover - defensive
-                pass
+    for pipe in job_pipes:
+        pipe.close()
     fabric.close()
 
 
@@ -205,16 +198,25 @@ class WorkerPool:
         self.size = size
         self.timeout = timeout
         self.fabric = Fabric(size, mp_context, timeout)
-        self.job_queues = [mp_context.Queue() for _ in range(size)]
+        #: the write end of each rank's job pipe
+        self.job_pipes = []
         self.workers = []
         for rank in range(size):
+            reader, writer = mp_context.Pipe(duplex=False)
+            # a job of up to a pipe (about 1 MB on the benchmark's
+            # graphs) reaches every rank without waiting on its reader
+            grow_pipe(writer.fileno(), PIPE_BYTES)
             process = mp_context.Process(
                 target=_pool_worker,
-                args=(self.job_queues[rank], self.fabric, rank, size),
+                args=(reader, self.fabric, rank, size),
                 daemon=True,
                 name=f"pool-worker-{rank}",
             )
             process.start()
+            # closed before the next fork: the worker holds the only
+            # read end, so a send to a dead worker fails at once
+            reader.close()
+            self.job_pipes.append(writer)
             self.workers.append(process)
         self._job_seq = 0
         #: parent-side heartbeat ledger; populated only when jobs run
@@ -222,7 +224,7 @@ class WorkerPool:
         self.monitor = HealthMonitor(size)
         self.closed = False
         self._finalizer = weakref.finalize(
-            self, _shutdown_pool, list(self.workers), list(self.job_queues),
+            self, _shutdown_pool, list(self.workers), list(self.job_pipes),
             self.fabric,
         )
 
@@ -245,8 +247,12 @@ class WorkerPool:
         self._job_seq += 1
         job_id = self._job_seq
         blob = codec.dumps(body)
-        for q in self.job_queues:
-            q.put((job_id, blob))
+        try:
+            for pipe in self.job_pipes:
+                pipe.send((job_id, blob))
+        except OSError as exc:
+            self.close(force=True)
+            raise WorkerCrash(f"a worker died between jobs: {exc}") from exc
         return self._gather(job_id)
 
     def _gather(self, job_id):
@@ -323,7 +329,7 @@ class WorkerPool:
             return
         self.closed = True
         self._finalizer.detach()
-        _shutdown_pool(self.workers, self.job_queues, self.fabric,
+        _shutdown_pool(self.workers, self.job_pipes, self.fabric,
                        force=force)
 
 

@@ -192,6 +192,30 @@ class DeltaIterationNode(LogicalNode):
         return self
 
 
+def map_fields_forward(node, input_index, fields):
+    """Translate input field positions to output positions, or None."""
+    mapping = node.forwarded_fields.get(input_index, {})
+    return _map_fields(node, fields, mapping)
+
+
+def map_fields_backward(node, input_index, fields):
+    """Translate output field positions to input positions, or None."""
+    mapping = node.forwarded_fields.get(input_index, {})
+    inverse = {dst: src for src, dst in mapping.items()}
+    return _map_fields(node, fields, inverse)
+
+
+def _map_fields(node, fields, mapping):
+    """``fields`` through the field ``mapping`` of ``node``'s declared
+    forwarded fields, or None if one is not declared (a filter forwards
+    every field)."""
+    if node.contract is Contract.FILTER:
+        return tuple(fields)
+    if not all(f in mapping for f in fields):
+        return None
+    return tuple(mapping[f] for f in fields)
+
+
 def ancestors(node, stop=()):
     """All transitive producers of ``node`` (inclusive), respecting ``stop``.
 

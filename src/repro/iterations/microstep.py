@@ -38,7 +38,12 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import MicrostepViolation
 from repro.dataflow.contracts import Contract, is_record_at_a_time
-from repro.dataflow.graph import dynamic_path_nodes, iteration_body_nodes
+from repro.dataflow.graph import (
+    dynamic_path_nodes,
+    iteration_body_nodes,
+    map_fields_backward,
+    map_fields_forward,
+)
 
 #: the stateful operators that read the solution set
 _SOLUTION_ACCESS = (Contract.SOLUTION_JOIN, Contract.SOLUTION_COGROUP)
@@ -213,27 +218,12 @@ def _route_fields(iteration, chain_to_delta):
     else:
         fields = chain_to_delta[access_pos].key_fields[0]
         prefix = chain_to_delta[:access_pos]
-    chain_ids = {n.id for n in chain_to_delta}
     for node in reversed(prefix):
-        dyn_input = _dynamic_input_index(node, chain_to_delta, 0)
-        fields = _backward_fields(node, dyn_input, fields)
+        dyn_input = _dynamic_input_index(node, chain_to_delta)
+        fields = map_fields_backward(node, dyn_input, fields)
         if fields is None:
             return None
     return fields
-
-
-def _backward_fields(node, input_index, fields):
-    """Map output field positions back to input positions, or None."""
-    if node.contract is Contract.FILTER:
-        return fields
-    mapping = node.forwarded_fields.get(input_index, {})
-    inverse = {dst: src for src, dst in mapping.items()}
-    out = []
-    for f in fields:
-        if f not in inverse:
-            return None
-        out.append(inverse[f])
-    return tuple(out)
 
 
 def _dynamic_consumers(iteration, dynamic_ids, body_ids):
@@ -280,41 +270,24 @@ def _updates_are_local(iteration, chain_to_delta) -> bool:
     access = chain_to_delta[access_pos]
     # The access itself must join on k(s) and forward it unchanged.
     probe_key = access.key_fields[0]
-    tracked = _forward_fields(access, 0, probe_key)
+    tracked = map_fields_forward(access, 0, probe_key)
     if tracked is None:
         return False
     for node in chain_to_delta[access_pos + 1:]:
-        dynamic_input = _dynamic_input_index(node, chain_to_delta, access_pos)
+        dynamic_input = _dynamic_input_index(node, chain_to_delta)
         keyed = node.key_fields[dynamic_input] if dynamic_input < len(node.key_fields) else None
         if keyed is not None and keyed != tracked:
             return False
-        tracked = _forward_fields(node, dynamic_input, tracked)
+        tracked = map_fields_forward(node, dynamic_input, tracked)
         if tracked is None:
             return False
     return tracked == solution_key
 
 
-def _dynamic_input_index(node, chain, access_pos) -> int:
+def _dynamic_input_index(node, chain) -> int:
     """Which input slot of ``node`` carries the dynamic path (default 0)."""
     chain_ids = {n.id for n in chain}
     for idx, inp in enumerate(node.inputs):
         if inp.id in chain_ids:
             return idx
     return 0
-
-
-def _forward_fields(node, input_index, fields):
-    """Map field positions through the node's forwarded-field declaration.
-
-    Returns the output positions of ``fields`` or ``None`` if any field is
-    not declared constant.  Filters forward everything by definition.
-    """
-    if node.contract is Contract.FILTER:
-        return fields
-    mapping = node.forwarded_fields.get(input_index, {})
-    out = []
-    for f in fields:
-        if f not in mapping:
-            return None
-        out.append(mapping[f])
-    return tuple(out)

@@ -11,6 +11,7 @@ an environment is created with ``optimize=False``.
 from __future__ import annotations
 
 from repro.dataflow.contracts import Contract
+from repro.dataflow.graph import map_fields_forward
 from repro.iterations.microstep import analyze_microstep
 from repro.optimizer.costs import DEFAULT_WEIGHTS, CostWeights
 from repro.optimizer.enumerator import Candidate, Enumerator
@@ -163,19 +164,18 @@ def _fixup_microstep(exec_plan: ExecutionPlan, iteration):
 
 
 def _fixup_chain(exec_plan, iteration, chain, tracked_fields):
-    from repro.iterations.microstep import _forward_fields
-
-    chain_ids = {op.id for op in chain}
-    dynamic_ids = chain_ids | {
+    dynamic_ids = {op.id for op in chain} | {
         iteration.workset_placeholder.id,
         iteration.solution_placeholder.id,
         iteration.delta_output.id,
     }
     for op in chain:
         ann = exec_plan.annotation(op)
+        # the input slot the per-record stream arrives on
+        dyn_idx = next((idx for idx, producer in enumerate(op.inputs)
+                        if producer.id in dynamic_ids), 0)
         if op.contract in (Contract.MATCH, Contract.CROSS):
-            const_idx = _constant_input_index(op, chain_ids, iteration)
-            dyn_idx = 1 - const_idx
+            const_idx = 1 - dyn_idx
             local_join = (
                 op.contract is Contract.MATCH
                 and tracked_fields is not None
@@ -187,21 +187,4 @@ def _fixup_chain(exec_plan, iteration, chain, tracked_fields):
                 ann.ship[const_idx] = BROADCAST
         # trace how the routing fields survive this operator's UDF
         if tracked_fields is not None:
-            dyn_input = 0
-            for idx, producer in enumerate(op.inputs):
-                if producer.id in dynamic_ids:
-                    dyn_input = idx
-                    break
-            tracked_fields = _forward_fields(op, dyn_input, tracked_fields)
-
-
-def _constant_input_index(op, chain_ids, iteration) -> int:
-    placeholders = {
-        iteration.workset_placeholder.id,
-        iteration.solution_placeholder.id,
-        iteration.delta_output.id,
-    }
-    for idx, producer in enumerate(op.inputs):
-        if producer.id not in chain_ids and producer.id not in placeholders:
-            return idx
-    return 1
+            tracked_fields = map_fields_forward(op, dyn_idx, tracked_fields)

@@ -18,6 +18,8 @@ makes the optimizer discover both PageRank plans of Figure 4.
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.common.errors import OptimizerError
@@ -35,15 +37,18 @@ from repro.optimizer.properties import (
     map_fields_forward,
     propagate_interesting_properties,
     props_through,
+    staged_partitionings,
 )
 from repro.optimizer.statistics import Statistics
 from repro.runtime.plan import (
     BROADCAST,
+    DELTA_SLOT,
     FORWARD,
     GATHER,
     LocalStrategy,
     ShipKind,
     ShipStrategy,
+    keep_on,
     partition_on,
 )
 
@@ -63,6 +68,8 @@ class Candidate:
     combiner: bool = False
     #: nested iteration-body plans: [(node, Candidate | annotation work)]
     nested: tuple = ()
+    #: a delta output's ∪̇ staging ship (see :meth:`Enumerator._staged`)
+    staging: ShipStrategy | None = None
 
 
 def _prune(candidates: list[Candidate]) -> list[Candidate]:
@@ -97,7 +104,8 @@ class Enumerator:
 
     def __init__(self, parallelism, weights, stats, interesting=None,
                  dynamic_ids=frozenset(), iteration_weight=1.0,
-                 placeholder_props=None, tracer=None, pushdown=None):
+                 placeholder_props=None, tracer=None, pushdown=None,
+                 staged=None):
         self.parallelism = parallelism
         self.weights = weights
         self.stats = stats
@@ -110,6 +118,8 @@ class Enumerator:
         #: pushed side's records are filtered before shipping, so match
         #: costing discounts that side by the filter's selectivity
         self.pushdown = pushdown or {}
+        #: see :func:`~repro.optimizer.properties.staged_partitionings`
+        self.staged = staged or {}
         self._memo: dict[int, list[Candidate]] = {}
         self._consumer_counts: dict[int, int] = {}
 
@@ -164,12 +174,25 @@ class Enumerator:
         cands = _prune(self._enumerate(node))
         if not cands:
             raise OptimizerError(f"no physical plan for {node.name}")
+        key = self.staged.get(node.id)
+        if key is not None:
+            cands = _prune([self._staged(cand, key) for cand in cands])
         # Shared (multi-consumer) outputs are finalized to one choice so
         # different consumers cannot demand conflicting physical plans.
         if self._consumer_counts.get(node.id, 0) > 1:
             cands = [min(cands, key=lambda c: c.cost)]
         self._memo[node.id] = cands
         return cands
+
+    def _staged(self, cand, key) -> Candidate:
+        """``cand`` as the body reads it back: on the partitions of
+        ``key``, put there every superstep by its staging ship."""
+        staging, ship_c = self._ship_for(cand, key,
+                                         self.stats.size(cand.node))
+        return dataclasses.replace(
+            cand, props=PhysicalProps(partitioned_on=key),
+            cost=cand.cost + self.iteration_weight * ship_c, staging=staging,
+        )
 
     def _enumerate(self, node) -> list[Candidate]:
         contract = node.contract
@@ -266,7 +289,8 @@ class Enumerator:
         for child in self.candidates(producer):
             options = []
             if child.props.satisfies_partitioning(key):
-                options.append((FORWARD, 0.0, in_size, False))
+                options.append((keep_on(child.props.partitioned_on), 0.0,
+                                in_size, False))
             if combinable:
                 # a combiner emits at most one record per key per
                 # partition: min(half the input, |output| per partition)
@@ -359,18 +383,22 @@ class Enumerator:
                     broadcast_side=1))
         return out
 
-    def _ship_for(self, node, side, child, key, size):
-        """(strategy, cost) to make ``child`` partitioned on ``key``."""
-        if child.props.satisfies_partitioning(key):
-            return FORWARD, 0.0
+    def _ship_for(self, child, key, size):
+        """(strategy, cost) to make ``child`` partitioned on ``key``.
+
+        On all of ``key``: the other input, or the solution set, sits
+        on the partitions of its whole key, where a partitioning on a
+        subset of the fields does not put equal keys."""
+        if child.props.replicated or child.props.partitioned_on == key:
+            return keep_on(child.props.partitioned_on), 0.0
         return partition_on(key), costs.ship_cost(
             ShipKind.PARTITION_HASH, size, self.parallelism, self.weights
         )
 
     def _match_partitioned(self, node, lc, rc, lkey, rkey, lsize, rsize,
                            weight):
-        lship, lcost = self._ship_for(node, 0, lc, lkey, lsize)
-        rship, rcost = self._ship_for(node, 1, rc, rkey, rsize)
+        lship, lcost = self._ship_for(lc, lkey, lsize)
+        rship, rcost = self._ship_for(rc, rkey, rsize)
         lw = self._edge_weight(node, node.inputs[0])
         rw = self._edge_weight(node, node.inputs[1])
         base = lc.cost + rc.cost + lw * lcost + rw * rcost
@@ -526,8 +554,8 @@ class Enumerator:
         weight = self._node_weight(node)
         for lc in self.candidates(node.inputs[0]):
             for rc in self.candidates(node.inputs[1]):
-                lship, lcost = self._ship_for(node, 0, lc, lkey, lsize)
-                rship, rcost = self._ship_for(node, 1, rc, rkey, rsize)
+                lship, lcost = self._ship_for(lc, lkey, lsize)
+                rship, rcost = self._ship_for(rc, rkey, rsize)
                 lw = self._edge_weight(node, node.inputs[0])
                 rw = self._edge_weight(node, node.inputs[1])
                 cost = (
@@ -592,7 +620,7 @@ class Enumerator:
             else LocalStrategy.SOLUTION_GROUP
         )
         for child in self.candidates(producer):
-            ship, ship_c = self._ship_for(node, 0, child, key, size)
+            ship, ship_c = self._ship_for(child, key, size)
             props_in = (
                 child.props if ship.kind is ShipKind.FORWARD
                 else PhysicalProps(partitioned_on=key)
@@ -616,25 +644,24 @@ class Enumerator:
     # iterations: nested enumeration (Section 4.3)
 
     def _enumerate_iteration(self, node):
-        from repro.optimizer.naive import resolve_iteration_mode
-
         input_cands = [self.candidates(inp) for inp in node.inputs]
         best_inputs = [min(cands, key=lambda c: c.cost) for cands in input_cands]
-        if self.tracer is not None:
-            with self.tracer.span("optimizer:body", category="optimizer",
-                                  iteration=node.name):
-                body_plans, body_cost, out_props = _optimize_body(
-                    node, self.parallelism, self.weights, self.stats,
-                    tracer=self.tracer,
-                )
-        else:
+        span = nullcontext() if self.tracer is None else self.tracer.span(
+            "optimizer:body", category="optimizer", iteration=node.name,
+        )
+        with span:
             body_plans, body_cost, out_props = _optimize_body(
                 node, self.parallelism, self.weights, self.stats,
+                tracer=self.tracer,
             )
         total = sum(c.cost for c in best_inputs) + body_cost
         ships = {}
         if node.contract is Contract.DELTA_ITERATION:
             out_props = PhysicalProps(partitioned_on=node.solution_key)
+            delta = next(pick for root, pick in body_plans
+                         if root is node.delta_output)
+            ships = {0: partition_on(node.solution_key),
+                     DELTA_SLOT: delta.staging}
         return [Candidate(
             node, out_props, total,
             ships=ships, children=tuple(best_inputs),
@@ -688,6 +715,7 @@ def _optimize_body(iteration, parallelism, weights, outer_stats,
         dynamic_ids=dynamic,
         iteration_weight=expected,
         tracer=tracer,
+        staged=staged_partitionings(iteration),
     )
     enumerator.count_consumers(body)
 

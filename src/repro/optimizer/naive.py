@@ -10,13 +10,17 @@ optimizer's improvements measurable (see the Figure 4 benchmark).
 from __future__ import annotations
 
 from repro.dataflow.contracts import Contract
+from repro.dataflow.graph import iteration_body_nodes
 from repro.iterations.microstep import analyze_microstep
+from repro.optimizer.properties import staged_partitionings
 from repro.runtime.plan import (
     BROADCAST,
+    DELTA_SLOT,
     ExecutionPlan,
     FORWARD,
     GATHER,
     LocalStrategy,
+    keep_on,
     partition_on,
 )
 
@@ -51,6 +55,8 @@ def annotate_node_naive(node, exec_plan):
             if contract is Contract.SOLUTION_JOIN
             else LocalStrategy.SOLUTION_GROUP
         )
+    elif contract is Contract.DELTA_ITERATION:
+        ann.ship[0] = ann.ship[DELTA_SLOT] = partition_on(node.solution_key)
     else:
         for idx in range(len(node.inputs)):
             ann.ship[idx] = FORWARD
@@ -65,13 +71,28 @@ def resolve_iteration_mode(node) -> str:
     return node.mode
 
 
+def _keep_staged(exec_plan, iteration):
+    """Forward what the body of ``iteration`` reads already partitioned
+    on the key it would hash on (the staged delta, for one)."""
+    staged = staged_partitionings(iteration)
+    for node in iteration_body_nodes(iteration):
+        ship = exec_plan.annotation(node).ship
+        for idx, producer in enumerate(node.inputs):
+            key = staged.get(producer.id)
+            if key is not None and ship.get(idx) == partition_on(key):
+                ship[idx] = keep_on(key)
+
+
 def naive_plan(logical_plan, parallelism) -> ExecutionPlan:
     """Annotate every node (iteration bodies included) with defaults."""
     from repro.optimizer import _fixup_microstep
     exec_plan = ExecutionPlan(logical_plan)
-    for node in logical_plan.nodes():
+    nodes = logical_plan.nodes()
+    for node in nodes:
         annotate_node_naive(node, exec_plan)
+    for node in nodes:
         if node.contract is Contract.DELTA_ITERATION:
+            _keep_staged(exec_plan, node)
             mode = resolve_iteration_mode(node)
             exec_plan.iteration_modes[node.id] = mode
             if mode in ("microstep", "async"):

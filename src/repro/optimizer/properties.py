@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dataflow.contracts import Contract
+from repro.dataflow.graph import map_fields_backward, map_fields_forward
 
 
 @dataclass(frozen=True)
@@ -55,31 +56,15 @@ NO_PROPS = PhysicalProps()
 REPLICATED = PhysicalProps(replicated=True)
 
 
-def map_fields_forward(node, input_index, fields):
-    """Translate input field positions to output positions, or None."""
-    if node.contract is Contract.FILTER:
-        return tuple(fields)
-    mapping = node.forwarded_fields.get(input_index, {})
-    out = []
-    for f in fields:
-        if f not in mapping:
-            return None
-        out.append(mapping[f])
-    return tuple(out)
-
-
-def map_fields_backward(node, input_index, fields):
-    """Translate output field positions to input positions, or None."""
-    if node.contract is Contract.FILTER:
-        return tuple(fields)
-    mapping = node.forwarded_fields.get(input_index, {})
-    inverse = {dst: src for src, dst in mapping.items()}
-    out = []
-    for f in fields:
-        if f not in inverse:
-            return None
-        out.append(inverse[f])
-    return tuple(out)
+def staged_partitionings(iteration) -> dict:
+    """``{node id: key fields}``: what ``iteration``'s body reads back
+    hash-partitioned whatever its producer's plan.  A delta iteration
+    stages its delta on the solution set's partitions for ∪̇, and its
+    body reads the staged delta (Section 5.1).  Both planners take the
+    fact from here."""
+    if iteration.contract is Contract.DELTA_ITERATION:
+        return {iteration.delta_output.id: iteration.solution_key}
+    return {}
 
 
 def props_through(node, input_index, props: PhysicalProps) -> PhysicalProps:

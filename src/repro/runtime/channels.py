@@ -45,10 +45,11 @@ counts the chunks of the partitions it owns).
 When the shipping metrics collector carries an
 :class:`~repro.runtime.invariants.InvariantChecker`, every ship is
 audited after the fact: conservation (records out equal records in),
-placement (hash-shipped records land on ``partition_index(key)``), and
-the local/remote split recomputed independently per record — by the
-global law when the context saw every partition, by its per-owner
-projection otherwise.
+placement (hash-shipped records land on ``partition_index(key)``, and
+so do the records of a forward ship that names a partitioning), and the
+local/remote split recomputed independently per record — by the global
+law when the context saw every partition, by its per-owner projection
+otherwise.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _chunk_count(n: int, batch_size) -> int:
 
 
 def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
-         batch_size=None, max_frame_bytes=None, columnar=True, placed=False):
+         batch_size=None, max_frame_bytes=None, columnar=True):
     """Move ``partitions`` according to ``strategy``; returns new partitions.
 
     Enforces the partition-count contract above: ``partitions`` must hold
@@ -84,18 +85,15 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
 
     ``cluster`` decides which source partitions this call frames and
     how the frames reach their owners; forward ships never cross
-    partitions, so they are neither framed nor routed.
+    partitions, so they are neither framed nor routed.  Which strategy
+    an edge takes is the planner's decision alone: where a producer is
+    already partitioned as its consumer needs (the staged delta of a
+    workset iteration, for one), the plan says FORWARD and names that
+    partitioning, and the checker audits it.
 
     ``batch_size`` frames the move in record-batch chunks (see the
     module docstring); ``max_frame_bytes`` additionally bounds the
     serialized size of one fabric frame.
-
-    ``placed`` declares a hash ship's input already sitting on its hash
-    partitions (every record's key owns the partition it is in).  Such
-    a ship is neither framed nor routed — every context decides it from
-    the plan alone, so collective tags stay in lockstep — yet it counts
-    its records local and its chunks exactly as the routed ship would,
-    and the checker audits the claim record by record.
 
     The hash framer computes partition targets with one vectorized
     pass over a chunk's int64 key column when it has one (the row loop
@@ -130,12 +128,6 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
             frames = None
             out, local, remote = _ship_forward(partitions)
             batches = 0
-        elif placed and kind is ShipKind.PARTITION_HASH:
-            out, local, batches = _keep_placed(
-                partitions, owned, strategy, batch_size, checker
-            )
-            # what each owned source framed: its records, for itself
-            frames, remote = out, 0
         else:
             frames, local, remote, batches = frame(
                 partitions, owned, strategy, batch_size, checker
@@ -176,27 +168,6 @@ def _ship_forward(partitions):
         for p in partitions
     ]
     return out, total, 0
-
-
-def _keep_placed(partitions, owned, strategy, batch_size, checker):
-    """A hash ship whose input is already placed: every owned record
-    stays where it is, counted local, in the chunks the framer would
-    have cut; returns ``(out, local, batches)``."""
-    out = empty_partitions(len(partitions))
-    local = batches = 0
-    for p in owned:
-        part = partitions[p]
-        if not len(part):
-            continue
-        if checker is not None:
-            for chunk in RecordBatch.wrap(part, strategy.key_fields).chunks(
-                batch_size
-            ):
-                checker.check_batch(chunk)
-        out[p] = list(part)
-        local += len(part)
-        batches += _chunk_count(len(part), batch_size)
-    return out, local, batches
 
 
 def frame(partitions, owned, strategy, batch_size=None, checker=None):

@@ -37,7 +37,7 @@ from repro.dataflow.graph import dynamic_path_nodes, iteration_body_nodes
 from repro.iterations import microstep_runtime, supersteps
 from repro.iterations.solution_set import SolutionSetIndex
 from repro.runtime import channels, drivers, fusion
-from repro.runtime.plan import FORWARD, GATHER, LocalStrategy, partition_on
+from repro.runtime.plan import DELTA_SLOT, LocalStrategy
 
 
 class _IterationScope:
@@ -52,8 +52,6 @@ class _IterationScope:
         self.iter_memo: dict[int, list] = {}
         self.edge_cache: dict = {}
         self.table_cache: dict = {}
-        #: node id -> the hash ship its step-memo output already obeys
-        self.placed: dict = {}
 
 
 class IterationSummary:
@@ -281,7 +279,7 @@ class Executor:
     def _compute_node(self, node, step_memo, scope):
         contract = node.contract
         if contract is Contract.SINK:
-            inputs = self._shipped_inputs(node, step_memo, scope, default=GATHER)
+            inputs = self._shipped_inputs(node, step_memo, scope)
             return inputs[0]
         if contract is Contract.BULK_ITERATION:
             return self._run_bulk_iteration(node, step_memo, scope)
@@ -302,12 +300,12 @@ class Executor:
             channels.round_robin(node.data, self.parallelism)
         )
 
-    def _ship(self, partitions, strategy, placed=False):
+    def _ship(self, partitions, strategy):
         """Ship through this executor's cluster context."""
         return channels.ship(
             partitions, strategy, self.parallelism, self.metrics,
             cluster=self.cluster, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes, placed=placed,
+            max_frame_bytes=self.max_frame_bytes,
         )
 
     def _resolve_placeholder(self, node, scope):
@@ -323,7 +321,7 @@ class Executor:
     # ------------------------------------------------------------------
     # shipping with constant-path edge caching
 
-    def _shipped_inputs(self, node, step_memo, scope, default=FORWARD):
+    def _shipped_inputs(self, node, step_memo, scope):
         pushed = self.plan.pushed_filters.get(node.id)
         shipped = []
         for idx, producer in enumerate(node.inputs):
@@ -334,15 +332,14 @@ class Executor:
             if pushed is not None and pushed.side == idx:
                 predicate = pushed.filter_node.udf
             shipped.append(self._ship_one_input(
-                node, idx, step_memo, scope, default, predicate
+                node, idx, step_memo, scope, predicate
             ))
         return shipped
 
-    def _ship_one_input(self, node, idx, step_memo, scope, default=FORWARD,
-                        predicate=None):
-        """Evaluate and ship input ``idx``, through the edge cache where
-        the edge is constant (Section 4.3)."""
-        strategy = self.plan.annotation(node).ship.get(idx, default)
+    def _ship_one_input(self, node, idx, step_memo, scope, predicate=None):
+        """Evaluate and ship input ``idx`` as the plan says, through the
+        edge cache where the edge is constant (Section 4.3)."""
+        strategy = self.plan.ship_strategy(node, idx)
         producer = node.inputs[idx]
         cacheable = self._edge_is_constant(node, producer, scope)
         cache_key = (node.id, idx)
@@ -359,10 +356,7 @@ class Executor:
             # them (see repro.optimizer.pushdown)
             parts = [drivers.filter_records(predicate, part)
                      for part in parts]
-        placed = (
-            scope is not None and scope.placed.get(producer.id) == strategy
-        )
-        routed = self._ship(parts, strategy, placed=placed)
+        routed = self._ship(parts, strategy)
         if cacheable:
             scope.edge_cache[cache_key] = routed
             self.metrics.add_cache_build()
@@ -397,8 +391,7 @@ class Executor:
                 combined = drivers.apply_combiner(
                     node, raw, self.metrics, batch_size=self.batch_size
                 )
-            strategy = ann.ship.get(0, FORWARD)
-            shipped = [self._ship(combined, strategy)]
+            shipped = [self._ship(combined, self.plan.ship_strategy(node, 0))]
         else:
             shipped = self._shipped_inputs(node, step_memo, scope)
         out = []
@@ -465,10 +458,7 @@ class Executor:
 
     def _run_solution_join(self, node, step_memo, scope):
         index = self._solution_scope(node, scope).solution_index
-        probe_parts = self._ship_one_input(
-            node, 0, step_memo, scope,
-            default=partition_on(node.key_fields[0]),
-        )
+        probe_parts = self._ship_one_input(node, 0, step_memo, scope)
         fn = node.udf
         flat = getattr(node, "flat", False)
         checker = self.metrics.invariants
@@ -493,10 +483,7 @@ class Executor:
 
     def _run_solution_cogroup(self, node, step_memo, scope):
         index = self._solution_scope(node, scope).solution_index
-        probe_parts = self._ship_one_input(
-            node, 0, step_memo, scope,
-            default=partition_on(node.key_fields[0]),
-        )
+        probe_parts = self._ship_one_input(node, 0, step_memo, scope)
         fn = node.udf
         inner = getattr(node, "inner", True)
         checker = self.metrics.invariants
@@ -596,7 +583,7 @@ class Executor:
         mode = self.plan.iteration_modes[node.id]
         sol_parts = self._evaluate(node.inputs[0], outer_memo, outer_scope)
         # route the initial solution set into its index partitioning
-        routed = self._ship(sol_parts, partition_on(node.solution_key))
+        routed = self._ship(sol_parts, self.plan.ship_strategy(node, 0))
         if self.spill is not None:
             from repro.iterations.solution_set import (
                 DiskBackedSolutionSetIndex,
@@ -656,10 +643,6 @@ class Executor:
             index._partitions = checkpoint.state
             bindings[workset_id] = checkpoint.workset
 
-        # the staged delta the step memo holds (below) is routed on the
-        # solution key, so a consumer hashing it on that key keeps it
-        scope.placed[node.delta_output.id] = partition_on(node.solution_key)
-
         def body(step):
             next_workset, applied = self._delta_one_superstep(
                 node, scope, index
@@ -683,9 +666,12 @@ class Executor:
         step_memo = {}
         scope.step_refcounts = dict(self._step_refcount_template(scope))
         delta_parts = self._evaluate(node.delta_output, step_memo, scope)
-        # Stage the delta: route by solution key, resolve collisions
-        # with the comparator, but do not mutate S until the barrier.
-        routed = self._ship(delta_parts, partition_on(node.solution_key))
+        # Stage the delta: place it on the solution key's partitions,
+        # resolve collisions with the comparator, but do not mutate S
+        # until the barrier.
+        routed = self._ship(
+            delta_parts, self.plan.ship_strategy(node, DELTA_SLOT)
+        )
         staged, accepted_parts = self._stage_delta(node, index, routed)
         # The next workset observes only the records that will make it
         # into S (Section 5.1: dropped records are discarded from D).

@@ -19,7 +19,10 @@ Enforced laws:
   equals the input size; the local/remote split matches an independent
   per-record recomputation; hash-shipped records land on
   ``partition_index(key)``; gather leaves partitions 1.. empty; forward
-  keeps every partition's size.
+  keeps every partition's size, and a forward ship that declares the
+  partitioning it relies on (the planner forwarded because its producer
+  is hash-partitioned on those fields) finds every record on its key's
+  partition.
 * **Partition-count contract** — datasets at rest always hold exactly
   ``parallelism`` partitions; a ship whose input disagrees is rejected
   (this is the contract that makes ``target == source_index`` a valid
@@ -158,6 +161,9 @@ class InvariantChecker:
                         f"forward ship changed partition {p} from "
                         f"{len(src)} to {len(dst)} records"
                     )
+            if strategy.key_fields:
+                # the plan forwarded on a declared partitioning
+                self._check_placement(strategy, out_parts, parallelism)
         elif kind is ShipKind.PARTITION_HASH:
             expected_out = n_in
             extract = KeyExtractor(strategy.key_fields)
@@ -167,15 +173,7 @@ class InvariantChecker:
                     if partition_index(extract(record), parallelism) == p:
                         expected_local += 1
             expected_remote = n_in - expected_local
-            for p, part in enumerate(out_parts):
-                for record in part:
-                    owner = partition_index(extract(record), parallelism)
-                    if owner != p:
-                        self._fail(
-                            f"hash ship placed record {record!r} on "
-                            f"partition {p}, but its key owns partition "
-                            f"{owner}"
-                        )
+            self._check_placement(strategy, out_parts, parallelism)
         elif kind is ShipKind.BROADCAST:
             expected_out = n_in * parallelism
             expected_local = n_in
@@ -217,6 +215,19 @@ class InvariantChecker:
                 f"remote={expected_remote} — locality accounting is wrong"
             )
 
+    def _check_placement(self, strategy, out_parts, parallelism):
+        """Every record sits on the partition its key owns."""
+        extract = KeyExtractor(strategy.key_fields)
+        for p, part in enumerate(out_parts):
+            for record in part:
+                owner = partition_index(extract(record), parallelism)
+                if owner != p:
+                    self._fail(
+                        f"{strategy.kind.value} ship left record "
+                        f"{record!r} on partition {p}, but its key owns "
+                        f"partition {owner}"
+                    )
+
     def check_exchange(self, strategy, in_parts, frames, out_parts,
                        parallelism, owned, local, remote):
         """Audit one ship from the view of a context that owns only the
@@ -248,23 +259,12 @@ class InvariantChecker:
                     f"input of {n_in} — records were lost or fabricated "
                     "before transport"
                 )
-            for target, frame in enumerate(frames):
-                for record in frame:
-                    owner = partition_index(extract(record), parallelism)
-                    if owner != target:
-                        self._fail(
-                            f"hash exchange framed record {record!r} for "
-                            f"partition {target}, but its key owns "
-                            f"partition {owner}"
-                        )
-            for p in owned:
-                for record in out_parts[p]:
-                    if partition_index(extract(record), parallelism) != p:
-                        self._fail(
-                            f"partition {p} received record {record!r} "
-                            "whose key it does not own — a peer misrouted "
-                            "a frame"
-                        )
+            # what this context framed, then what its peers routed to it
+            self._check_placement(strategy, frames, parallelism)
+            self._check_placement(strategy, [
+                out_parts[p] if p in owned else ()
+                for p in range(parallelism)
+            ], parallelism)
         elif kind is ShipKind.BROADCAST:
             expected_local = n_in
             expected_remote = n_in * (parallelism - 1)

@@ -25,6 +25,9 @@ class ShipKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ShipStrategy:
+    """A hash ship's ``key_fields`` pick each record's target; a forward
+    ship's, if any, name the partitioning its producer already has."""
+
     kind: ShipKind
     key_fields: tuple[int, ...] | None = None
 
@@ -45,6 +48,16 @@ GATHER = ShipStrategy(ShipKind.GATHER)
 
 def partition_on(key_fields) -> ShipStrategy:
     return ShipStrategy(ShipKind.PARTITION_HASH, tuple(key_fields))
+
+
+def keep_on(key_fields) -> ShipStrategy:
+    """A FORWARD ship out of a producer hash-partitioned on ``key_fields``."""
+    return ShipStrategy(ShipKind.FORWARD, key_fields)
+
+
+#: a delta iteration's ship slot that stages each superstep's delta on
+#: the solution set's partitions for ∪̇ (slot 0 places S0 there)
+DELTA_SLOT = 2
 
 
 class LocalStrategy(enum.Enum):

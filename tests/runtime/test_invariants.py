@@ -16,7 +16,13 @@ from repro.iterations.solution_set import SolutionSetIndex
 from repro.runtime import channels
 from repro.runtime.invariants import InvariantChecker, attach_checker
 from repro.runtime.metrics import COUNTERS, MetricsCollector
-from repro.runtime.plan import BROADCAST, FORWARD, GATHER, partition_on
+from repro.runtime.plan import (
+    BROADCAST,
+    FORWARD,
+    GATHER,
+    keep_on,
+    partition_on,
+)
 
 RECORDS = [(i, i * 10) for i in range(20)]
 HASH = partition_on((0,))
@@ -92,6 +98,20 @@ class TestShipAudit:
         out[wrong].append(moved)
         with pytest.raises(InvariantViolation, match="owns partition"):
             checker.check_ship(HASH, in_parts, out, 4, local, remote)
+
+    def test_rejects_misplaced_record_under_declared_partitioning(self):
+        """A forward ship that declares its producer hash-partitioned
+        (the plan forwarded instead of hashing) audits that claim."""
+        metrics = checked_metrics()
+        parts = channels.partition_records(RECORDS, (0,), 4)
+        channels.ship(parts, keep_on((0,)), 4, metrics)  # truly placed
+        source = next(p for p, part in enumerate(parts) if part)
+        moved = parts[source].pop()
+        parts[(source + 1) % 4].append(moved)
+        with pytest.raises(InvariantViolation, match="owns partition"):
+            channels.ship(parts, keep_on((0,)), 4, metrics)
+        # a plain forward ship declares nothing, so it audits nothing
+        channels.ship(parts, FORWARD, 4, checked_metrics())
 
     def test_rejects_forward_partition_resize(self):
         checker = InvariantChecker()
