@@ -23,12 +23,9 @@ attribute to fork on.
 *frames* the partitions it owns into ``frames[target]``
 (:func:`repro.runtime.channels.frame`, the microstep buffers, the Pregel
 outboxes); ``route`` hands the frames to :meth:`~ClusterContext.exchange`,
-which streams each to its peer as bounded chunks — a row run
-``("c", records)`` or a column frame ``("cols", header, buffers)`` —
-the last of which rides in the ``("e", n_chunks, chunk)`` terminator
-(an empty frame is ``("e", 0)``); and the fabric endpoint writes each
-as one message on the per-pair pipe to the peer
-(:mod:`repro.cluster.fabric`).
+which sends each peer its frame's record list as one payload; and the
+fabric endpoint pickles that payload once and writes it as one message
+on the per-pair pipe to the peer (:mod:`repro.cluster.fabric`).
 Where data already sits on the partitions its consumer needs — the
 staged delta of a superstep, read on the solution key — the plan says
 FORWARD, and a forward ship takes no ``route`` at all
@@ -45,74 +42,7 @@ counters and results.
 
 from __future__ import annotations
 
-import pickle
-
-from repro.common import columns as columns_mod
 from repro.common.batch import RecordBatch
-
-#: how many records the row-run sizer pickles to estimate bytes/record
-_SIZE_SAMPLE = 32
-
-
-def _estimate_record_bytes(run) -> int:
-    """Per-record pickled size, estimated from an evenly spaced sample.
-
-    Replaces the old pickle-the-whole-run size probe: one small sample
-    pickle instead of serializing every record twice.
-    """
-    if len(run) <= _SIZE_SAMPLE:
-        sample = run
-    else:
-        sample = run[:: len(run) // _SIZE_SAMPLE][:_SIZE_SAMPLE]
-    blob = pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL)
-    return max(1, len(blob) // len(sample))
-
-
-def _extend(records: list, chunk) -> None:
-    """Append one received chunk's records, whichever encoding it took."""
-    if chunk[0] == "cols":
-        length, cols, _key_fields = columns_mod.decode_frame(
-            chunk[1], chunk[2]
-        )
-        records.extend(columns_mod.materialize_rows(cols, length))
-    else:
-        records.extend(chunk[1])
-
-
-def _encode(chunk, max_frame_bytes) -> list:
-    """One :class:`RecordBatch` chunk as wire chunks, columnar when it can.
-
-    A chunk whose columns are all fixed-width is ``("cols", header,
-    buffers)``; its exact payload size is linear in the row count, so
-    an oversize chunk is re-split arithmetically — no probe
-    serialization.  Any other chunk is row runs ``("c", records)``,
-    sliced up front from a sampled per-record pickle estimate.  An
-    estimate miss only makes a chunk land off the target size: the bound
-    is a framing target, not a correctness limit.
-    """
-    layout = chunk.columns()
-    if layout is not None:
-        length, cols = layout
-        nbytes = columns_mod.frame_nbytes(cols, length)
-        if nbytes is not None:
-            if (max_frame_bytes is not None and nbytes > max_frame_bytes
-                    and length > 1):
-                pieces = -(-nbytes // max_frame_bytes)
-                rows = max(1, -(-length // pieces))
-                if rows < length:
-                    return [wire for sub in chunk.split(rows)
-                            for wire in _encode(sub, max_frame_bytes)]
-            header, buffers = columns_mod.encode_frame(
-                cols, length, chunk.key_fields
-            )
-            return [("cols", header, [bytes(b) for b in buffers])]
-    run = chunk.records
-    rows = len(run)
-    if max_frame_bytes is not None and rows > 1:
-        rows = min(
-            rows, max(1, max_frame_bytes // _estimate_record_bytes(run))
-        )
-    return [("c", run[i:i + rows]) for i in range(0, len(run), rows)]
 
 
 class ClusterContext:
@@ -142,25 +72,23 @@ class ClusterContext:
         """Restrict a full partition list to the slots this context owns."""
         raise NotImplementedError
 
-    def exchange(self, frames, batch_size=None, max_frame_bytes=None,
-                 columnar=True, key_fields=None):
+    def exchange(self, frames, batch_size=None, columnar=True,
+                 key_fields=None):
         """All-to-all: send ``frames[t]`` to rank ``t``; return the frames
         received, indexed by source rank (own frame included in place).
 
-        The keywords shape the wire framing only (chunk bounds, see
-        :meth:`WorkerCluster.exchange`), never the reassembled result;
-        ``key_fields`` tags column frames so receivers can rebuild
-        keyed batches without re-extracting.  ``columnar`` has no
-        effect; ``benchmarks/perf/probes.py`` still passes it."""
+        ``batch_size``, ``columnar`` and ``key_fields`` have no effect:
+        each frame travels whole (see :meth:`WorkerCluster.exchange`);
+        ``benchmarks/perf/probes.py`` still passes them."""
         raise NotImplementedError
 
-    def route(self, frames, **framing):
+    def route(self, frames):
         """Deliver ``frames[t]`` — what this context produced for
         partition ``t`` — to ``t``'s owner; returns a partition list.
 
         Every *owned* slot of the result holds all contexts' frames for
         it, concatenated in ascending source-rank order; slots owned by
-        a peer are empty.  ``framing`` is passed to :meth:`exchange`."""
+        a peer are empty."""
         raise NotImplementedError
 
     def storage_view(self, session):
@@ -195,7 +123,7 @@ class LocalCluster(ClusterContext):
     def exchange(self, frames, **framing):
         raise RuntimeError("the local cluster has no peers to exchange with")
 
-    def route(self, frames, **framing):
+    def route(self, frames):
         # the only source, and the owner of every target
         return frames
 
@@ -258,20 +186,16 @@ class WorkerCluster(ClusterContext):
     # ------------------------------------------------------------------
     # collectives
 
-    def exchange(self, frames, batch_size=None, max_frame_bytes=None,
-                 columnar=True, key_fields=None):
-        """All-to-all exchange as one chunk stream per peer.
+    def exchange(self, frames, batch_size=None, columnar=True,
+                 key_fields=None):
+        """All-to-all exchange, one message per peer.
 
-        Each target frame is split into runs of ``batch_size`` records
-        (``None``: one run), each run is encoded by :func:`_encode`
-        into chunks of about ``max_frame_bytes``, and the stream's last
-        chunk rides in the ``("e", n_chunks, chunk)`` terminator the
-        receiver verifies.  Chunks of one ``(source, tag)`` stream
-        arrive in FIFO order, so reassembly by concatenation reproduces
-        the frame exactly.
-
-        ``columnar`` has no effect; ``benchmarks/perf/probes.py`` still
-        passes it.
+        Each peer's frame — a record list, or a :class:`RecordBatch`
+        whose record list is sent — is one fabric message; the pipe's
+        length prefix delivers it whole, so there is nothing to
+        reassemble.  The channel already framed the records in
+        ``batch_size`` chunks, so the keywords have no effect;
+        ``benchmarks/perf/probes.py`` still passes them.
         """
         if len(frames) != self.size:
             raise ValueError(
@@ -281,51 +205,19 @@ class WorkerCluster(ClusterContext):
         tag = self._next_tag()
         for target, frame in enumerate(frames):
             if target != self.rank:
-                self._send_frame(target, tag, frame, batch_size,
-                                 max_frame_bytes, key_fields)
+                self.endpoint.send(target, tag,
+                                   RecordBatch.wrap(frame).records)
         return [
             list(frames[source]) if source == self.rank
-            else self._recv_stream(source, tag)
+            else self.endpoint.recv(source, tag)
             for source in range(self.size)
         ]
 
-    def _send_frame(self, target, tag, frame, batch_size, max_frame_bytes,
-                    key_fields) -> None:
-        """Stream one peer's frame: its chunks, the last one riding in the
-        ``("e", n_chunks, chunk)`` terminator (``("e", 0)`` when empty)."""
-        chunks = []
-        if len(frame):
-            for batch in RecordBatch.wrap(frame, key_fields).split(batch_size):
-                chunks.extend(_encode(batch, max_frame_bytes))
-        send = self.endpoint.send
-        for chunk in chunks[:-1]:
-            send(target, tag, chunk)
-        send(target, tag,
-             ("e", len(chunks), chunks[-1]) if chunks else ("e", 0))
-
-    def _recv_stream(self, source, tag) -> list:
-        records: list = []
-        chunks = 0
-        while True:
-            message = self.endpoint.recv(source, tag)
-            if message[0] == "e":
-                if len(message) == 3:  # the stream's only chunk rode along
-                    _extend(records, message[2])
-                    chunks += 1
-                if message[1] != chunks:
-                    raise RuntimeError(
-                        f"chunked exchange stream from worker {source} "
-                        f"announced {message[1]} chunks but {chunks} arrived"
-                    )
-                return records
-            _extend(records, message)
-            chunks += 1
-
-    def route(self, frames, **framing):
+    def route(self, frames):
         out = [[] for _ in frames]
         out[self.rank] = [
             record
-            for frame in self.exchange(frames, **framing)
+            for frame in self.exchange(frames)
             for record in frame
         ]
         return out

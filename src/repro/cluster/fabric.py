@@ -6,12 +6,13 @@ parent.  Because the pipes are made pre-fork, every worker inherits the
 same descriptors; pipe ``(s, t)`` has exactly one writer (rank ``s``)
 and one reader (rank ``t``), so no lock guards it.
 
-**Messages.**  Every frame is one message ``("f", epoch, source, tag,
-blob)``, ``blob`` being the pickled payload.  A message is pickled,
-prefixed with its length and written by the sending thread itself — no
-feeder thread, no cross-process lock.  Each pipe is grown to
-:data:`PIPE_BYTES` where the kernel allows, so a superstep's frames
-usually fit the pipe whole and the receiver takes them in a few reads.
+**Messages.**  Every frame is one message ``(epoch, tag, payload)``,
+pickled once, prefixed with its length and written by the sending
+thread itself — no feeder thread, no cross-process lock.  The pipe a
+message arrives on names its source, since pipe ``(s, t)`` has one
+writer.  Each pipe is grown to :data:`PIPE_BYTES` where the kernel
+allows, so a superstep's frames usually fit the pipe whole and the
+receiver takes them in a few reads.
 
 **Never blocking.**  Writes never block.  What the pipe cannot take at
 once waits, in order, in a per-target outbox that drains whenever the
@@ -167,6 +168,7 @@ class Endpoint:
         #: read end of the pipe from each peer, and the bytes read from
         #: it that do not yet form a whole message
         self._inbound = {fd: bytearray() for fd in inbound.values()}
+        self._source_of = {fd: source for source, fd in inbound.items()}
         self._poller = select.poll()
         for fd in self._inbound:
             self._poller.register(fd, select.POLLIN)
@@ -207,11 +209,10 @@ class Endpoint:
         never blocks."""
         if target == self.rank:
             raise ValueError("a worker does not send frames to itself")
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self.bytes_sent += len(blob)
-        self.frames_sent += 1
-        data = pickle.dumps(("f", self.epoch, self.rank, tag, blob),
+        data = pickle.dumps((self.epoch, tag, payload),
                             protocol=pickle.HIGHEST_PROTOCOL)
+        self.bytes_sent += len(data)
+        self.frames_sent += 1
         outbox = self._outboxes[target]
         if not outbox:
             self._poller.register(self._outbound[target], select.POLLOUT)
@@ -305,7 +306,7 @@ class Endpoint:
             buffer += data
             if len(data) < _DEFAULT_PIPE_BYTES:
                 break
-        messages = []
+        source = self._source_of[fd]
         pos = 0
         with memoryview(buffer) as view:
             while len(buffer) - pos >= _LENGTH.size:
@@ -313,14 +314,15 @@ class Endpoint:
                 end = pos + _LENGTH.size + size
                 if end > len(buffer):
                     break
-                messages.append(pickle.loads(view[pos + _LENGTH.size:end]))
+                epoch, tag, payload = pickle.loads(
+                    view[pos + _LENGTH.size:end]
+                )
                 pos = end
+                if epoch != self.epoch:
+                    continue
+                self.bytes_received += size
+                self.frames_received += 1
+                self._pending.setdefault((source, tag), deque()).append(
+                    payload
+                )
         del buffer[:pos]
-        for _kind, epoch, src, tag, blob in messages:
-            if epoch != self.epoch:
-                continue
-            self.bytes_received += len(blob)
-            self.frames_received += 1
-            self._pending.setdefault((src, tag), deque()).append(
-                pickle.loads(blob)
-            )

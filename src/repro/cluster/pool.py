@@ -13,9 +13,9 @@ in-process simulator:
   value through the closure-capable :mod:`~repro.cluster.codec`.
 * **Frames travel over per-pair pipes.**  The pool's
   :class:`~repro.cluster.fabric.Fabric` makes one pipe per ordered
-  worker pair before forking, so a cross-worker record batch is one
-  pickled message written straight to the peer's pipe (see
-  :mod:`repro.cluster.fabric`).
+  worker pair before forking, so what a worker sends a peer in one
+  exchange is one pickled message written straight to the peer's pipe
+  (see :mod:`repro.cluster.fabric`).
 * **Crashes are bounded, not hung.**  The gather loop waits for every
   rank's report (bounded by the fabric timeout) and raises the first
   error to *arrive* as the root cause; it treats any
@@ -44,6 +44,7 @@ or raises.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import pickle
 import queue as queue_module
@@ -98,54 +99,61 @@ def _pool_worker(jobs, fabric, rank: int, size: int) -> None:
     results queue for the parent's :class:`HealthMonitor`, and is paused
     between jobs so idle workers stay silent.
     """
-    global _heartbeat_sender
     VITALS.configure(rank)
     endpoint = fabric.endpoint(rank)
     while True:
         message = jobs.recv()
         if message is None:
             return
-        job_id, blob = message
-        endpoint.begin_job(job_id)
-        heartbeats = False
-        try:
-            body = codec.loads(blob)
-            interval = getattr(body, "heartbeat_interval", None)
-            if interval:
-                heartbeats = True
-                VITALS.begin_job(job_id)
-                if _heartbeat_sender is None:
-                    _heartbeat_sender = HeartbeatSender(
-                        fabric.results, VITALS
-                    )
-                _heartbeat_sender.resume(interval)
-            cluster = WorkerCluster(endpoint, size)
-            payload = body(cluster)
-            # a peer may still wait on a frame this rank queued
-            endpoint.flush()
-            metrics = (
-                payload.get("metrics") if isinstance(payload, dict) else None
-            )
-            if metrics is not None:
-                reconcile_wire_counts(metrics, endpoint)
-            out = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            fabric.results.put(("ok", job_id, rank, out))
-        except BaseException:
-            fabric.results.put(("error", job_id, rank,
-                                traceback.format_exc()))
-        finally:
-            if heartbeats:
-                _heartbeat_sender.pause()
-                VITALS.end_job()
-                try:
-                    # farewell beat: tells the parent monitor this rank
-                    # went idle on purpose, so its coming silence is not
-                    # heartbeat loss and its progress age means nothing
-                    fabric.results.put(
-                        ("hb", None, rank, VITALS.heartbeat(interval))
-                    )
-                except Exception:  # pragma: no cover - pool teardown
-                    pass
+        _serve(message, endpoint, fabric, rank, size)
+        # a finished job's unpickled plan is a reference cycle (its
+        # source data included): free it now, not whenever the
+        # collector next reaches the oldest generation, so a worker's
+        # footprint does not grow with the jobs it has served
+        gc.collect()
+
+
+def _serve(message, endpoint, fabric, rank: int, size: int) -> None:
+    """Run one job message on this worker and post its report."""
+    global _heartbeat_sender
+    job_id, blob = message
+    endpoint.begin_job(job_id)
+    heartbeats = False
+    try:
+        body = codec.loads(blob)
+        interval = getattr(body, "heartbeat_interval", None)
+        if interval:
+            heartbeats = True
+            VITALS.begin_job(job_id)
+            if _heartbeat_sender is None:
+                _heartbeat_sender = HeartbeatSender(fabric.results, VITALS)
+            _heartbeat_sender.resume(interval)
+        cluster = WorkerCluster(endpoint, size)
+        payload = body(cluster)
+        # a peer may still wait on a frame this rank queued
+        endpoint.flush()
+        metrics = (
+            payload.get("metrics") if isinstance(payload, dict) else None
+        )
+        if metrics is not None:
+            reconcile_wire_counts(metrics, endpoint)
+        out = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        fabric.results.put(("ok", job_id, rank, out))
+    except BaseException:
+        fabric.results.put(("error", job_id, rank, traceback.format_exc()))
+    finally:
+        if heartbeats:
+            _heartbeat_sender.pause()
+            VITALS.end_job()
+            try:
+                # farewell beat: tells the parent monitor this rank
+                # went idle on purpose, so its coming silence is not
+                # heartbeat loss and its progress age means nothing
+                fabric.results.put(
+                    ("hb", None, rank, VITALS.heartbeat(interval))
+                )
+            except Exception:  # pragma: no cover - pool teardown
+                pass
 
 
 def reconcile_wire_counts(metrics, endpoint) -> None:
@@ -166,8 +174,8 @@ def _shutdown_pool(workers, job_pipes, fabric, force: bool = False) -> None:
 
     The clean path hands every worker its ``None`` sentinel; a forced
     one terminates them.  Either way every pipe the pool made — the job
-    pipes and the fabric's — is closed here, in this thread, before
-    this returns.
+    pipes, the fabric's and each reaped ``Process``'s sentinel — is
+    closed here, in this thread, before this returns.
     """
     if not force:
         for pipe in job_pipes:
@@ -177,6 +185,11 @@ def _shutdown_pool(workers, job_pipes, fabric, force: bool = False) -> None:
                 force = True
                 break
     reap_workers(workers, incomplete=force)
+    for worker in workers:
+        try:
+            worker.close()
+        except ValueError:  # outlived even its kill: keep the handle
+            pass
     for pipe in job_pipes:
         pipe.close()
     fabric.close()
@@ -218,6 +231,8 @@ class WorkerPool:
             reader.close()
             self.job_pipes.append(writer)
             self.workers.append(process)
+        #: read once: a closed ``Process`` no longer answers ``pid``
+        self.worker_pids = [worker.pid for worker in self.workers]
         self._job_seq = 0
         #: parent-side heartbeat ledger; populated only when jobs run
         #: with telemetry enabled (workers stay silent otherwise)
@@ -227,10 +242,6 @@ class WorkerPool:
             self, _shutdown_pool, list(self.workers), list(self.job_pipes),
             self.fabric,
         )
-
-    @property
-    def worker_pids(self) -> list:
-        return [worker.pid for worker in self.workers]
 
     # ------------------------------------------------------------------
 

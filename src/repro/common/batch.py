@@ -16,7 +16,8 @@ and materializes each lazily:
 * the **column view** (``columns()``): a struct-of-arrays layout from
   :mod:`repro.common.columns` — one ``array('q')``/``array('d')``
   buffer per fixed-width field, an object list otherwise — built once
-  from the rows or adopted from the wire via :meth:`from_columns`.
+  from the rows or adopted from a column split, scatter or merge via
+  :meth:`from_columns`.
 
 The key and hash vectors are just two more (virtual) columns: for a
 single int key field the key column *is* the hash column
@@ -29,8 +30,7 @@ alone — a strict type check and numpy being importable — and falls
 back to the row loops with bitwise-identical results.
 
 Layers that move or group records (the shipping channels, the physical
-join/aggregation drivers, the solution-set index, the SPMD fabric
-framing) consume batches instead of looping a :class:`KeyExtractor` and
+join/aggregation drivers, the solution-set index) consume batches instead of looping a :class:`KeyExtractor` and
 :func:`stable_hash` over individual records.  Setting ``batch_size=1``
 degenerates to honest record-at-a-time execution — every record pays the
 full per-batch framing overhead, which is exactly the regime the batched
@@ -118,9 +118,9 @@ class RecordBatch:
         """Adopt a struct-of-arrays payload; rows materialize lazily.
 
         ``cols`` is the ``[(typecode, buffer), ...]`` layout of
-        :mod:`repro.common.columns` (as decoded off the wire or a spill
-        file).  The row view is transposed on first ``records`` access,
-        so a batch that is only re-shipped or counted never pays it.
+        :mod:`repro.common.columns` (a slice, scatter group or merge of
+        other column views).  The row view is transposed on first
+        ``records`` access, so a batch that is only counted never pays it.
         """
         batch = cls.__new__(cls)
         batch._records = None
@@ -167,8 +167,8 @@ class RecordBatch:
     def nbytes(self) -> int | None:
         """Exact fixed-width payload bytes, ``None`` if any object column.
 
-        Used by the chunked exchange to size frames arithmetically
-        instead of pickling a probe copy.
+        Lets the spill manager size a batch arithmetically instead of
+        pickling a probe copy.
         """
         layout = self.columns()
         if layout is None:
@@ -387,7 +387,7 @@ class RecordBatch:
         one cold batch makes the merged vector lazy again.  When every
         input is column-born with matching layouts and no input has
         materialized rows yet, the merge concatenates column buffers
-        instead (the wire-receive path stays columnar end to end).
+        instead (a hash scatter's per-target groups stay columnar).
         """
         batches = list(batches)
         if not batches:

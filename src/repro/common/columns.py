@@ -6,8 +6,7 @@ buffer per field, in the spirit of the paper's Nephele channel buffers
 (Sec. 4.2) and Arrow-style morsel engines.  Fixed-width fields live in
 ``array.array`` buffers (``'q'`` for int64-range ints, ``'d'`` for
 floats), everything else in a plain object list.  The fixed-width
-buffers cross the SPMD fabric as raw bytes (no per-record pickle) and
-are what the spill files write without serializing records.
+buffers are what the spill files write without serializing records.
 
 **Strict typing rules** keep the layout bitwise-faithful to the row
 representation:
@@ -20,7 +19,7 @@ representation:
 * a column is ``'d'`` only when every value satisfies ``type(x) is
   float`` — IEEE doubles round-trip exactly through ``'d'``;
 * anything else (strings, nested tuples, mixed types) stays an object
-  list and is pickled on the wire like before.
+  list and is pickled into the spill file as one blob.
 
 The optional **numpy fast path** is a capability probe: when numpy is
 importable, int64 key columns become zero-copy ``ndarray`` views
@@ -102,7 +101,7 @@ def materialize_rows(columns, length):
 
 
 def column_nbytes(typecode, data) -> int | None:
-    """Exact wire byte length of one column, ``None`` for object columns."""
+    """Exact byte length of one column, ``None`` for object columns."""
     if typecode == OBJECT:
         return None
     return len(data) * data.itemsize
@@ -111,9 +110,8 @@ def column_nbytes(typecode, data) -> int | None:
 def frame_nbytes(columns, length) -> int | None:
     """Exact payload bytes of an all-fixed-width frame, else ``None``.
 
-    This is what lets the chunked exchange size frames by arithmetic
-    instead of pickling a probe copy: ``rows * sum(itemsize)`` scales
-    linearly in the row count, so bisection can work on row counts.
+    ``rows * sum(itemsize)``: what a spill file's column frame takes,
+    known by arithmetic instead of pickling a probe copy.
     """
     total = 0
     for typecode, data in columns:
@@ -190,16 +188,15 @@ def int64_from_values(values):
 
 
 # ----------------------------------------------------------------------
-# wire framing
+# spill-file framing
 
 
 def encode_frame(columns, length, key_fields):
     """Encode typed columns as ``(header_bytes, buffers)``.
 
     ``buffers`` holds one entry per column: a raw ``memoryview`` over
-    the column's bytes (written as is to a spill file; the fabric copies
-    it into ``bytes``) for fixed-width columns, a pickle blob for object
-    columns.  The header is a small pickled tuple — schema only, never
+    the column's bytes (written as is to a spill file) for fixed-width
+    columns, a pickle blob for object columns.  The header is a small pickled tuple — schema only, never
     records — so a fixed-width column's values are never pickled one
     by one.
     """

@@ -82,14 +82,11 @@ def run_microsteps(executor, node, scope, index, limit):
     )
 
 
-def _route_workset(executor, frames, route_fields):
+def _route_workset(executor, frames):
     """``cluster.route`` for workset records, wire bytes attributed here."""
     cluster = executor.cluster
     bytes_before = cluster.bytes_sent
-    routed = cluster.route(
-        frames, batch_size=executor.batch_size,
-        max_frame_bytes=executor.max_frame_bytes, key_fields=route_fields,
-    )
+    routed = cluster.route(frames)
     executor.metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
     return routed
 
@@ -108,7 +105,7 @@ def _seed_queues(executor, initial, route_fields):
         partition_on(route_fields), executor.batch_size,
     )
     queues = [
-        deque(part) for part in _route_workset(executor, frames, route_fields)
+        deque(part) for part in _route_workset(executor, frames)
     ]
     executor.metrics.add_shipped(local=local, remote=remote)
     return queues
@@ -197,7 +194,7 @@ def _micro_supersteps(executor, node, index, queues, route_fields,
             metrics.add_processed(label, count)
         # concatenating the frames in source-rank order reproduces, on
         # every context, the queue contents of a scan over all partitions
-        routed = _route_workset(executor, buffers, route_fields)
+        routed = _route_workset(executor, buffers)
         for p in owned:
             queues[p].extend(routed[p])
         return False, {

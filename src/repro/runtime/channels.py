@@ -33,8 +33,8 @@ benchmarks are reproducible.
 :class:`~repro.common.batch.RecordBatch` chunks of ``batch_size``
 records: the hash framer computes one key/hash vector per chunk and
 scatters from it (one hash pass per batch instead of one
-extract+hash call per record), and a worker's exchange streams each
-frame as size-bounded chunks.
+extract+hash call per record); a worker's exchange then sends each
+peer's frame whole, as one message.
 ``batch_size=None`` keeps the whole partition in one chunk;
 ``batch_size=1`` is the degenerate record-at-a-time mode.  Chunking
 never changes results, record order, or the local/remote split — only
@@ -75,7 +75,7 @@ def _chunk_count(n: int, batch_size) -> int:
 
 
 def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
-         batch_size=None, max_frame_bytes=None, columnar=True):
+         batch_size=None, columnar=True):
     """Move ``partitions`` according to ``strategy``; returns new partitions.
 
     Enforces the partition-count contract above: ``partitions`` must hold
@@ -92,14 +92,12 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
     partitioning, and the checker audits it.
 
     ``batch_size`` frames the move in record-batch chunks (see the
-    module docstring); ``max_frame_bytes`` additionally bounds the
-    serialized size of one fabric frame.
+    module docstring).
 
     The hash framer computes partition targets with one vectorized
     pass over a chunk's int64 key column when it has one (the row loop
-    otherwise), and a serializing context frames fixed-width columns
-    as raw buffers; targets, output order and the local/remote split
-    are the same either way.  ``columnar`` has no effect (the data
+    otherwise); targets, output order and the local/remote split are
+    the same either way.  ``columnar`` has no effect (the data
     plane is always columnar); ``benchmarks/perf/probes.py`` still
     passes it.
     """
@@ -132,11 +130,7 @@ def ship(partitions, strategy, parallelism, metrics=None, cluster=LOCAL,
             frames, local, remote, batches = frame(
                 partitions, owned, strategy, batch_size, checker
             )
-            out = cluster.route(
-                frames, batch_size=batch_size,
-                max_frame_bytes=max_frame_bytes,
-                key_fields=getattr(strategy, "key_fields", None),
-            )
+            out = cluster.route(frames)
         if metrics is not None:
             metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)
             metrics.add_shipped(local=local, remote=remote)

@@ -85,16 +85,13 @@ class RuntimeConfig:
 
     ``batch_size`` — how many records one
     :class:`~repro.common.batch.RecordBatch` carries on the data plane:
-    channels frame their scatter in chunks of this size, drivers build
-    key vectors per chunk, and the SPMD fabric splits exchange payloads
-    into per-chunk frames.  ``1`` is the degenerate record-at-a-time
-    mode (every record pays the full per-batch framing overhead);
-    results and logical counters are identical at every setting.
+    channels frame their scatter in chunks of this size and drivers
+    build key vectors per chunk (an SPMD exchange still sends each
+    peer's frame as one message).  ``1`` is the degenerate
+    record-at-a-time mode (every record pays the full per-batch framing
+    overhead); results and logical counters are identical at every
+    setting.
     ``REPRO_BATCH_SIZE`` supplies the default (1024 when unset).
-
-    ``max_frame_bytes`` — upper bound on one serialized fabric frame;
-    a batch chunk whose pickle exceeds it is bisected before transport
-    (SPMD backends only — the simulator never serializes).
 
     ``async_poll_batch`` — how many queue elements one partition drains
     per round in asynchronous delta iterations (interleaving
@@ -137,7 +134,6 @@ class RuntimeConfig:
     trace_path: str | None = field(default_factory=_trace_path)
     batch_size: int = field(default_factory=lambda: _env_number(
         "REPRO_BATCH_SIZE", 1024, int, above=0))
-    max_frame_bytes: int = 1 << 20
     async_poll_batch: int = 64
     # 0 spells "unbounded", like leaving the variable unset
     memory_budget_bytes: int | None = field(
@@ -155,7 +151,7 @@ class RuntimeConfig:
                 raise TypeError(
                     f"RuntimeConfig.{name} must be a bool, got {value!r}"
                 )
-        for name in ("batch_size", "max_frame_bytes", "async_poll_batch"):
+        for name in ("batch_size", "async_poll_batch"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(

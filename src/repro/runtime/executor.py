@@ -77,11 +77,10 @@ class Executor:
         self.parallelism = env.parallelism
         self.metrics = env.metrics
         self.tracer = env.metrics.tracer
-        #: data-plane framing knobs; every ship, keyed driver, and SPMD
-        #: exchange frames its work in batches of this many records
+        #: data-plane framing knob; every ship and keyed driver frames
+        #: its work in batches of this many records
         self.config = getattr(env, "config", None) or RuntimeConfig()
         self.batch_size = self.config.batch_size
-        self.max_frame_bytes = self.config.max_frame_bytes
         #: where this executor runs: the local simulator context, or one
         #: SPMD worker's view of its forked peers (pool backends)
         self.cluster = getattr(env, "cluster", None) or LOCAL
@@ -305,7 +304,6 @@ class Executor:
         return channels.ship(
             partitions, strategy, self.parallelism, self.metrics,
             cluster=self.cluster, batch_size=self.batch_size,
-            max_frame_bytes=self.max_frame_bytes,
         )
 
     def _resolve_placeholder(self, node, scope):

@@ -52,7 +52,7 @@ class PregelMaster:
         #: votes through this cluster context
         self.cluster = cluster or LOCAL
         from repro.runtime.config import RuntimeConfig
-        #: data-plane framing bounds for the SPMD message exchange
+        #: the session's runtime switches (invariants, tracing, telemetry)
         self.config = config or RuntimeConfig()
         if metrics is None:
             metrics = MetricsCollector.for_config(
@@ -170,12 +170,8 @@ class PregelMaster:
                 self.metrics.add_shipped(local=local, remote=remote)
                 total_messages += local + remote
             # ascending sender order = a scan over all partitions, so
-            # per-target message order is identical in both settings;
-            # between workers, frames travel as size-bounded batch chunks
-            for part in cluster.route(
-                frames, batch_size=self.config.batch_size,
-                max_frame_bytes=self.config.max_frame_bytes,
-            ):
+            # per-target message order is identical in both settings
+            for part in cluster.route(frames):
                 for target, value in part:
                     next_inbox[target].append(value)
             self.metrics.add_bytes_shipped(cluster.bytes_sent - bytes_before)

@@ -145,11 +145,9 @@ class RDD:
                 local=sum(len(p) for p in parts), remote=0
             )
             return parts
-        config = self.ctx.config
         return channels.ship(parts, _PARTITION_KEY0, self.ctx.parallelism,
                              self.ctx.metrics, cluster=self.ctx.cluster,
-                             batch_size=config.batch_size,
-                             max_frame_bytes=config.max_frame_bytes)
+                             batch_size=self.ctx.config.batch_size)
 
     def reduce_by_key(self, fn) -> "RDD":
         """Merge values of equal keys with ``fn(v1, v2)``; map-side combine."""

@@ -14,6 +14,26 @@ from repro.cluster import (
     WorkerCrash,
     resolve_backend,
 )
+from repro.common.batch import RecordBatch
+
+#: records whose values ``==`` cannot tell apart from their look-alikes
+#: (bools and ints, ``-0.0`` and ``0.0``), that ``==`` never matches
+#: (NaN), that no int64 column holds, nested, and of mixed arity
+AWKWARD_RECORDS = [
+    (True, 1, False, 0),
+    (-0.0, float("nan"), 1.5),
+    (2 ** 63, -(2 ** 63) - 1, 10 ** 30),
+    ((1, (2, "x")), ("nested", (None, b"raw"))),
+    (7,),
+    (1, 2.0, "three", 4, 5),
+]
+
+
+def _typed(value):
+    """``value`` with every leaf spelled as ``(type, repr)``."""
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_typed(item) for item in value]
+    return type(value).__name__, repr(value)
 
 
 class TestResolveBackend:
@@ -81,14 +101,54 @@ class TestRunProgram:
         # to rank 0
         assert result == [[(0, 0)], [(1, 0)], [(2, 0)]]
 
+    def test_one_exchange_is_one_message_per_peer(self):
+        def program(cluster):
+            frame = [(cluster.rank, i) for i in range(5_000)]
+            sent = cluster.endpoint.frames_sent
+            # the channel frames chunks; the wire does not chunk again
+            cluster.exchange([frame] * cluster.size, batch_size=1)
+            sent = cluster.endpoint.frames_sent - sent
+            return cluster.allgather(sent), None
+
+        result, _metrics = MultiprocessBackend(timeout=30.0).run_program(
+            program, 3
+        )
+        assert result == [2, 2, 2]
+
+    def test_exchange_keeps_every_value_and_type(self):
+        # each rank sends the awkward records to its successor, an empty
+        # frame to its other peer, then a column-born batch the same way
+        column_born = RecordBatch.from_columns(
+            *RecordBatch.wrap([(1, -0.0), (2 ** 62, float("nan"))]).columns()
+        )
+
+        def program(cluster):
+            successor = (cluster.rank + 1) % cluster.size
+            views = [
+                _typed(cluster.exchange([
+                    payload if target == successor else []
+                    for target in range(cluster.size)
+                ]))
+                for payload in (AWKWARD_RECORDS, column_born)
+            ]
+            return cluster.allgather(views), None
+
+        result, _metrics = MultiprocessBackend(timeout=30.0).run_program(
+            program, 3
+        )
+        for rank, views in enumerate(result):
+            for payload, view in zip(
+                (AWKWARD_RECORDS, column_born.records), views
+            ):
+                expected = [[] for _ in range(3)]
+                expected[(rank - 1) % 3] = payload
+                assert view == _typed(expected)
+
     def test_local_route_is_the_identity(self):
         # the local context owns every partition and is the only source
         frames = [[(0, "a")], [], [(2, "b"), (2, "c")]]
         assert LOCAL.owned_partitions(3) == range(3)
         assert LOCAL.route(frames) is frames
-        assert LOCAL.route(frames, batch_size=1, max_frame_bytes=64) == [
-            [(0, "a")], [], [(2, "b"), (2, "c")]
-        ]
 
     def test_route_fills_owned_slots_source_rank_major(self):
         def program(cluster):
@@ -99,7 +159,7 @@ class TestRunProgram:
             views = {
                 "owned": tuple(cluster.owned_partitions(cluster.size)),
                 "whole": cluster.route(frames),
-                "chunked": cluster.route(frames, batch_size=1),
+                "again": cluster.route(frames),
             }
             return cluster.allgather(views), None
 
@@ -114,12 +174,12 @@ class TestRunProgram:
             ]
             assert views["owned"] == (rank,)
             assert views["whole"] == expected
-            assert views["chunked"] == expected
+            assert views["again"] == expected
 
     def test_route_on_a_pool_of_one(self):
         def program(cluster):
             return (tuple(cluster.owned_partitions(1)),
-                    cluster.route([[1, 2, 3]], batch_size=2)), None
+                    cluster.route([[1, 2, 3]])), None
 
         backend = PoolBackend(timeout=30.0)
         try:

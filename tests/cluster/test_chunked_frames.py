@@ -1,12 +1,10 @@
-"""Chunked fabric frames: tiny batches over real workers change nothing.
+"""Chunked frames: tiny batches over real workers change nothing.
 
-The SPMD exchange splits every payload into size-bounded batch chunks
-(``RuntimeConfig.batch_size`` records, ``max_frame_bytes`` serialized
-bytes, recursive bisection past the byte bound).  Reassembly is
-per-stream FIFO with a counted terminator, so even pathological bounds
-— two-record chunks, 256-byte frames — must leave results and logical
-counters bitwise-identical to the in-process simulator.  These tests
-run real forked workers under exactly those bounds.
+The channels frame every ship in ``RuntimeConfig.batch_size``-record
+chunks, and each peer's frame then crosses the fabric as one message.
+Even a pathological bound — two-record chunks — must leave results and
+logical counters bitwise-identical to the in-process simulator.  These
+tests run real forked workers under exactly that bound.
 """
 
 import pytest
@@ -21,9 +19,8 @@ pytestmark = pytest.mark.verify_invariants
 
 PARALLELISM = 3
 
-#: pathological data-plane bounds: a handful of records per chunk and a
-#: frame budget small enough to force byte-level bisection as well
-TINY = dict(batch_size=2, max_frame_bytes=256)
+#: a pathological data-plane bound: a handful of records per chunk
+TINY = dict(batch_size=2)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +42,8 @@ class TestChunkedExchange:
         assert actual == expected
         assert mp_env.metrics.logical() == sim_env.metrics.logical()
 
-    def test_pagerank_floats_survive_byte_bisection(self, graph):
-        """Bisection changes frame boundaries, never arrival order, so
+    def test_pagerank_floats_survive_tiny_frames(self, graph):
+        """Chunking changes frame boundaries, never arrival order, so
         float summation stays bitwise-identical."""
         sim_env = _env("simulated")
         expected = pr.pagerank_bulk(sim_env, graph, iterations=3,

@@ -228,15 +228,20 @@ def _pending_after_allreduces(cluster):
     return cluster.allgather(leftover), None
 
 
+def _flood_record(source, i):
+    """About 270 pickled bytes: 5,000 of them overflow a 1 MiB pipe."""
+    return source, i, f"{i:0256d}"
+
+
 def _flood(records):
-    """Every rank sends each peer ``records`` one-record chunks at once."""
+    """Every rank sends each peer a ``records``-record frame at once."""
     def program(cluster):
         frames = [
             [] if target == cluster.rank
-            else [(cluster.rank, i) for i in range(records)]
+            else [_flood_record(cluster.rank, i) for i in range(records)]
             for target in range(cluster.size)
         ]
-        out = cluster.route(frames, batch_size=1)
+        out = cluster.route(frames)
         return cluster.allgather(out[cluster.rank]), None
     return program
 
@@ -244,12 +249,12 @@ def _flood(records):
 def _flood_one_way(cluster):
     # rank 0 floods rank 1, which starts reading late, and then has
     # nothing left to wait for: only flushing its outbox before it
-    # reports the job done lets rank 1 finish (its stream's chunk count
-    # is verified on arrival)
+    # reports the job done lets rank 1 finish
     if cluster.rank == 1:
         time.sleep(0.5)
-    records = [(0, i) for i in range(20_000)] if cluster.rank == 0 else []
-    out = cluster.route([[], records], batch_size=1)
+    records = ([_flood_record(0, i) for i in range(20_000)]
+               if cluster.rank == 0 else [])
+    out = cluster.route([[], records])
     return len(out[cluster.rank]), None
 
 
@@ -279,7 +284,7 @@ class TestPoolTraffic:
         # a sender that blocked on a full pipe would deadlock here
         gathered = self._run(_flood(records), size)
         assert gathered == [
-            [(source, i) for source in range(size) if source != rank
-             for i in range(records)]
+            [_flood_record(source, i) for source in range(size)
+             if source != rank for i in range(records)]
             for rank in range(size)
         ]

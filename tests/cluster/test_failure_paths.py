@@ -105,7 +105,24 @@ class TestPoolFailurePaths:
         backend = PoolBackend(timeout=20.0)
         with pytest.raises(WorkerCrash):
             backend.run_program(_silent_exit, 2)
-        workers = list(backend.pool.workers) if backend.pool else []
+        pids = list(backend.pool.worker_pids)
         backend.close()
-        for worker in workers:
-            assert not worker.is_alive()
+        assert len(pids) == 2
+        for pid in pids:
+            # reaped: no child of ours, running or zombie, has this pid
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_forced_close_releases_every_descriptor(self):
+        before = set(os.listdir("/proc/self/fd"))
+        backend = PoolBackend(timeout=20.0)
+        try:
+            backend.run_program(lambda cluster: (cluster.rank, None), 2)
+            pool = backend.pool
+            pool.close(force=True)
+            # the pool is still referenced: nothing may wait for its
+            # collection, the workers' sentinel pipes included
+            assert set(os.listdir("/proc/self/fd")) - before == set()
+            assert len(pool.worker_pids) == 2
+        finally:
+            backend.close()

@@ -135,10 +135,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RuntimeConfig(batch_size=0)
 
-    def test_max_frame_bytes_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(max_frame_bytes=-1)
-
     def test_async_poll_batch_rejects_bools_and_non_ints(self):
         with pytest.raises(TypeError):
             RuntimeConfig(async_poll_batch=True)

@@ -45,7 +45,7 @@ class _HalfCluster(ClusterContext):
     def owned_partitions(self, parallelism):
         return (2 * self.rank, 2 * self.rank + 1)
 
-    def route(self, frames, **framing):
+    def route(self, frames):
         switch = self.switch
         switch.frames[self.rank] = frames
         switch.barrier.wait()
