@@ -21,8 +21,6 @@ The JSON artifact lands in ``benchmarks/results/BENCH_dataplane.json``.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +28,7 @@ from repro.bench.reporting import (
     bench_meta,
     format_quantity,
     render_table,
-    results_dir,
+    write_artifact,
 )
 from repro.graphs.generators import erdos_renyi
 from repro.runtime import channels, drivers
@@ -229,9 +227,5 @@ def run(num_vertices: int = 3_000, avg_degree: float = 8.0,
             ),
             "rows": result.rows,
         }
-        path = os.path.join(results_dir(), ARTIFACT)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        result.artifact_path = path
+        result.artifact_path = write_artifact(ARTIFACT, payload)
     return result

@@ -19,8 +19,6 @@ The JSON artifact lands in ``benchmarks/results/BENCH_optimizer.json``.
 from __future__ import annotations
 
 import gc
-import json
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -29,7 +27,7 @@ from repro.bench.reporting import (
     bench_meta,
     format_quantity,
     render_table,
-    results_dir,
+    write_artifact,
 )
 from repro.runtime.config import RuntimeConfig
 
@@ -176,9 +174,5 @@ def run(join_left: int = 600_000, join_right: int = 60_000,
             ),
             "rows": result.rows,
         }
-        path = os.path.join(results_dir(), ARTIFACT)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        result.artifact_path = path
+        result.artifact_path = write_artifact(ARTIFACT, payload)
     return result

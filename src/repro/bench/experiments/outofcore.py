@@ -36,9 +36,7 @@ Exit is nonzero on any gate violation; the JSON artifact lands in
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -47,7 +45,7 @@ from repro.bench.reporting import (
     bench_meta,
     format_quantity,
     render_table,
-    results_dir,
+    write_artifact,
 )
 
 ARTIFACT = "BENCH_outofcore.json"
@@ -366,9 +364,5 @@ def run(save_artifact: bool = True) -> OutOfCoreResult:
                 {k: v for k, v in row.items()} for row in result.rows
             ],
         }
-        path = os.path.join(results_dir(), ARTIFACT)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        result.artifact_path = path
+        result.artifact_path = write_artifact(ARTIFACT, payload)
     return result

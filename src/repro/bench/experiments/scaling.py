@@ -30,7 +30,6 @@ The JSON artifact lands in ``benchmarks/results/BENCH_backend_scaling.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ from repro.bench.reporting import (
     bench_meta,
     format_seconds,
     render_table,
-    results_dir,
+    write_artifact,
 )
 from repro.bench.workloads import graph
 
@@ -211,9 +210,5 @@ def run(dataset: str = "twitter", iterations: int = 4,
             ),
             "rows": result.rows,
         }
-        path = os.path.join(results_dir(), ARTIFACT)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        result.artifact_path = path
+        result.artifact_path = write_artifact(ARTIFACT, payload)
     return result

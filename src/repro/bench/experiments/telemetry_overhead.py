@@ -28,8 +28,6 @@ answers is a bug regardless of speed.  The JSON artifact lands in
 from __future__ import annotations
 
 import gc
-import json
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -38,7 +36,7 @@ from repro.bench.reporting import (
     bench_meta,
     format_quantity,
     render_table,
-    results_dir,
+    write_artifact,
 )
 from repro.bench.workloads import cc_chained, map_filter_pipeline
 from repro.graphs.generators import erdos_renyi
@@ -217,9 +215,5 @@ def run(records: int = 500_000, cc_vertices: int = 10_000,
             ),
             "rows": result.rows,
         }
-        path = os.path.join(results_dir(), ARTIFACT)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        result.artifact_path = path
+        result.artifact_path = write_artifact(ARTIFACT, payload)
     return result

@@ -4,8 +4,9 @@ Runs one trace workload on the persistent worker pool with telemetry
 and heartbeats enabled, and renders a per-worker status table — rank,
 pid, job, superstep, RSS, progress age, heartbeat age, health status —
 refreshed from the parent-side :class:`HealthMonitor` ledger while the
-job executes.  After the run it prints the final table, the per-job
-resource totals from the :class:`ResourceLedger`, and a Prometheus-text
+job executes.  After the run it prints the final table, the jobs'
+bill as the registry holds it (jobs, wall and cpu seconds, peak RSS,
+bytes shipped and spilled, records spilled), and a Prometheus-text
 excerpt of the live registry.
 
 ``--once`` skips the live rendering and just checks the final state —
@@ -34,6 +35,8 @@ EXCERPT_METRICS = frozenset({
     "repro_executor_superstep",
     "repro_executor_memo_nodes",
     "repro_worker_rss_bytes",
+    "repro_worker_peak_rss_bytes",
+    "repro_job_cpu_s",
     "repro_fabric_frames_sent",
     "repro_bytes_shipped",
     "repro_bytes_spilled",
@@ -117,10 +120,12 @@ class MonitorResult:
             totals = self.resource_totals
             blocks.append(
                 f"resources: {totals['jobs']} job(s), "
+                f"wall {totals['wall_s']:.2f}s, "
                 f"cpu {totals['cpu_s']:.2f}s, "
                 f"peak rss {_fmt_mb(totals['peak_rss_bytes'])}, "
                 f"{totals['bytes_shipped']} B shipped, "
-                f"{totals['bytes_spilled']} B spilled"
+                f"{totals['bytes_spilled']} B spilled, "
+                f"{totals['records_spilled']} records spilled"
             )
         if self.prometheus_excerpt:
             blocks.append("registry excerpt:\n" + "\n".join(
@@ -133,6 +138,23 @@ class MonitorResult:
             "FAIL:\n  - " + "\n  - ".join(self.failures)
         )
         return "\n\n".join(blocks)
+
+
+def _bill(registry) -> dict | None:
+    """Every job's bill so far, read from the registry (None before a
+    job ends): cpu seconds and counters summed over ranks, peak RSS the
+    max over processes."""
+    if not registry.total("jobs"):
+        return None
+    return {
+        "jobs": registry.total("jobs"),
+        "wall_s": registry.total("job.wall_s"),
+        "cpu_s": registry.total("job.cpu_s"),
+        "peak_rss_bytes": registry.value("worker.peak_rss_bytes"),
+        "bytes_shipped": registry.total("bytes_shipped"),
+        "bytes_spilled": registry.total("bytes_spilled"),
+        "records_spilled": registry.total("records_spilled"),
+    }
 
 
 def _note_rows(result: MonitorResult, rows) -> None:
@@ -244,8 +266,7 @@ def run(workload: str = "connected_components", parallelism: int = 4,
                 "— raise the workload size or lower the heartbeat "
                 "interval"
             )
-        if env.resource_ledger is not None and env.resource_ledger.entries:
-            result.resource_totals = env.resource_ledger.totals()
+        result.resource_totals = _bill(env.telemetry)
         result.prometheus_excerpt = _excerpt(prometheus_text(env.telemetry))
     finally:
         backend.close()

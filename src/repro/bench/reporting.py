@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import sys
@@ -90,6 +91,16 @@ def traces_dir() -> str:
     """Where trace artifacts (JSONL, Chrome traces) land (created on demand)."""
     path = os.path.join(results_dir(), "traces")
     os.makedirs(path, exist_ok=True)
+    return path
+
+
+def write_artifact(name: str, payload: dict) -> str:
+    """Write a gate's JSON artifact under benchmarks/results/; returns
+    its path."""
+    path = os.path.join(results_dir(), name)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
     return path
 
 

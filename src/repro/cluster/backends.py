@@ -26,9 +26,6 @@ and, by construction, identical — to a simulated run.
 
 from __future__ import annotations
 
-import operator
-import time
-
 from repro.cluster.context import LOCAL
 
 
@@ -72,23 +69,9 @@ class SimulatedBackend(ExecutionBackend):
 
     def execute_plan(self, env, exec_plan):
         from repro.runtime.executor import Executor
-        if env.telemetry is not None:
-            # the env's collector accumulates across jobs: the bill
-            # counts this job's change, not the running totals
-            before = env.metrics.sample()
-            wall_started = time.perf_counter()
-            cpu_started = time.process_time()
         executor = Executor(env)
         results = executor.run(exec_plan)
         env.last_executor = executor
-        if env.telemetry is not None:
-            from repro.observability.telemetry import bill_job
-            env.resource_ledger.add(bill_job(
-                env.telemetry, env._job_seq, 0,
-                time.perf_counter() - wall_started,
-                time.process_time() - cpu_started,
-                executor, map(operator.sub, env.metrics.sample(), before),
-            ))
         return results
 
     def run_program(self, program, parallelism):
@@ -114,14 +97,10 @@ def absorb_plan_payloads(env, payloads):
     env.metrics.merge(merged, align_supersteps=False)
     env.metrics.verify_invariants()
     if env.telemetry is not None:
-        from repro.observability.telemetry import JobResources
         # rank order: snapshot merging is deterministic regardless, but
         # the series keeps a stable arrival order this way
         for payload in payloads:
             env.telemetry.merge_snapshot(payload["telemetry"])
-            env.resource_ledger.add(JobResources(
-                **{**payload["resources"], "job": env._job_seq}
-            ))
     env.last_executor = _ExecutorShim(payloads[0]["summaries"])
     if payloads[0]["checkpoint_store"] is not None:
         env.last_checkpoint_store = payloads[0]["checkpoint_store"]

@@ -44,7 +44,6 @@ or raises.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import pickle
 import queue as queue_module
@@ -106,11 +105,6 @@ def _pool_worker(jobs, fabric, rank: int, size: int) -> None:
         if message is None:
             return
         _serve(message, endpoint, fabric, rank, size)
-        # a finished job's unpickled plan is a reference cycle (its
-        # source data included): free it now, not whenever the
-        # collector next reaches the oldest generation, so a worker's
-        # footprint does not grow with the jobs it has served
-        gc.collect()
 
 
 def _serve(message, endpoint, fabric, rank: int, size: int) -> None:
@@ -382,14 +376,9 @@ class _PlanJob:
         self.metrics = metrics = MetricsCollector.for_config(
             self.config, rank=cluster.rank
         )
-        registry = None
         if self.config.telemetry:
             from repro.observability.telemetry import attach_telemetry
-            registry = attach_telemetry(
-                metrics, rank=cluster.rank, vitals=VITALS
-            )
-            wall_started = time.perf_counter()
-            cpu_started = time.process_time()
+            attach_telemetry(metrics, rank=cluster.rank, vitals=VITALS)
         executor = Executor(self)
         results = executor.run(self.exec_plan)
         payload = {
@@ -398,21 +387,13 @@ class _PlanJob:
             "summaries": executor.iteration_summaries,
             "checkpoint_store": self.last_checkpoint_store,
         }
+        registry = metrics.telemetry
         if registry is not None:
-            from repro.observability.telemetry import bill_job
             # the registry stays home: the payload carries a plain-dict
             # snapshot, and the parent's collector merge never has to
             # reconcile live instruments
             metrics.telemetry = None
-            reconcile_wire_counts(metrics, cluster.endpoint)
-            entry = bill_job(
-                registry, None, cluster.rank,
-                time.perf_counter() - wall_started,
-                time.process_time() - cpu_started,
-                executor, metrics.sample(),
-            )
             payload["telemetry"] = registry.snapshot()
-            payload["resources"] = entry.as_dict()
         return payload
 
 

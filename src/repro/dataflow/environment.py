@@ -9,6 +9,8 @@ and trigger execution with :meth:`ExecutionEnvironment.collect` or
 
 from __future__ import annotations
 
+import time
+
 from repro.common.errors import InvalidPlanError
 from repro.dataflow.contracts import Contract
 from repro.dataflow.dataset import DataSet
@@ -106,19 +108,13 @@ class ExecutionEnvironment:
         #: their timelines in ``last_worker_traces``
         self.tracer = self.metrics.tracer
         #: the session's live metric registry when ``config.telemetry``
-        #: is set, else None; SPMD backends merge worker snapshots into
-        #: it after every job, and ``resource_ledger`` accumulates the
-        #: per-job bills
+        #: is set, else None; executors bill each job's counts into it
+        #: (SPMD backends merge the workers' bills after every job), and
+        #: ``_execute_plan`` adds the job and its wall time
         self.telemetry = None
-        self.resource_ledger = None
         if self.config.telemetry:
-            from repro.observability.telemetry import (
-                MetricRegistry,
-                ResourceLedger,
-            )
-            self.telemetry = MetricRegistry()
-            self.metrics.telemetry = self.telemetry
-            self.resource_ledger = ResourceLedger()
+            from repro.observability.telemetry import attach_telemetry
+            self.telemetry = attach_telemetry(self.metrics)
         #: runtime cardinality observer (optimizer v2): after every run
         #: it derives observed per-operator cardinalities from the
         #: merged logical counters, and the next compilation in this
@@ -249,7 +245,15 @@ class ExecutionEnvironment:
         # plans are compiled here, backend-agnostically; the backend only
         # decides where the compiled plan is interpreted (and is expected
         # to set last_executor for introspection)
+        started = time.perf_counter()
         results = self.backend.execute_plan(self, exec_plan)
+        if self.telemetry is not None:
+            wall_s = time.perf_counter() - started
+            self.telemetry.counter("jobs").inc()
+            self.telemetry.counter("job.wall_s").inc(wall_s)
+            # the series keeps each job's own cost
+            self.telemetry.record("job.wall_s", wall_s,
+                                  labels={"job": self._job_seq})
         self.last_plan = exec_plan
         self.observer.ingest(exec_plan, self.metrics)
         if self.tracer is not None and self.config.trace_path:

@@ -12,6 +12,7 @@ operationally, inside the executor.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 
 from repro.common.errors import InvalidPlanError
@@ -19,6 +20,23 @@ from repro.common.keys import normalize_key_fields
 from repro.dataflow.contracts import Contract, is_binary
 
 _node_ids = itertools.count(1)
+
+
+class _IterationRef(weakref.ref):
+    """A weak reference that pickles as the node it refers to.
+
+    A placeholder or solution-set access node names its enclosing
+    iteration, and the iteration reaches that node back through its
+    body: a strong back-edge would make every plan, its source data
+    included, cyclic garbage.  Pickling (the pool's job codec) rebuilds
+    the reference around the unpickled iteration, which the rest of
+    the plan holds.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _IterationRef, (self(),)
 
 
 class LogicalNode:
@@ -74,6 +92,18 @@ class LogicalNode:
         #: lets the optimizer push the filter below a join's ship when
         #: those fields are identity-forwarded from one join input
         self.read_fields: tuple[int, ...] | None = None
+        self._enclosing: _IterationRef | None = None
+
+    @property
+    def enclosing_iteration(self):
+        """The iteration whose step function this placeholder or
+        solution-set access belongs to, or ``None`` (held weakly: see
+        :class:`_IterationRef`)."""
+        return self._enclosing() if self._enclosing is not None else None
+
+    @enclosing_iteration.setter
+    def enclosing_iteration(self, iteration):
+        self._enclosing = _IterationRef(iteration)
 
     def with_forwarded_fields(self, input_index, mapping):
         """Declare that ``mapping`` (src field -> dst field) survives the UDF.
@@ -370,7 +400,7 @@ class LogicalPlan:
                 raise InvalidPlanError(
                     f"{node.name}: key arity mismatch {left} vs {right}"
                 )
-        if node.is_placeholder() and not hasattr(node, "enclosing_iteration"):
+        if node.is_placeholder() and node.enclosing_iteration is None:
             raise InvalidPlanError(
                 f"{node.name}: placeholder used outside an iteration"
             )

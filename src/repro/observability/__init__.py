@@ -2,7 +2,7 @@
 
 See :mod:`repro.observability.tracer` for the recording model,
 :mod:`repro.observability.telemetry` for the live metric registry and
-resource ledger, :mod:`repro.observability.health` for worker
+its per-job bill, :mod:`repro.observability.health` for worker
 heartbeats and the straggler/stall monitor,
 :mod:`repro.observability.export` for the JSONL / Chrome-trace
 consumers, and :mod:`repro.observability.profile` for the per-operator
@@ -28,12 +28,9 @@ from repro.observability.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    JobResources,
     MetricRegistry,
-    ResourceLedger,
     attach_telemetry,
     prometheus_text,
-    write_prometheus,
     write_series_jsonl,
 )
 from repro.observability.tracer import (
@@ -55,9 +52,7 @@ __all__ = [
     "HeartbeatLossWarning",
     "HeartbeatSender",
     "Histogram",
-    "JobResources",
     "MetricRegistry",
-    "ResourceLedger",
     "Span",
     "StallWarning",
     "StragglerWarning",
@@ -71,6 +66,5 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "write_prometheus",
     "write_series_jsonl",
 ]

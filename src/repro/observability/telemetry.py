@@ -18,12 +18,14 @@ tracer uses, which is what lets the Perfetto exporter draw counter
 tracks under the span timeline.  Every name holds one kind.
 
 The registry counts nothing itself: the metrics collector owns every
-count (:data:`~repro.runtime.metrics.COUNTERS`), and :func:`bill_job`
-takes a job's counts from it once per rank, as ``rank``-labelled
-counters.  Otherwise the registry keeps levels: the superstep
-histogram, gauges read from the probes the executor registers for one
-job, and the time series.  Instrumented sites (fabric endpoints, the
-spill manager) hold no registry, only plain ints and a
+count (:data:`~repro.runtime.metrics.COUNTERS`), and the executor
+bills each job once per rank through :func:`bill_job`: the job's
+counts and cpu seconds as ``rank``-labelled counters, the process's
+peak RSS as a gauge.  The environment adds ``jobs`` and ``job.wall_s``
+once per job, in the parent.  Otherwise the registry keeps levels: the
+superstep histogram, gauges read from the probes the executor registers
+for one job, and the time series.  Instrumented sites (fabric
+endpoints, the spill manager) hold no registry, only plain ints and a
 ``telemetry_probe``.  Enablement is ``RuntimeConfig(telemetry=...)`` /
 ``REPRO_TELEMETRY``; results and logical counters are bitwise identical
 either way (enforced by the differential audit's telemetry legs).
@@ -35,14 +37,15 @@ sum, gauges take the elementwise max, label sets union) — per-rank
 counters carry a ``rank`` label, so nothing collides.
 
 Consumers: :func:`prometheus_text` (Prometheus exposition format),
-:func:`write_prometheus`, :func:`write_series_jsonl` (the JSONL
-time-series artifact), and the live terminal monitor of
-``python -m repro.bench monitor`` (see :mod:`repro.bench.monitor`).
+:func:`write_series_jsonl` (the JSONL time-series artifact), and the
+live terminal monitor of ``python -m repro.bench monitor`` (see
+:mod:`repro.bench.monitor`).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 
@@ -70,13 +73,7 @@ def read_rss_bytes() -> int:
             fields = fh.read().split()
         return int(fields[1]) * (os.sysconf("SC_PAGE_SIZE") or 4096)
     except (OSError, IndexError, ValueError):
-        pass
-    try:
-        import resource
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        return int(usage.ru_maxrss) * 1024
-    except Exception:  # pragma: no cover - no resource module
-        return 0
+        return read_peak_rss_bytes()
 
 
 def read_peak_rss_bytes() -> int:
@@ -116,7 +113,7 @@ class Counter:
 
 
 class Gauge:
-    """An instantaneous level; ``set`` overwrites, ``add`` adjusts."""
+    """An instantaneous level; ``set`` overwrites."""
 
     kind = "gauge"
     __slots__ = ("name", "labels", "value")
@@ -128,9 +125,6 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
-
-    def add(self, amount) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -403,109 +397,37 @@ def attach_telemetry(metrics, rank: int = 0,
 
 
 # ----------------------------------------------------------------------
-# per-job resource accounting (admission-control input)
+# per-job billing
 
 
-#: the collector counters a job's resource bill carries
-BILLED_COUNTERS = ("bytes_shipped", "bytes_spilled", "records_spilled")
+def bill_job(executor, counts_before, cpu_started) -> None:
+    """Bill ``executor``'s finished job once, on its rank, into its
+    registry.
 
-
-class JobResources:
-    """One worker's resource bill for one job."""
-
-    __slots__ = ("job", "rank", "wall_s", "cpu_s",
-                 "peak_rss_bytes") + BILLED_COUNTERS
-
-    def __init__(self, job, rank, wall_s, cpu_s, peak_rss_bytes,
-                 **billed):
-        self.job = job
-        self.rank = rank
-        self.wall_s = wall_s
-        self.cpu_s = cpu_s
-        self.peak_rss_bytes = peak_rss_bytes
-        for name in BILLED_COUNTERS:
-            setattr(self, name, billed.pop(name, 0))
-        if billed:
-            raise TypeError(f"not a billed counter: {sorted(billed)}")
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-class ResourceLedger:
-    """Per-job resource accounting across workers.
-
-    The input the multi-tenant job manager (ROADMAP item 5) needs for
-    admission control and per-job caps: for every job, cpu seconds
-    (summed over ranks), peak RSS (max over ranks — budgets are
-    per-process), and the :data:`BILLED_COUNTERS` (summed).
+    The job's change of :data:`~repro.runtime.metrics.COUNTERS` since
+    ``counts_before``, the spill files it opened, the frames its
+    endpoint sent (zero on the simulator, which has no endpoint) and
+    the cpu seconds since ``cpu_started`` become ``rank``-labelled
+    counters — the only place the registry counts.  The process's peak
+    RSS sets the unlabelled ``worker.peak_rss_bytes`` gauge, so merging
+    ranks takes the max: budgets are per process.
     """
-
-    def __init__(self):
-        self.entries: list[JobResources] = []
-
-    def add(self, entry: JobResources) -> None:
-        self.entries.append(entry)
-
-    @property
-    def jobs(self) -> list:
-        seen = []
-        for entry in self.entries:
-            if entry.job not in seen:
-                seen.append(entry.job)
-        return seen
-
-    def job_totals(self, job) -> dict:
-        mine = [e for e in self.entries if e.job == job]
-        if not mine:
-            raise KeyError(f"no resource entries for job {job!r}")
-        return {
-            "job": job,
-            "workers": len(mine),
-            "wall_s": max(e.wall_s for e in mine),
-            "cpu_s": sum(e.cpu_s for e in mine),
-            "peak_rss_bytes": max(e.peak_rss_bytes for e in mine),
-            **{name: sum(getattr(e, name) for e in mine)
-               for name in BILLED_COUNTERS},
-        }
-
-    def totals(self) -> dict:
-        """Aggregate over all jobs (peak RSS stays a max, not a sum)."""
-        per_job = [self.job_totals(job) for job in self.jobs]
-        return {
-            "jobs": len(per_job),
-            "wall_s": sum(t["wall_s"] for t in per_job),
-            "cpu_s": sum(t["cpu_s"] for t in per_job),
-            "peak_rss_bytes": max(
-                (t["peak_rss_bytes"] for t in per_job), default=0
-            ),
-            **{name: sum(t[name] for t in per_job)
-               for name in BILLED_COUNTERS},
-        }
-
-
-def bill_job(registry, job, rank, wall_s, cpu_s, executor,
-             totals) -> JobResources:
-    """Bill one rank's job and return its :class:`ResourceLedger` line.
-
-    ``totals`` (the job's :data:`~repro.runtime.metrics.COUNTERS`, in
-    order), the spill files ``executor`` opened and the frames its
-    endpoint sent (zero on the simulator, which has no endpoint),
-    become ``rank``-labelled counters in ``registry`` — the
-    only place the registry counts.
-    """
-    counts = dict(zip(COUNTERS, totals))
-    spill = executor.spill
-    counts["spill.files"] = spill.spill_files if spill is not None else 0
+    metrics = executor.metrics
     endpoint = getattr(executor.cluster, "endpoint", None)
-    counts["fabric.frames_sent"] = getattr(endpoint, "frames_sent", 0)
-    labels = {"rank": rank}
-    for name, value in counts.items():
+    if endpoint is not None:
+        from repro.cluster.pool import reconcile_wire_counts
+        reconcile_wire_counts(metrics, endpoint)
+    billed = dict(zip(
+        COUNTERS, map(operator.sub, metrics.sample(), counts_before)
+    ))
+    spill = executor.spill
+    billed["spill.files"] = spill.spill_files if spill is not None else 0
+    billed["fabric.frames_sent"] = getattr(endpoint, "frames_sent", 0)
+    billed["job.cpu_s"] = time.process_time() - cpu_started
+    registry, labels = executor.telemetry, {"rank": executor.cluster.rank}
+    for name, value in billed.items():
         registry.counter(name, labels).inc(value)
-    return JobResources(
-        job, rank, wall_s, cpu_s, read_peak_rss_bytes(),
-        **{name: counts[name] for name in BILLED_COUNTERS},
-    )
+    registry.gauge("worker.peak_rss_bytes").set(read_peak_rss_bytes())
 
 
 # ----------------------------------------------------------------------
@@ -555,16 +477,6 @@ def prometheus_text(registry: MetricRegistry) -> str:
             labels = _prometheus_labels(metric.labels)
             lines.append(f"{name}{labels} {metric.value}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(path: str, registry: MetricRegistry) -> str:
-    """Write :func:`prometheus_text` output to ``path``; returns it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_text(registry))
-    return path
 
 
 def write_series_jsonl(path: str, registry: MetricRegistry,

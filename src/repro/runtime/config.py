@@ -113,10 +113,10 @@ class RuntimeConfig:
     :class:`~repro.observability.telemetry.MetricRegistry` to the
     session: superstep barriers sample levels (executor residency,
     spill levels, pending fabric frames) into gauges, a histogram and a
-    resource time series while the job runs, every job bills its
-    collector counts into it, pool workers ship heartbeats for the
-    :class:`~repro.observability.health.HealthMonitor`, and the session
-    keeps a per-job :class:`~repro.observability.telemetry.ResourceLedger`.
+    resource time series while the job runs, every job bills into it
+    once (its collector counts, cpu and wall seconds, peak RSS), and
+    pool workers ship heartbeats for the
+    :class:`~repro.observability.health.HealthMonitor`.
     Off by default (the superstep hooks are a single ``None`` check);
     ``REPRO_TELEMETRY`` supplies the default.  Telemetry never touches
     results or logical counters — the differential audit's telemetry legs

@@ -29,6 +29,8 @@ modes live in :mod:`repro.iterations.microstep_runtime`.
 
 from __future__ import annotations
 
+import time
+
 from repro.cluster.context import LOCAL
 from repro.common.errors import InvalidPlanError
 from repro.dataflow.contracts import Contract
@@ -138,6 +140,10 @@ class Executor:
     def run(self, exec_plan) -> dict[int, list]:
         """Execute the plan; returns {sink node id: merged record list}."""
         self.plan = exec_plan
+        if self.telemetry is not None:
+            # the collector may outlive the job (the simulator's is the
+            # session's): the bill counts this job's change only
+            before = self.metrics.sample(), time.process_time()
         probes = self._telemetry_probes()
         for probe in probes:
             self.telemetry.add_probe(probe)
@@ -159,6 +165,9 @@ class Executor:
         # consistent: per-superstep counters + out-of-superstep remainder
         # sum to the global collector totals
         self.metrics.verify_invariants()
+        if self.telemetry is not None:
+            from repro.observability.telemetry import bill_job
+            bill_job(self, *before)
         return results
 
     # ------------------------------------------------------------------
@@ -442,7 +451,7 @@ class Executor:
     # stateful solution-set operators (Section 5.3)
 
     def _solution_scope(self, node, scope):
-        iteration = getattr(node, "enclosing_iteration", None)
+        iteration = node.enclosing_iteration
         found = scope
         while found is not None and (
             found.solution_index is None or found.iteration is not iteration

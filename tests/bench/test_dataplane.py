@@ -3,12 +3,13 @@
 import json
 import os
 
+from repro.bench import reporting
 from repro.bench.experiments import dataplane
 
 
 class TestDataplaneExperiment:
     def test_small_run_reports_and_gates(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataplane, "results_dir", lambda: str(tmp_path))
+        monkeypatch.setattr(reporting, "results_dir", lambda: str(tmp_path))
         result = dataplane.run(num_vertices=300, avg_degree=4.0,
                                parallelism=2, rounds=1)
         assert [row["primitive"] for row in result.rows] == [
@@ -33,7 +34,7 @@ class TestDataplaneExperiment:
         assert payload["ok"] == result.ok
 
     def test_no_artifact_when_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataplane, "results_dir", lambda: str(tmp_path))
+        monkeypatch.setattr(reporting, "results_dir", lambda: str(tmp_path))
         result = dataplane.run(num_vertices=200, avg_degree=3.0,
                                parallelism=2, rounds=1,
                                save_artifact=False)
@@ -41,7 +42,7 @@ class TestDataplaneExperiment:
         assert not os.listdir(str(tmp_path))
 
     def test_ok_false_when_speedup_floor_missed(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataplane, "results_dir", lambda: str(tmp_path))
+        monkeypatch.setattr(reporting, "results_dir", lambda: str(tmp_path))
         monkeypatch.setattr(dataplane, "SPEEDUP_FLOOR", float("inf"))
         result = dataplane.run(num_vertices=200, avg_degree=3.0,
                                parallelism=2, rounds=1,

@@ -24,8 +24,16 @@ def test_monitor_once_smoke():
         assert row["pid"] is not None
         assert row["rss_bytes"] > 0
     assert max(result.peak_supersteps.values()) >= 1
-    assert result.resource_totals["jobs"] >= 1
+    # the resources line is the registry's bill of the one job
+    totals = result.resource_totals
+    assert totals["jobs"] == 1
+    assert totals["wall_s"] > 0 and totals["cpu_s"] > 0
+    assert totals["peak_rss_bytes"] > 0
+    assert totals["bytes_shipped"] > 0
+    assert totals["bytes_spilled"] == totals["records_spilled"] == 0
     report = result.report()
+    assert "resources: 1 job(s), wall " in report
+    assert "0 records spilled" in report
     assert "Worker health" in report
     assert "repro_executor_superstep" in report
     assert "OK:" in report

@@ -3,13 +3,14 @@
 import json
 import os
 
+from repro.bench import reporting
 from repro.bench.experiments import scaling
 
 
 class TestScalingExperiment:
     def test_small_run_reports_and_matches(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            scaling, "results_dir", lambda: str(tmp_path)
+            reporting, "results_dir", lambda: str(tmp_path)
         )
         result = scaling.run(dataset="sample9", iterations=2,
                              worker_counts=(1, 2))
@@ -30,7 +31,7 @@ class TestScalingExperiment:
 
     def test_rows_flag_oversubscription_against_host_cpus(self, tmp_path,
                                                           monkeypatch):
-        monkeypatch.setattr(scaling, "results_dir", lambda: str(tmp_path))
+        monkeypatch.setattr(reporting, "results_dir", lambda: str(tmp_path))
         result = scaling.run(dataset="sample9", iterations=1,
                              worker_counts=(1, 2), save_artifact=False)
         for row in result.rows:
@@ -73,7 +74,7 @@ class TestScalingExperiment:
 
     def test_no_artifact_when_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            scaling, "results_dir", lambda: str(tmp_path)
+            reporting, "results_dir", lambda: str(tmp_path)
         )
         result = scaling.run(dataset="sample9", iterations=1,
                              worker_counts=(1,), save_artifact=False)

@@ -11,9 +11,7 @@ from repro.algorithms import connected_components as cc
 from repro.algorithms import pagerank as pr
 from repro.graphs import erdos_renyi
 from repro.observability.telemetry import (
-    JobResources,
     MetricRegistry,
-    ResourceLedger,
     attach_telemetry,
     prometheus_text,
     write_series_jsonl,
@@ -149,33 +147,6 @@ def test_series_jsonl_roundtrip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# resource ledger
-
-
-def test_ledger_job_totals():
-    ledger = ResourceLedger()
-    for rank in range(2):
-        ledger.add(JobResources(
-            job=1, rank=rank, wall_s=1.0 + rank, cpu_s=0.5,
-            peak_rss_bytes=100 * (rank + 1), bytes_shipped=10,
-        ))
-    ledger.add(JobResources(job=2, rank=0, wall_s=0.5, cpu_s=0.1,
-                            peak_rss_bytes=50))
-    totals = ledger.job_totals(1)
-    assert totals["workers"] == 2
-    assert totals["wall_s"] == 2.0  # max over ranks
-    assert totals["cpu_s"] == 1.0  # summed
-    assert totals["peak_rss_bytes"] == 200  # max: budgets are per-process
-    assert totals["bytes_shipped"] == 20
-    grand = ledger.totals()
-    assert grand["jobs"] == 2
-    assert grand["cpu_s"] == pytest.approx(1.1)
-    assert grand["peak_rss_bytes"] == 200
-    with pytest.raises(KeyError):
-        ledger.job_totals(99)
-
-
-# ----------------------------------------------------------------------
 # wiring: opt-in, off-path, and result parity
 
 
@@ -183,9 +154,12 @@ def test_telemetry_off_by_default():
     env = ExecutionEnvironment(parallelism=2)
     assert env.telemetry is None
     assert env.metrics.telemetry is None
-    assert env.resource_ledger is None
     with pytest.raises(RuntimeError, match="REPRO_TELEMETRY"):
         env.telemetry_text()
+    # a job bills nothing, and attaches no registry to bill into
+    env.collect(env.from_iterable([(1,), (2,)]))
+    assert env.telemetry is None
+    assert env.metrics.telemetry is None
 
 
 def test_attach_telemetry_idempotent():
@@ -257,15 +231,18 @@ def test_registry_counts_are_the_collector_counts(backend, budget):
     for metric in env.telemetry.metrics():
         assert kinds.setdefault(metric.name, metric.kind) == metric.kind, \
             metric.name
-    assert len(env.resource_ledger.jobs) == 3
-    assert env.resource_ledger.totals()["bytes_shipped"] == \
-        env.metrics.bytes_shipped
+    assert env.telemetry.total("jobs") == 3
+    assert env.telemetry.total("bytes_shipped") == env.metrics.bytes_shipped
+    # one wall-time sample per job, labelled with the job's number
+    assert [sample["labels"] for sample in env.telemetry.series
+            if sample["name"] == "job.wall_s"] == \
+        [{"job": job} for job in (1, 2, 3)]
     # every frame the endpoints sent, on the one path there is
     frames = env.telemetry.total("fabric.frames_sent")
     assert (frames > 0) == (backend == "pool")
 
 
-def test_simulated_run_populates_registry_and_ledger():
+def test_simulated_run_populates_registry_and_bill():
     env, _ = _run_cc("simulated", telemetry=True)
     names = {metric.name for metric in env.telemetry.metrics()}
     assert "executor.superstep_duration_s" in names
@@ -277,11 +254,57 @@ def test_simulated_run_populates_registry_and_ledger():
     assert env.telemetry.value("executor.superstep") == \
         env.metrics.supersteps
     assert env.telemetry.series  # per-superstep samples recorded
-    assert env.resource_ledger.entries
-    totals = env.resource_ledger.totals()
-    assert totals["jobs"] >= 1
-    assert totals["peak_rss_bytes"] > 0
+    assert env.telemetry.total("jobs") == 1
+    assert env.telemetry.value("job.wall_s") > 0
+    assert env.telemetry.value("job.cpu_s", {"rank": 0}) > 0
+    assert env.telemetry.value("worker.peak_rss_bytes") > 0
     assert "repro_executor_superstep" in env.telemetry_text()
+
+
+def test_pool_bill_sums_cpu_and_takes_the_peak_rss_max(monkeypatch):
+    """One 2-rank pool job is billed once: ``jobs`` counts it once, each
+    rank's cpu seconds keep their ``rank`` label and sum, and the peak
+    RSS gauge merges as the max of the two workers' (budgets are per
+    process)."""
+    env = ExecutionEnvironment(
+        parallelism=2, backend="pool", config=RuntimeConfig(telemetry=True),
+    )
+    registry = env.telemetry
+    worker_peaks = []
+    merge = registry.merge_snapshot
+
+    def merge_and_note_peak(snap):
+        worker_peaks.extend(
+            entry["value"] for entry in snap["metrics"]
+            if entry["name"] == "worker.peak_rss_bytes"
+        )
+        return merge(snap)
+
+    monkeypatch.setattr(registry, "merge_snapshot", merge_and_note_peak)
+    try:
+        cc.cc_incremental(env, erdos_renyi(120, 2.5, seed=11),
+                          variant="cogroup", mode="superstep")
+    finally:
+        env.close()
+    assert registry.total("jobs") == 1
+    cpu = [registry.value("job.cpu_s", {"rank": rank}) for rank in (0, 1)]
+    assert all(seconds > 0 for seconds in cpu)
+    assert registry.total("job.cpu_s") == pytest.approx(sum(cpu))
+    assert len(worker_peaks) == 2 and min(worker_peaks) > 0
+    assert registry.value("worker.peak_rss_bytes") == max(worker_peaks)
+    assert registry.total("job.wall_s") > 0
+
+
+@pytest.mark.parametrize("backend", ["simulated", "pool"])
+def test_prometheus_text_carries_the_bill(backend):
+    """Fails at the parent commit: cpu seconds and peak RSS lived only
+    in the resource ledger, which the Prometheus text never showed."""
+    env, _ = _run_cc(backend, telemetry=True)
+    env.close()
+    text = env.telemetry_text()
+    assert "repro_job_cpu_s{rank=" in text
+    assert "repro_worker_peak_rss_bytes " in text
+    assert "repro_jobs 1" in text
 
 
 def test_probes_live_for_one_job_only():
