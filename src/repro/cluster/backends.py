@@ -72,6 +72,8 @@ class SimulatedBackend(ExecutionBackend):
         executor = Executor(env)
         results = executor.run(exec_plan)
         env.last_executor = executor
+        if executor.checkpoint_store is not None:
+            env.last_checkpoint_store = executor.checkpoint_store
         return results
 
     def run_program(self, program, parallelism):

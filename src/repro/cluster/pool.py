@@ -361,7 +361,6 @@ class _PlanJob:
         # worker-local: bound when the job runs
         self.cluster = None
         self.metrics = None
-        self.last_checkpoint_store = None
         #: non-None marks this a telemetry job: the worker loop starts
         #: its heartbeat sender at this cadence before calling the body
         self.heartbeat_interval = (
@@ -385,7 +384,7 @@ class _PlanJob:
             "results": results,
             "metrics": metrics,
             "summaries": executor.iteration_summaries,
-            "checkpoint_store": self.last_checkpoint_store,
+            "checkpoint_store": executor.checkpoint_store,
         }
         registry = metrics.telemetry
         if registry is not None:

@@ -6,7 +6,9 @@ buffer per field, in the spirit of the paper's Nephele channel buffers
 (Sec. 4.2) and Arrow-style morsel engines.  Fixed-width fields live in
 ``array.array`` buffers (``'q'`` for int64-range ints, ``'d'`` for
 floats), everything else in a plain object list.  The fixed-width
-buffers are what the spill files write without serializing records.
+buffers are what hashing, scattering and exact size estimates work
+over; nothing on disk or on the wire is written from them (spill files
+and fabric frames pickle).
 
 **Strict typing rules** keep the layout bitwise-faithful to the row
 representation:
@@ -19,7 +21,7 @@ representation:
 * a column is ``'d'`` only when every value satisfies ``type(x) is
   float`` — IEEE doubles round-trip exactly through ``'d'``;
 * anything else (strings, nested tuples, mixed types) stays an object
-  list and is pickled into the spill file as one blob.
+  list.
 
 The optional **numpy fast path** is a capability probe: when numpy is
 importable, int64 key columns become zero-copy ``ndarray`` views
@@ -32,7 +34,6 @@ convention, and ``stable_hash`` of an int *is* the int.
 
 from __future__ import annotations
 
-import pickle
 from array import array
 
 try:  # capability probe: numpy accelerates, never changes results
@@ -108,10 +109,10 @@ def column_nbytes(typecode, data) -> int | None:
 
 
 def frame_nbytes(columns, length) -> int | None:
-    """Exact payload bytes of an all-fixed-width frame, else ``None``.
+    """Exact payload bytes of all-fixed-width columns, else ``None``.
 
-    ``rows * sum(itemsize)``: what a spill file's column frame takes,
-    known by arithmetic instead of pickling a probe copy.
+    ``rows * sum(itemsize)``: a batch's size known by arithmetic
+    instead of a sampled ``getsizeof`` walk.
     """
     total = 0
     for typecode, data in columns:
@@ -185,49 +186,3 @@ def int64_from_values(values):
         return _np.fromiter(values, dtype=_np.int64, count=len(values))
     except OverflowError:
         return None
-
-
-# ----------------------------------------------------------------------
-# spill-file framing
-
-
-def encode_frame(columns, length, key_fields):
-    """Encode typed columns as ``(header_bytes, buffers)``.
-
-    ``buffers`` holds one entry per column: a raw ``memoryview`` over
-    the column's bytes (written as is to a spill file) for fixed-width
-    columns, a pickle blob for object columns.  The header is a small pickled tuple — schema only, never
-    records — so a fixed-width column's values are never pickled one
-    by one.
-    """
-    typecodes = []
-    buffers = []
-    for typecode, data in columns:
-        typecodes.append(typecode)
-        if typecode == OBJECT:
-            buffers.append(pickle.dumps(data, pickle.HIGHEST_PROTOCOL))
-        else:
-            buffers.append(memoryview(data).cast("B"))
-    header = pickle.dumps(
-        (length, tuple(typecodes), key_fields), pickle.HIGHEST_PROTOCOL
-    )
-    return header, buffers
-
-
-def decode_frame(header, buffers):
-    """Inverse of :func:`encode_frame`.
-
-    Returns ``(length, columns, key_fields)``; fixed-width buffers are
-    copied into fresh ``array`` objects (the source buffer may be
-    reused after the read), object blobs are unpickled.
-    """
-    length, typecodes, key_fields = pickle.loads(header)
-    columns = []
-    for typecode, buffer in zip(typecodes, buffers):
-        if typecode == OBJECT:
-            columns.append((typecode, pickle.loads(buffer)))
-        else:
-            data = array(typecode)
-            data.frombytes(buffer)
-            columns.append((typecode, data))
-    return length, columns, key_fields

@@ -171,7 +171,7 @@ def _micro_supersteps(executor, node, index, queues, route_fields,
         return cluster.allreduce_sum(sum(len(q) for q in queues))
 
     def restore(checkpoint):
-        index._partitions = checkpoint.state
+        index.restore(checkpoint.state)
         for queue, records in zip(queues, checkpoint.workset):
             queue.clear()
             queue.extend(records)
@@ -209,7 +209,7 @@ def _micro_supersteps(executor, node, index, queues, route_fields,
         max_steps *= max(1, pending())
     converged, steps = supersteps.run_supersteps(
         executor, max_steps, pending,
-        lambda: (index._partitions, [list(q) for q in queues]),
+        lambda: (index.snapshot(), [list(q) for q in queues]),
         restore, body,
     )
     return converged or pending() == 0, steps

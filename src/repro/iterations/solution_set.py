@@ -31,7 +31,8 @@ class SolutionSetIndex:
         self.parallelism = parallelism
         self.metrics = metrics
         self.should_replace = should_replace
-        self._partitions: list[dict] = [{} for _ in range(parallelism)]
+        self._partitions: list = []
+        self.restore([[] for _ in range(parallelism)])
 
     # ------------------------------------------------------------------
     # construction
@@ -196,6 +197,18 @@ class SolutionSetIndex:
         application or commit) to the spill counters: in memory, none."""
 
     # ------------------------------------------------------------------
+    # checkpoints (Section 4.2)
+
+    def snapshot(self) -> list[list]:
+        """One list of ``(key, record)`` items per partition, in
+        iteration order: the state a checkpoint logs."""
+        return [list(part.items()) for part in self._partitions]
+
+    def restore(self, state) -> None:
+        """Rebuild every partition from a :meth:`snapshot`."""
+        self._partitions = [dict(items) for items in state]
+
+    # ------------------------------------------------------------------
     # export
 
     def to_partitions(self) -> list[list]:
@@ -217,15 +230,17 @@ class DiskBackedSolutionSetIndex(SolutionSetIndex):
 
     Each partition's ``dict`` is swapped for a
     :class:`~repro.storage.diskdict.DiskDict` — same first-insertion
-    iteration order, same replacement semantics, but records rest in a
-    version-stamped append-only log inside the spill session instead of
-    the heap.  Nothing else changes: the superstep barrier's commit and
+    iteration order, same replacement semantics, but records rest in an
+    append-only log inside the spill session instead of the heap.
+    Nothing else changes: the superstep barrier's commit and
     the microstep runtime's arrival-order fold both read and write the
     partition mapping directly (``get``, ``in``, item assignment), which
     a ``DiskDict`` answers exactly as a ``dict`` does, and
     :meth:`SolutionSetIndex.apply_delta` is inherited unchanged.  So an
     out-of-core delta iteration takes the in-memory decision sequence
-    and produces bitwise-identical results.
+    and produces bitwise-identical results.  :meth:`restore` rebuilds
+    the logs from a checkpoint inside the same spill session, and
+    deletes the logs they replace.
 
     ``to_partitions`` returns lazy
     :class:`~repro.storage.diskdict.DiskPartitionView` sequences; a
@@ -240,18 +255,25 @@ class DiskBackedSolutionSetIndex(SolutionSetIndex):
                 "DiskBackedSolutionSetIndex requires a SpillManager "
                 "(pass manager=...)"
             )
+        self.manager = manager
         super().__init__(key_fields, parallelism, metrics, should_replace)
+
+    def restore(self, state) -> None:
+        """Rebuild every partition's log from a snapshot in this index's
+        spill session, and delete the logs they replace."""
         from repro.storage.diskdict import DiskDict
 
-        self.manager = manager
-        self._partitions = [
-            DiskDict(
-                manager.session.new_file(
-                    prefix=f"solution-p{p}", suffix=".log"
-                )
-            )
-            for p in range(parallelism)
-        ]
+        replaced = self._partitions
+        self._partitions = []
+        for p, items in enumerate(state):
+            part = DiskDict(self.manager.session.new_file(
+                prefix=f"solution-p{p}", suffix=".log"
+            ))
+            for key, record in items:
+                part[key] = record
+            self._partitions.append(part)
+        for part in replaced:
+            part.delete()
 
     def to_partitions(self) -> list:
         from repro.storage.diskdict import DiskPartitionView

@@ -30,10 +30,10 @@ from repro.runtime.recovery import CheckpointStore, SimulatedFailure
 
 
 def _recovery_hooks(executor):
-    """(checkpoint store or None, failure injector or None) per env."""
-    env = executor.env
+    """(checkpoint store or None, failure injector or None) for one
+    iteration; the store is also left on ``executor.checkpoint_store``."""
     store = None
-    if env.checkpoint_interval:
+    if executor.checkpoint_interval:
         part_store = None
         if executor.spill is not None:
             from repro.storage.partstore import PartStore
@@ -43,9 +43,11 @@ def _recovery_hooks(executor):
             part_store = PartStore(
                 executor.spill.session.subdir("checkpoints")
             )
-        store = CheckpointStore(env.checkpoint_interval, part_store=part_store)
-        env.last_checkpoint_store = store
-    return store, env.failure_injector
+        store = CheckpointStore(
+            executor.checkpoint_interval, part_store=part_store
+        )
+        executor.checkpoint_store = store
+    return store, executor.failure_injector
 
 
 def run_supersteps(executor, max_steps, pending, snapshot, restore, body):

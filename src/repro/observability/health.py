@@ -88,7 +88,13 @@ class WorkerVitals:
         self.last_progress_s = time.perf_counter()
 
     def heartbeat(self, interval_s: float) -> dict:
-        """One picklable heartbeat sample of the current vitals."""
+        """One picklable heartbeat sample of the current vitals.
+
+        Stamped *before* sampling: a beat that reads a job is stamped
+        before that job's ``end_job``, so it is older than the farewell
+        beat sampled after it, however late it is delivered.
+        """
+        sent_s = time.perf_counter()
         return {
             "rank": self.rank,
             "pid": self.pid,
@@ -96,7 +102,7 @@ class WorkerVitals:
             "superstep": self.superstep,
             "rss_bytes": self.rss_bytes,
             "last_progress_s": self.last_progress_s,
-            "sent_s": time.perf_counter(),
+            "sent_s": sent_s,
             "interval_s": interval_s,
         }
 
@@ -145,9 +151,18 @@ class HealthMonitor:
             return bool(self._latest)
 
     def observe(self, heartbeat: dict, now: float | None = None) -> None:
-        """Ingest one heartbeat message."""
+        """Ingest one heartbeat message.
+
+        A beat older than the one held for its rank is dropped: the
+        heartbeat thread can build an in-job beat and deliver it after
+        the farewell beat, which would make an idle rank look silent
+        and stalled in a job it has finished.
+        """
         now = time.perf_counter() if now is None else now
         with self._lock:
+            held = self._latest.get(heartbeat["rank"])
+            if held is not None and heartbeat["sent_s"] < held["sent_s"]:
+                return
             self._latest[heartbeat["rank"]] = heartbeat
             self._seen_s[heartbeat["rank"]] = now
 

@@ -75,7 +75,6 @@ class Executor:
     def __init__(self, env):
         from repro.runtime.config import RuntimeConfig
 
-        self.env = env
         self.parallelism = env.parallelism
         self.metrics = env.metrics
         self.tracer = env.metrics.tracer
@@ -102,6 +101,13 @@ class Executor:
                 self.config.memory_budget_bytes,
                 self.cluster.storage_view(session), metrics=self.metrics,
             )
+        #: recovery settings (Section 4.2), copied: the executor keeps
+        #: no reference to its environment
+        self.checkpoint_interval = env.checkpoint_interval
+        self.failure_injector = env.failure_injector
+        #: the last iteration's checkpoint log, which the backend
+        #: surfaces as ``env.last_checkpoint_store``
+        self.checkpoint_store = None
         self._memo: dict[int, list] = {}
         self.iteration_summaries: list[IterationSummary] = []
         #: live metric registry when telemetry is enabled, else None —
@@ -647,7 +653,7 @@ class Executor:
             return workset_size
 
         def restore(checkpoint):
-            index._partitions = checkpoint.state
+            index.restore(checkpoint.state)
             bindings[workset_id] = checkpoint.workset
 
         def body(step):
@@ -662,7 +668,7 @@ class Executor:
 
         converged, steps = supersteps.run_supersteps(
             self, node.max_iterations, pending,
-            lambda: (index._partitions, bindings[workset_id]),
+            lambda: (index.snapshot(), bindings[workset_id]),
             restore, body,
         )
         # out of supersteps: one last vote, outside the traced protocol

@@ -17,7 +17,14 @@ Snapshots are pickle round-trips, not in-memory ``deepcopy``: a real
 recovery log serializes to stable storage, so taking a checkpoint here
 pays the serialization cost (``checkpoint_bytes``/``total_bytes`` track
 it) and guarantees the checkpointed state is actually picklable — the
-same property the multiprocess backend needs of every record.
+same property the multiprocess backend needs of every record.  A
+solution set is logged as its
+:meth:`~repro.iterations.solution_set.SolutionSetIndex.snapshot`, one
+item list per partition, and reinstalled through its ``restore``; under
+a memory budget those lists become part-store parts (one frame each, in
+the storage layer's one format), and the disk-backed index rebuilds its
+logs inside its own spill session, so a recovered run leaves nothing
+behind when the environment closes.
 
 Enable via ``env.checkpoint_interval`` and ``env.failure_injector``.
 """
@@ -56,30 +63,6 @@ class Checkpoint:
     workset: object
 
 
-def _classify_partition(part):
-    """(kind tag, records) for one checkpointed state partition.
-
-    The tag tells ``restore`` what shape to rebuild: a solution-set
-    hash partition (``dict``), its disk-backed twin (``diskdict``), or
-    a plain partial-solution / queue record list (``list``).
-    """
-    if isinstance(part, dict):
-        return "dict", list(part.items())
-    if hasattr(part, "items"):
-        return "diskdict", list(part.items())
-    return "list", list(part)
-
-
-def _rebuild_partition(kind: str, records):
-    if kind == "dict":
-        return dict(records)
-    if kind == "diskdict":
-        from repro.storage.diskdict import _restore
-
-        return _restore(records)
-    return records
-
-
 @dataclass
 class CheckpointStore:
     """Keeps the latest snapshot; ``interval=k`` logs every k supersteps.
@@ -89,9 +72,12 @@ class CheckpointStore:
     fresh, independent copy — exactly the isolation a log on stable
     storage provides.
 
-    With a :class:`~repro.storage.partstore.PartStore` attached, state
-    partitions are logged as kind-tagged *parts* instead of riding in
-    the blob: the store's content-hash dedup means consecutive
+    With a :class:`~repro.storage.partstore.PartStore` attached, a list
+    state logs each of its partitions — a record list, or a solution
+    set's ``(key, record)`` items
+    (:meth:`~repro.iterations.solution_set.SolutionSetIndex.snapshot`)
+    — as a *part* instead of riding in the blob, and restores it as a
+    list: the store's content-hash dedup means consecutive
     checkpoints rewrite only the partitions that actually changed
     (incremental checkpointing), and ``checkpoint_bytes`` counts only
     the newly written bytes.  The workset is small and always changing,
@@ -118,13 +104,12 @@ class CheckpointStore:
         part_bytes = 0
         if self.part_store is not None and isinstance(state, list):
             state_parts = []
-            for part in state:
-                kind, records = _classify_partition(part)
+            for records in state:
                 written_before = self.part_store.parts_written
                 part_id = self.part_store.put_part(records)
                 if self.part_store.parts_written > written_before:
                     part_bytes += self.part_store.part_stats(part_id)["bytes"]
-                state_parts.append((kind, part_id))
+                state_parts.append(part_id)
             payload = (None, workset)
         else:
             payload = (state, workset)
@@ -147,8 +132,8 @@ class CheckpointStore:
         state, workset = pickle.loads(self._blob)
         if self._state_parts is not None:
             state = [
-                _rebuild_partition(kind, self.part_store.load_part(part_id))
-                for kind, part_id in self._state_parts
+                self.part_store.load_part(part_id)
+                for part_id in self._state_parts
             ]
         return state, workset
 

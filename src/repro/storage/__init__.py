@@ -3,19 +3,22 @@
 ``repro.storage`` is what lets operator state exceed memory without
 changing a single result bit:
 
+* :mod:`~repro.storage.format` — the one on-disk format every file
+  below uses: a version-stamped header, then length-prefixed pickle
+  frames, with one writer and one reader,
 * :mod:`~repro.storage.session` — per-session spill directories with
   guaranteed cleanup (environment close, ``atexit`` sweep, and
   worker views nested under the owner so crashed workers can't leak),
 * :mod:`~repro.storage.spill` — the :class:`SpillManager` budget
-  accountant and version-stamped spill files,
+  accountant and spill files of run frames,
 * :mod:`~repro.storage.hashtable` — partition-and-spill hash
   algorithms (recursive repartitioning) behind the keyed drivers,
 * :mod:`~repro.storage.external_sort` — run generation + k-way merge
   behind the sort-based drivers,
 * :mod:`~repro.storage.diskdict` — the append-only-log dict backing
-  the disk-resident solution set,
+  the disk-resident solution set (one frame per stored record),
 * :mod:`~repro.storage.partstore` — the manifest/parts/stats dataset
-  store that also makes checkpoints incremental.
+  store (one frame per part) that also makes checkpoints incremental.
 
 Activated per session by ``RuntimeConfig.memory_budget_bytes`` (or the
 ``REPRO_MEMORY_BUDGET`` environment variable); without a budget none

@@ -3,26 +3,27 @@
 The disk-backed :class:`~repro.iterations.solution_set.SolutionSetIndex`
 swaps its per-partition ``dict`` for a :class:`DiskDict`: keys (with
 the offset of their latest value frame) stay in a small in-memory
-index, records go to a version-stamped log file.  Replacement rewrites
+index, records go to a log file in the one on-disk format
+(:mod:`repro.storage.format`): the header, then one frame per stored
+record, read back by offset.  Replacement rewrites
 the offset in place, so iteration order is exactly ``dict`` semantics —
 first-insertion order, stable across updates — which is what keeps
 out-of-core delta iterations bitwise identical to in-memory runs.
 
 The log is write-mostly: ``∪̇``-style replacement just appends the new
-record and orphans the old frame (space is reclaimed when the session
-directory is removed; spill state is per-run scratch, not a database).
+record and orphans the old frame (space is reclaimed when the log is
+deleted or the session directory is removed; spill state is per-run
+scratch, not a database).  A ``DiskDict`` does not pickle: a checkpoint
+logs the solution set's items, and the index rebuilds its logs from
+them in its own session
+(:meth:`~repro.iterations.solution_set.DiskBackedSolutionSetIndex.restore`).
 """
 
 from __future__ import annotations
 
-from repro.storage.format import (
-    LOG_MAGIC,
-    LOG_VERSION,
-    read_frame,
-    read_header,
-    write_frame,
-    write_header,
-)
+import os
+
+from repro.storage.format import read_frame, write_frame, write_header
 
 _MISSING = object()
 
@@ -34,7 +35,7 @@ class DiskDict:
         self.path = path
         self._index: dict = {}  # key -> offset of latest value frame
         self._fh = open(path, "w+b")
-        self._tail = write_header(self._fh, LOG_MAGIC, LOG_VERSION)
+        self._tail = write_header(self._fh)
         self._dirty = False
         self.bytes_written = self._tail
         self.frames_written = 0
@@ -104,13 +105,13 @@ class DiskDict:
             self._fh.close()
             self._fh = None
 
-    # ------------------------------------------------------------------
-    # pickling (checkpoints without a part store pickle raw partitions):
-    # a DiskDict crosses as its items and lands in a fresh log under a
-    # process-wide fallback session, preserving insertion order
-
-    def __reduce__(self):
-        return (_restore, (list(self.items()),))
+    def delete(self) -> None:
+        """Close the log and remove its file."""
+        self.close()
+        try:
+            os.unlink(self.path)
+        except OSError:
+            pass
 
 
 class DiskPartitionView:
@@ -142,23 +143,3 @@ class DiskPartitionView:
 
     def __reduce__(self):
         return (list, (list(self),))
-
-
-def _restore(items) -> DiskDict:
-    session = _fallback_session()
-    dd = DiskDict(session.new_file(prefix="restored-log"))
-    for key, record in items:
-        dd[key] = record
-    return dd
-
-
-_FALLBACK = None
-
-
-def _fallback_session():
-    """A lazily created, atexit-swept session for restored DiskDicts."""
-    global _FALLBACK
-    from repro.storage.session import StorageSession
-    if _FALLBACK is None or _FALLBACK.closed:
-        _FALLBACK = StorageSession()
-    return _FALLBACK

@@ -1,17 +1,21 @@
-"""Version-stamped on-disk framing shared by the storage subsystem.
+"""The one on-disk format of the storage subsystem.
 
-Every file the spill substrate writes — spill runs, the disk-backed
-solution-set logs, part-store part files — starts with a four-byte
-magic plus a one-byte format version, and the part-store manifest JSON
-carries ``format_version``.  Readers validate both before trusting a
-single byte and raise :class:`StorageFormatError` with the offending
-path, so a stale spill directory or a file produced by a different
-build fails loudly instead of deserializing garbage.
+Every file the storage layer writes — spill runs, the disk-backed
+solution-set logs, part-store parts — is the same thing: a five-byte
+header (the magic ``RPRT`` plus one format-version byte), then
+length-prefixed pickle frames ``<u32 little-endian length><pickle
+blob>``.  A spill file holds one frame per run or row list written, a
+solution-set log one frame per stored record (read back by offset), and
+a part exactly one frame, its record list.  The part-store manifest
+JSON carries ``format_version``.
 
-Payload frames are length-prefixed pickles: ``<u32 little-endian
-length><pickle blob>``.  The framing is deliberately dumb — spill files
-are session-scoped scratch, not an interchange format — but the
-version byte means we can change it without silent corruption.
+Readers validate the header before trusting a single byte, and a short
+read anywhere raises :class:`StorageFormatError` naming the path, so a
+stale file, one written by an incompatible build, or a torn one fails
+loudly instead of deserializing garbage.  The framing is deliberately
+dumb — storage files are session-scoped scratch, not an interchange
+format — but the version byte means it can change without silent
+corruption.
 """
 
 from __future__ import annotations
@@ -19,51 +23,43 @@ from __future__ import annotations
 import pickle
 import struct
 
-#: spill run files (hash-partition overflow and sort runs)
-SPILL_MAGIC = b"RSPL"
-SPILL_VERSION = 1
-#: append-only record logs backing the disk-backed solution set
-LOG_MAGIC = b"RLOG"
-LOG_VERSION = 1
-#: part-store part files
-PART_MAGIC = b"RPRT"
-PART_VERSION = 1
+#: version 1's part magic, kept so an old part fails on its version
+MAGIC = b"RPRT"
+#: 2: one format for spills, logs and parts (1 had a magic per kind)
+FRAME_VERSION = 2
 #: part-store manifest JSON ``format_version``
 MANIFEST_VERSION = 1
 
 HEADER_SIZE = 5  # 4 magic bytes + 1 version byte
+_HEADER = MAGIC + bytes([FRAME_VERSION])
 _LENGTH = struct.Struct("<I")
 
 
 class StorageFormatError(RuntimeError):
-    """An on-disk storage file failed magic/version validation."""
+    """An on-disk storage file failed magic/version/frame validation."""
 
 
-def write_header(fh, magic: bytes, version: int) -> int:
-    """Stamp ``magic`` + ``version`` at the current position."""
-    fh.write(magic + bytes([version]))
+def write_header(fh) -> int:
+    """Stamp the header at the current position; returns its size."""
+    fh.write(_HEADER)
     return HEADER_SIZE
 
 
-def check_header(header: bytes, magic: bytes, version: int,
-                 path: str) -> None:
-    """Validate a read header; raise :class:`StorageFormatError` if off."""
-    if len(header) != HEADER_SIZE or header[:4] != magic:
+def read_header(fh, path: str) -> None:
+    """Read and validate a header; raise :class:`StorageFormatError`."""
+    header = fh.read(HEADER_SIZE)
+    if len(header) != HEADER_SIZE or header[:4] != MAGIC:
         raise StorageFormatError(
-            f"{path}: bad magic {header[:4]!r}, expected {magic!r} — "
-            "not a repro storage file of this kind"
+            f"{path}: bad magic {header[:4]!r}, expected {MAGIC!r} — "
+            "not a repro storage file"
         )
     found = header[4]
-    if found != version:
+    if found != FRAME_VERSION:
         raise StorageFormatError(
             f"{path}: on-disk format version {found} does not match "
-            f"this build's version {version}; the file was written by "
-            "an incompatible build and cannot be read"
+            f"this build's version {FRAME_VERSION}; the file was written "
+            "by an incompatible build and cannot be read"
         )
-
-
-def read_header(fh, magic: bytes, version: int, path: str) -> None:
-    check_header(fh.read(HEADER_SIZE), magic, version, path)
 
 
 def write_frame(fh, payload) -> int:
@@ -90,3 +86,15 @@ def read_frame(fh, path: str):
             f"{path}: truncated frame body ({len(blob)}/{length} bytes)"
         )
     return pickle.loads(blob)
+
+
+def read_frames(path: str):
+    """Validate the header of the file at ``path``, then yield its
+    frames in write order."""
+    with open(path, "rb") as fh:
+        read_header(fh, path)
+        while True:
+            frame = read_frame(fh, path)
+            if frame is None:
+                return
+            yield frame

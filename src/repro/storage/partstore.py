@@ -1,8 +1,9 @@
 """A datamgr-style part store: manifest + per-part files + stats rows.
 
-Datasets (and checkpoint state) persist as *parts*: one version-stamped
-file of pickled records per partition, plus a stats row in a JSON
-manifest — cardinality, key range, byte size, and a content hash.  The
+Datasets (and checkpoint state) persist as *parts*: one file per
+partition in the one on-disk format (:mod:`repro.storage.format`) — the
+header, then a single frame holding the record list — plus a stats row
+in a JSON manifest — cardinality, key range, byte size, and a content hash.  The
 content hash is an order-sensitive fold of
 :func:`repro.common.hashing.stable_hash` over the records (pinned by a
 regression test), which buys two things:
@@ -12,7 +13,8 @@ regression test), which buys two things:
   iteration only write the partitions that actually changed, making
   checkpoints incremental,
 * **integrity** — loading a part re-folds the hash and fails loudly on
-  mismatch, so a torn write can't resurrect as silent wrong answers.
+  mismatch, and a truncated part fails on its frame, so a torn write
+  can't resurrect as silent wrong answers.
 
 The stats rows are the substrate ROADMAP item 3's planner pruning
 needs (per-part cardinality and key ranges).
@@ -22,15 +24,13 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 
 from repro.common.hashing import stable_hash
 from repro.storage.format import (
     MANIFEST_VERSION,
-    PART_MAGIC,
-    PART_VERSION,
     StorageFormatError,
-    read_header,
+    read_frames,
+    write_frame,
     write_header,
 )
 
@@ -109,8 +109,8 @@ class PartStore:
             return part_id
         path = os.path.join(self.root, f"{part_id}.bin")
         with open(path, "wb") as fh:
-            write_header(fh, PART_MAGIC, PART_VERSION)
-            pickle.dump(records, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            write_header(fh)
+            write_frame(fh, records)
         self.manifest["parts"][part_id] = {
             "cardinality": len(records),
             "content_hash": digest,
@@ -127,9 +127,12 @@ class PartStore:
         if stats is None:
             raise KeyError(f"unknown part {part_id!r}")
         path = os.path.join(self.root, f"{part_id}.bin")
-        with open(path, "rb") as fh:
-            read_header(fh, PART_MAGIC, PART_VERSION, path)
-            records = pickle.load(fh)
+        frames = list(read_frames(path))
+        if len(frames) != 1:
+            raise StorageFormatError(
+                f"{path}: a part holds one frame, found {len(frames)}"
+            )
+        (records,) = frames
         if (
             len(records) != stats["cardinality"]
             or content_hash(records) != stats["content_hash"]

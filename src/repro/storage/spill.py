@@ -17,27 +17,22 @@ A :class:`SpillManager` is attached to an executor when
   (:meth:`SpillManager.io_span`), so spill I/O is billed to the storage
   layer rather than to the operator that spilled.
 
-Spill files are version-stamped (:mod:`repro.storage.format`) streams
-of length-prefixed frames, allocated inside the manager's
+Spill files are :mod:`repro.storage.format` files — the one header,
+then length-prefixed pickle frames — allocated inside the manager's
 :class:`~repro.storage.session.StorageSession` so cleanup is the
-session's problem, not each consumer's.  Two frame layouts:
-
-* **run frames** (:meth:`SpillFile.append_run`) — what the Grace hash
-  passes and the external sort write: one tuple of parallel vectors,
-  e.g. ``(seqs, keys, records)``, pickled as is.  Vectors, not
-  ``(seq, key, record)`` triples: no per-record wrapper tuple on
-  either side of the disk.  Pickled rather than raw-buffer columns
-  because a run's vectors are short lists of small ints: on 240
-  ``(int, int)`` records pickling writes half the bytes of int64
-  columns and encodes 3x faster, and reads back as fast;
-* **row frames** (:meth:`SpillFile.append`) — a record list; an
-  all-fixed-width one spills as a raw column frame
-  (:mod:`repro.common.columns` header plus buffers — no per-record
-  pickling), anything else as the pickled list.  Readers materialize
-  rows either way.
+session's problem, not each consumer's.  The engine writes **run
+frames** (:meth:`SpillFile.append_run`): what the Grace hash passes and
+the external sort spill, one tuple of parallel vectors, e.g. ``(seqs,
+keys, records)``, pickled as is.  Vectors, not ``(seq, key, record)``
+triples: no per-record wrapper tuple on either side of the disk.
+Pickled rather than raw-buffer columns because a run's vectors are
+short lists of small ints: on 240 ``(int, int)`` records pickling
+writes half the bytes of int64 columns and encodes 3x faster, and reads
+back as fast.  :meth:`SpillFile.append` writes a pickled record list
+(a row frame); no engine path calls it.
 
 Iterating a file yields its frames in write order, each as written: a
-vector tuple for a run frame, a row list for a row frame.
+vector tuple for a run frame, a record list for a row frame.
 """
 
 from __future__ import annotations
@@ -46,16 +41,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-from repro.common import columns as columns_mod
 from repro.common.batch import RecordBatch
-from repro.storage.format import (
-    SPILL_MAGIC,
-    SPILL_VERSION,
-    read_frame,
-    read_header,
-    write_frame,
-    write_header,
-)
+from repro.storage.format import read_frames, write_frame, write_header
 
 _SIZE_SAMPLE = 16
 
@@ -97,30 +84,12 @@ class SpillFile:
         self.records = 0
         self.bytes_written = 0
         self._fh = open(path, "wb")
-        write_header(self._fh, SPILL_MAGIC, SPILL_VERSION)
+        write_header(self._fh)
 
     def append(self, entries: list) -> int:
-        """Write one frame holding ``entries``; returns frame bytes.
-
-        An all-fixed-width entry list leaves as a raw column frame
-        (header + buffers — no per-record pickling); anything else —
-        nested tuples, mixed types, irregular arity — writes the
-        classic pickled entry list.  Readers see row lists either way.
-        """
-        payload = entries
-        if isinstance(entries, list) and entries:
-            transposed = columns_mod.columnarize(entries)
-            if transposed is not None:
-                _arity, cols = transposed
-                if columns_mod.frame_nbytes(cols, len(entries)) is not None:
-                    header, buffers = columns_mod.encode_frame(
-                        cols, len(entries), None
-                    )
-                    payload = (
-                        "cols", bytes(header),
-                        [bytes(b) for b in buffers],
-                    )
-        return self._write(payload, len(entries))
+        """Write one row frame, the pickled record list ``entries``;
+        returns frame bytes."""
+        return self._write(entries, len(entries))
 
     def append_run(self, run: tuple) -> int:
         """Write one run frame — a tuple of parallel vectors; returns
@@ -140,25 +109,9 @@ class SpillFile:
             self._fh = None
 
     def __iter__(self):
-        """Yield frames in write order: vector tuples, row lists."""
+        """Yield frames in write order: vector tuples, record lists."""
         self.finish()
-        with open(self.path, "rb") as fh:
-            read_header(fh, SPILL_MAGIC, SPILL_VERSION, self.path)
-            while True:
-                frame = read_frame(fh, self.path)
-                if frame is None:
-                    return
-                if (
-                    isinstance(frame, tuple)
-                    and len(frame) == 3
-                    and frame[0] == "cols"
-                ):
-                    length, cols, _key_fields = columns_mod.decode_frame(
-                        frame[1], frame[2]
-                    )
-                    yield columns_mod.materialize_rows(cols, length)
-                else:
-                    yield frame
+        return read_frames(self.path)
 
     def read_entries(self) -> list:
         """All rows of a row-frame file, flattened, in write order."""

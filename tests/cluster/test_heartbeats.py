@@ -64,6 +64,19 @@ def test_stall_detected_by_progress_age():
     assert "no progress" in str(findings[0])
 
 
+def test_a_beat_delivered_after_the_farewell_is_dropped():
+    """The heartbeat thread can build an in-job beat and deliver it
+    after the farewell beat; the idle rank must stay idle, not turn
+    silent and stalled in the job it has finished."""
+    monitor = HealthMonitor(size=1, stall_after_s=0.3)
+    monitor.observe(_beat(0, job=1, sent_s=0.05), now=0.05)
+    monitor.observe(_beat(0, job=None, progress_s=0.06, sent_s=0.06),
+                    now=0.06)
+    monitor.observe(_beat(0, job=1, sent_s=0.055), now=0.07)
+    assert monitor.check(now=5.0) == []
+    assert monitor.snapshot(now=5.0)[0]["status"] == "idle"
+
+
 def test_straggler_lags_the_front_runner():
     monitor = HealthMonitor(size=3, skew_threshold=4, skew_grace_s=0.5)
     monitor.observe(_beat(0, superstep=9, interval=1.0), now=0.0)

@@ -4,9 +4,8 @@ The column view is a second *physical* representation of the same
 logical chunk, and every property here holds it to the row
 representation bit for bit: strict column typing (bool never coerces,
 64-bit overflow demotes), lazy row materialization for column-born
-batches, column-wise split/merge, the wire-frame codec, and the
-column-at-a-time hash scatter checked against the row append loop as
-oracle.
+batches, column-wise split/merge, and the column-at-a-time hash
+scatter checked against the row append loop as oracle.
 """
 
 import pickle
@@ -92,19 +91,6 @@ class TestRoundTrips:
         # 1 as int, 1.0 as float
         for row, expect in zip(rows, recs):
             assert list(map(type, row)) == list(map(type, expect))
-
-    @given(mixed_records)
-    @settings(max_examples=60)
-    def test_wire_frame_codec_is_identity(self, recs):
-        layout = columns_mod.columnarize(list(recs))
-        _arity, cols = layout
-        header, buffers = columns_mod.encode_frame(cols, len(recs), (0,))
-        length, out_cols, key_fields = columns_mod.decode_frame(
-            bytes(header), [bytes(b) for b in buffers]
-        )
-        assert length == len(recs)
-        assert key_fields == (0,)
-        assert columns_mod.materialize_rows(out_cols, length) == recs
 
     @given(int_records)
     @settings(max_examples=50)

@@ -69,3 +69,14 @@ def test_plan_shipped_to_a_worker_dies_with_its_job(job, collector_off):
     sources = _source_refs(shipped.exec_plan)
     del shipped, nodes, iteration, node
     assert [ref() for ref in sources] == [None] * len(sources)
+
+
+def test_a_dropped_simulated_env_dies(collector_off):
+    """The simulated executor keeps no reference to its environment, so
+    the environment's last executor does not make it cyclic garbage."""
+    env = ExecutionEnvironment(2)
+    pr.pagerank_bulk(env, erdos_renyi(300, 3.0, seed=5), 3)
+    assert env.last_executor is not None
+    dropped = weakref.ref(env)
+    del env
+    assert dropped() is None

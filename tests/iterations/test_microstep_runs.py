@@ -287,7 +287,7 @@ def _drive(world, drain, make_route, limit):
                 taken,
                 [list(q) for q in world.queues],
                 [list(b) for b in buffers],
-                [list(part.items()) for part in world.index._partitions],
+                world.index.snapshot(),
                 metrics.solution_accesses, metrics.solution_updates,
                 metrics.records_shipped_local,
                 metrics.records_shipped_remote,

@@ -252,7 +252,7 @@ def _play(scenario, run):
             out,
             [list(winners.items()) for winners in staged],
             accepted,
-            [list(part.items()) for part in index._partitions],
+            index.snapshot(),
             metrics.logical(),
         ))
     return snapshots

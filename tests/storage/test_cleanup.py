@@ -6,11 +6,15 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
+from repro.algorithms.connected_components import cc_incremental
 from repro.dataflow.environment import ExecutionEnvironment
+from repro.graphs import Graph
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.recovery import FailureInjector
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
@@ -126,3 +130,33 @@ class TestSessionCleanup:
         finally:
             env.close()
         assert not os.path.exists(second)
+
+
+def _recovered_cc(backend, budget):
+    """CC on a 40-vertex path, failing at superstep 5 and replaying from
+    the checkpoint of superstep 3; returns (result, logical counters)."""
+    graph = Graph(40, [(i, i + 1) for i in range(39)], name="path40")
+    config = RuntimeConfig(memory_budget_bytes=budget)
+    with ExecutionEnvironment(2, config=config, backend=backend) as env:
+        env.checkpoint_interval = 2
+        env.failure_injector = FailureInjector(5)
+        result = cc_incremental(env, graph)
+        assert env.last_checkpoint_store.recoveries == 1
+        return result, env.metrics.logical()
+
+
+@pytest.mark.parametrize("backend", ["simulated", "pool"])
+def test_recovered_out_of_core_run_leaves_nothing_behind(
+        backend, tmp_path, monkeypatch):
+    """A restored disk-backed solution set rebuilds its logs inside the
+    environment's own session, so closing the environment (and, on the
+    pool, its workers) leaves no file in the temp directory — and the
+    run equals the same recovered run without a budget."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    budgeted = _recovered_cc(backend, 1 << 30)
+    # multiprocessing keeps its own process-lifetime scratch directory
+    left = [name for name in os.listdir(tmp_path)
+            if not name.startswith("pymp-")]
+    assert left == []
+    assert budgeted == _recovered_cc(backend, None)

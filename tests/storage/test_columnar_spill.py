@@ -1,47 +1,27 @@
-"""Columnar spill frames: fixed-width entries hit disk without pickle.
+"""Row spill frames: a record list round-trips through one frame.
 
-``SpillFile.append`` writes an all-fixed-width entry list as a raw
-column frame (schema header plus column buffers) and everything else as
-the classic pickled entry list; readers must see identical rows either
-way.  ``estimate_record_bytes`` prices a column-born batch by exact
-buffer arithmetic instead of the sampled ``getsizeof`` walk.
+``SpillFile.append`` writes a record list as one pickled frame of the
+storage format, whatever its field types; readers see the same rows,
+types included.  ``estimate_record_bytes`` prices a column-born batch
+by exact buffer arithmetic instead of the sampled ``getsizeof`` walk.
 """
 
 from repro.common import columns as columns_mod
 from repro.common.batch import RecordBatch
-from repro.storage.format import (
-    SPILL_MAGIC,
-    SPILL_VERSION,
-    read_frame,
-    read_header,
-)
+from repro.storage.format import read_frames
 from repro.storage.spill import SpillFile, estimate_record_bytes
 
 
 class TestColumnarFrames:
-    def test_fixed_width_entries_write_a_column_frame(self, tmp_path):
-        path = str(tmp_path / "spill.bin")
-        entries = [(i, float(i)) for i in range(100)]
-        spill = SpillFile(path)
-        spill.append(entries)
-        spill.finish()
-        with open(path, "rb") as fh:
-            read_header(fh, SPILL_MAGIC, SPILL_VERSION, path)
-            frame = read_frame(fh, path)
-        # the on-disk payload is the columnar envelope, not a row list
-        assert isinstance(frame, tuple) and frame[0] == "cols"
-        # and the reader transparently materializes the original rows
-        assert list(spill) == [entries]
-
     def test_column_frames_read_back_as_rows(self, tmp_path):
         spill = SpillFile(str(tmp_path / "spill.bin"))
-        entries = [(i, i * 2) for i in range(50)]
+        entries = [(i, i * 2, float(i), i % 2 == 0) for i in range(50)]
         spill.append(entries)
         assert spill.read_entries() == entries
-        # type fidelity survives the round trip
+        # type fidelity survives the round trip: bools stay bools
         assert all(
-            type(a) is int and type(b) is int
-            for a, b in spill.read_entries()
+            (type(a), type(b), type(c), type(d)) == (int, int, float, bool)
+            for a, b, c, d in spill.read_entries()
         )
 
     def test_object_entries_fall_back_to_pickled_frames(self, tmp_path):
@@ -50,10 +30,7 @@ class TestColumnarFrames:
         spill = SpillFile(path)
         spill.append(entries)
         spill.finish()
-        with open(path, "rb") as fh:
-            read_header(fh, SPILL_MAGIC, SPILL_VERSION, path)
-            frame = read_frame(fh, path)
-        assert frame == entries
+        assert list(read_frames(path)) == [entries]
         assert spill.read_entries() == entries
 
     def test_nested_hashtable_entries_fall_back(self, tmp_path):

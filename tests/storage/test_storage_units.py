@@ -3,10 +3,15 @@ the disk dict, and the part store."""
 
 import os
 import pickle
+import re
 
 import pytest
 
-from repro.common.hashing import stable_hash
+from repro.common.hashing import partition_index, stable_hash
+from repro.iterations.solution_set import (
+    DiskBackedSolutionSetIndex,
+    SolutionSetIndex,
+)
 from repro.runtime.metrics import MetricsCollector
 from repro.storage import (
     DiskDict,
@@ -18,10 +23,9 @@ from repro.storage import (
     content_hash,
 )
 from repro.storage.format import (
-    LOG_MAGIC,
-    LOG_VERSION,
-    SPILL_MAGIC,
+    MAGIC,
     read_header,
+    write_frame,
     write_header,
 )
 
@@ -57,7 +61,7 @@ class TestFormatStamps:
     def test_version_mismatch_fails_loudly(self, session):
         path = session.new_file("future")
         with open(path, "wb") as fh:
-            write_header(fh, SPILL_MAGIC, 99)
+            fh.write(MAGIC + bytes([99]))
         spill = manager(session).new_spill_file("ok")
         spill.path = path
         with pytest.raises(StorageFormatError, match="version 99"):
@@ -76,9 +80,9 @@ class TestFormatStamps:
     def test_log_header_helpers_roundtrip(self, session):
         path = session.new_file("log")
         with open(path, "wb") as fh:
-            write_header(fh, LOG_MAGIC, LOG_VERSION)
+            write_header(fh)
         with open(path, "rb") as fh:
-            read_header(fh, LOG_MAGIC, LOG_VERSION, path)  # must not raise
+            read_header(fh, path)  # must not raise
 
 
 class TestSpillManagerAccounting:
@@ -210,12 +214,34 @@ class TestDiskDict:
         # views cross process boundaries as plain lists
         assert pickle.loads(pickle.dumps(view)) == list(view)
 
-    def test_pickle_restores_contents_and_order(self, session):
-        dd = DiskDict(session.new_file("dd", suffix=".log"))
-        dd["k1"] = (1, "one")
-        dd["k2"] = (2, "two")
-        restored = pickle.loads(pickle.dumps(dd))
-        assert list(restored.items()) == list(dd.items())
+
+class TestSolutionSetSnapshot:
+    def test_snapshot_restore_keeps_contents_and_order(self, session):
+        """Both index kinds log ``(key, record)`` items per partition in
+        first-insertion order and rebuild exactly that; the disk-backed
+        one rebuilds its logs in its own session and deletes the old."""
+        records = [(k, -k) for k in (5, 1, 4, 2, 3, 0)]
+        update = [(4, -40), (1, -10)]  # replacements keep their slot
+        model = [{}, {}]
+        for record in records + update:
+            model[partition_index(record[0], 2)][record[0]] = record
+        for cls, extra in ((SolutionSetIndex, {}),
+                           (DiskBackedSolutionSetIndex,
+                            {"manager": manager(session)})):
+            index = cls.build(records, (0,), 2, **extra)
+            index.apply_delta(update)
+            snapshot = index.snapshot()
+            assert snapshot == [list(part.items()) for part in model]
+            logs_before = set(os.listdir(session.path))
+            index.apply_delta([(5, -50), (6, -6)])  # diverge, then roll back
+            index.restore(pickle.loads(pickle.dumps(snapshot)))
+            assert index.snapshot() == snapshot
+            assert [list(part) for part in index.to_partitions()] == [
+                [record for _, record in items] for items in snapshot
+            ]
+            if cls is DiskBackedSolutionSetIndex:
+                assert logs_before.isdisjoint(os.listdir(session.path))
+                assert len(os.listdir(session.path)) == 2
 
 
 class TestContentHashPins:
@@ -262,9 +288,30 @@ class TestPartStore:
         part_id = store.put_part([(1, "payload")])
         path = os.path.join(store.root, f"{part_id}.bin")
         with open(path, "wb") as fh:
-            write_header(fh, b"RPRT", 1)
-            pickle.dump([(2, "tampered")], fh)
+            write_header(fh)
+            write_frame(fh, [(2, "tampered")])
         with pytest.raises(StorageFormatError, match="torn write"):
+            store.load_part(part_id)
+
+    def test_truncated_part_names_its_path(self, session):
+        store = PartStore(session.subdir("parts"))
+        part_id = store.put_part([(i, "payload") for i in range(20)])
+        path = os.path.join(store.root, f"{part_id}.bin")
+        os.truncate(path, os.path.getsize(path) - 7)
+        with pytest.raises(StorageFormatError, match=re.escape(path)):
+            store.load_part(part_id)
+
+    def test_part_with_the_old_header_fails_on_version(self, session):
+        """A part written before the one format (``RPRT`` version 1,
+        then a bare pickle) fails loudly on its version byte."""
+        store = PartStore(session.subdir("parts"))
+        records = [(1, "payload")]
+        part_id = store.put_part(records)
+        path = os.path.join(store.root, f"{part_id}.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"RPRT\x01")
+            pickle.dump(records, fh)
+        with pytest.raises(StorageFormatError, match="version 1"):
             store.load_part(part_id)
 
     def test_manifest_version_mismatch_fails_on_reopen(self, session):
