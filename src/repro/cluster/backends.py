@@ -45,8 +45,8 @@ class ExecutionBackend:
         """Run ``exec_plan`` for ``env``; returns {sink id: records}.
 
         Implementations must leave ``env.metrics`` holding the run's
-        merged counters and ``env.last_executor`` answering
-        ``iteration_summaries``.
+        merged counters and ``env.iteration_summaries`` the job's
+        iteration summaries; no executor outlives the call.
         """
         raise NotImplementedError
 
@@ -71,20 +71,13 @@ class SimulatedBackend(ExecutionBackend):
         from repro.runtime.executor import Executor
         executor = Executor(env)
         results = executor.run(exec_plan)
-        env.last_executor = executor
+        env.iteration_summaries = executor.iteration_summaries
         if executor.checkpoint_store is not None:
             env.last_checkpoint_store = executor.checkpoint_store
         return results
 
     def run_program(self, program, parallelism):
         return program(LOCAL)
-
-
-class _ExecutorShim:
-    """Parent-side stand-in for the workers' executors (introspection)."""
-
-    def __init__(self, iteration_summaries):
-        self.iteration_summaries = iteration_summaries
 
 
 def absorb_plan_payloads(env, payloads):
@@ -103,7 +96,7 @@ def absorb_plan_payloads(env, payloads):
         # the series keeps a stable arrival order this way
         for payload in payloads:
             env.telemetry.merge_snapshot(payload["telemetry"])
-    env.last_executor = _ExecutorShim(payloads[0]["summaries"])
+    env.iteration_summaries = payloads[0]["summaries"]
     if payloads[0]["checkpoint_store"] is not None:
         env.last_checkpoint_store = payloads[0]["checkpoint_store"]
     # sinks may be gathered (all records on rank 0) or forwarded

@@ -124,7 +124,6 @@ class ExecutionEnvironment:
         self._job_seq = 0
         self.last_worker_traces = None
         self._sinks: list[LogicalNode] = []
-        self.last_executor = None
         self.last_plan = None
         #: per-node physical overrides applied after planning:
         #: {node id: {"ship": {input: ShipStrategy}, "local": LocalStrategy,
@@ -139,32 +138,15 @@ class ExecutionEnvironment:
         self.failure_injector = None
         #: populated after a run when checkpointing was active
         self.last_checkpoint_store = None
+        #: the last job's :class:`~repro.runtime.executor.IterationSummary`
+        #: list, one per iteration construct it ran
+        self.iteration_summaries = []
         #: out-of-core substrate (repro.storage): the session's spill
         #: directory, created lazily — eagerly before a run when
         #: ``config.memory_budget_bytes`` is set, so pool workers nest
         #: their scratch space inside it — and removed by close()
         self.storage_session = None
         self._part_store = None
-
-    @property
-    def async_poll_batch(self) -> int:
-        """Asynchronous execution: how many queue elements one partition
-        drains per round (interleaving granularity; any value must
-        converge to the same fixpoint).
-
-        This is a validated first-class field of
-        :class:`~repro.runtime.config.RuntimeConfig`; assigning here
-        rebuilds the environment's config (configs may be shared across
-        environments, so the session never mutates one in place).
-        """
-        return self.config.async_poll_batch
-
-    @async_poll_batch.setter
-    def async_poll_batch(self, value):
-        import dataclasses
-        self.config = dataclasses.replace(
-            self.config, async_poll_batch=value
-        )
 
     # ------------------------------------------------------------------
     # sources
@@ -243,8 +225,8 @@ class ExecutionEnvironment:
         exec_plan = self._compile(plan)
         self._job_seq += 1
         # plans are compiled here, backend-agnostically; the backend only
-        # decides where the compiled plan is interpreted (and is expected
-        # to set last_executor for introspection)
+        # decides where the compiled plan is interpreted (and leaves the
+        # job's iteration summaries on this environment)
         started = time.perf_counter()
         results = self.backend.execute_plan(self, exec_plan)
         if self.telemetry is not None:
@@ -394,12 +376,6 @@ class ExecutionEnvironment:
 
     # ------------------------------------------------------------------
     # introspection
-
-    @property
-    def iteration_summaries(self):
-        if self.last_executor is None:
-            return []
-        return self.last_executor.iteration_summaries
 
     @property
     def trace_timelines(self):

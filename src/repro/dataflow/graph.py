@@ -117,9 +117,6 @@ class LogicalNode:
         current.update({int(k): int(v) for k, v in mapping.items()})
         return self
 
-    def key_of_input(self, index):
-        return self.key_fields[index] if index < len(self.key_fields) else None
-
     def is_source(self):
         return self.contract is Contract.SOURCE
 

@@ -89,9 +89,6 @@ class Graph:
     def vertex_tuples(self) -> list[tuple[int]]:
         return [(v,) for v in range(self.num_vertices)]
 
-    def vertex_ids(self) -> range:
-        return range(self.num_vertices)
-
     def __repr__(self):
         return (
             f"<Graph {self.name}: {self.num_vertices} vertices, "

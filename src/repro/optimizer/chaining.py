@@ -79,15 +79,6 @@ def iteration_roots(node):
     return [node.delta_output, node.workset_output]
 
 
-def _resolved_mode(exec_plan, iteration) -> str:
-    """The delta iteration's execution mode as the executor will see it."""
-    mode = exec_plan.iteration_modes.get(iteration.id)
-    if mode is None:
-        from repro.optimizer.naive import resolve_iteration_mode
-        mode = resolve_iteration_mode(iteration)
-    return mode
-
-
 def _classify_regions(logical_plan, exec_plan):
     """Per-node region keys plus the ids of never-fusable nodes.
 
@@ -102,7 +93,7 @@ def _classify_regions(logical_plan, exec_plan):
         if not node.is_iteration():
             continue
         if node.contract is Contract.DELTA_ITERATION:
-            if _resolved_mode(exec_plan, node) != "superstep":
+            if exec_plan.iteration_modes[node.id] != "superstep":
                 # per-record bodies keep the microstep pipeline compiler
                 unfusable.update(n.id for n in iteration_body_nodes(node))
                 continue

@@ -45,43 +45,26 @@ class CostWeights:
     broadcast_limit: float = 50_000.0
     #: data-plane framing: every record a channel moves pays a small
     #: handling cost, and every :class:`~repro.common.batch.RecordBatch`
-    #: chunk pays a fixed framing cost.  All-fixed-width batches leave
-    #: as raw column buffers, so the handling cost is
-    #: ``per_record_overhead * columnar_record_factor`` while every
-    #: batch adds a per-column encode term
-    #: (``per_column_overhead * assumed_columns``) to its frame cost.
-    #: The per-batch terms amortize over ``batch_size`` records — large
-    #: at ``batch_size=1`` (record-at-a-time, one frame per record),
-    #: small at the default 1024.  The optimizer calibrates
-    #: ``batch_size`` from the session's
+    #: chunk pays a fixed framing cost that amortizes over
+    #: ``batch_size`` records — large at ``batch_size=1``
+    #: (record-at-a-time, one chunk per record), small at the default
+    #: 1024.  The optimizer calibrates ``batch_size`` from the session's
     #: :class:`~repro.runtime.config.RuntimeConfig` unless explicit
     #: weights are supplied.
-    per_record_overhead: float = 0.001
-    per_batch_overhead: float = 0.5
+    per_record_overhead: float = 0.00025
+    per_batch_overhead: float = 0.65
     batch_size: float = 1024.0
-    columnar_record_factor: float = 0.25
-    per_column_overhead: float = 0.05
-    assumed_columns: float = 3.0
 
 
 DEFAULT_WEIGHTS = CostWeights()
 
 
 def amortized_overhead(weights: CostWeights) -> float:
-    """Effective per-record data-plane overhead under ``weights``.
-
-    The per-record handling is vectorized (one encode per column buffer
-    instead of one pickle visit per record), so the record term is
-    ``per_record_overhead`` scaled by ``columnar_record_factor``, and
-    the per-batch framing cost plus the per-column encode cost
-    amortize over ``batch_size`` records.
-    """
+    """Effective per-record data-plane overhead under ``weights``: the
+    record's own handling plus its share of one chunk's framing."""
     return (
-        weights.per_record_overhead * weights.columnar_record_factor
-        + (
-            weights.per_batch_overhead
-            + weights.per_column_overhead * weights.assumed_columns
-        ) / max(1.0, weights.batch_size)
+        weights.per_record_overhead
+        + weights.per_batch_overhead / max(1.0, weights.batch_size)
     )
 
 

@@ -85,7 +85,7 @@ def _keep_staged(exec_plan, iteration):
 
 def naive_plan(logical_plan, parallelism) -> ExecutionPlan:
     """Annotate every node (iteration bodies included) with defaults."""
-    from repro.optimizer import _fixup_microstep
+    from repro.optimizer import _resolve_modes
     exec_plan = ExecutionPlan(logical_plan)
     nodes = logical_plan.nodes()
     for node in nodes:
@@ -93,8 +93,5 @@ def naive_plan(logical_plan, parallelism) -> ExecutionPlan:
     for node in nodes:
         if node.contract is Contract.DELTA_ITERATION:
             _keep_staged(exec_plan, node)
-            mode = resolve_iteration_mode(node)
-            exec_plan.iteration_modes[node.id] = mode
-            if mode in ("microstep", "async"):
-                _fixup_microstep(exec_plan, node)
+    _resolve_modes(logical_plan, exec_plan)
     return exec_plan

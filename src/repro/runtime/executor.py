@@ -113,10 +113,6 @@ class Executor:
         #: live metric registry when telemetry is enabled, else None —
         #: the disabled path is a single attribute test per hook
         self.telemetry = self.metrics.telemetry
-        #: step-memo residency after the most recent superstep (sampled
-        #: by the telemetry probe: how many dynamic-path nodes held
-        #: materialized partitions at the barrier)
-        self._superstep_memo_nodes = 0
 
     def _telemetry_probes(self) -> list:
         """This job's superstep-boundary samplers (none when telemetry
@@ -134,11 +130,8 @@ class Executor:
         return probes
 
     def _telemetry_probe(self) -> dict:
-        """Memo-residency gauges, polled at every superstep barrier."""
-        return {
-            "executor.memo_nodes": len(self._memo),
-            "executor.step_memo_nodes": self._superstep_memo_nodes,
-        }
+        """Memo residency, polled at every superstep barrier."""
+        return {"executor.memo_nodes": len(self._memo)}
 
     # ------------------------------------------------------------------
     # entry point
@@ -182,15 +175,9 @@ class Executor:
     def _evaluate(self, node, step_memo, scope):
         memo = self._memo_for(node, step_memo, scope)
         cached = memo.get(node.id)
-        if cached is not None:
-            if memo is step_memo:
-                self._note_step_read(node, step_memo, scope)
-            return cached
-        result = self._compute(node, step_memo, scope)
-        memo[node.id] = result
-        if memo is step_memo:
-            self._note_step_read(node, step_memo, scope)
-        return result
+        if cached is None:
+            cached = memo[node.id] = self._compute(node, step_memo, scope)
+        return cached
 
     def _memo_for(self, node, step_memo, scope):
         if scope is not None and node.id in scope.body_ids:
@@ -198,72 +185,6 @@ class Executor:
                 return step_memo
             return scope.iter_memo
         return self._memo
-
-    # ------------------------------------------------------------------
-    # superstep-memo eviction
-    #
-    # The step memo would otherwise keep every dynamic node's full output
-    # alive until the superstep barrier.  Each superstep starts with a
-    # consumer-refcount per node (how many times the interpreter will
-    # read it); the last read evicts the partitions immediately.  The
-    # template may only ever *over*count reads (an unread entry is merely
-    # retained until the barrier) — an undercount would evict live data
-    # and recompute it, inflating logical counters.
-
-    def _note_step_read(self, node, step_memo, scope):
-        if scope is None:
-            return
-        counts = getattr(scope, "step_refcounts", None)
-        if counts is None:
-            return
-        remaining = counts.get(node.id)
-        if remaining is None:
-            return
-        if remaining <= 1:
-            del counts[node.id]
-            step_memo.pop(node.id, None)
-        else:
-            counts[node.id] = remaining - 1
-
-    def _step_refcount_template(self, scope):
-        cached = getattr(scope, "_refcount_template", None)
-        if cached is not None:
-            return cached
-        counts: dict[int, int] = {}
-
-        def bump(producer):
-            # only dynamic body nodes live in the step memo (constant
-            # nodes sit in iter_memo across supersteps, outer nodes in
-            # the run-wide memo) — nothing else is evictable
-            if (producer.id in scope.dynamic_ids
-                    and producer.id in scope.body_ids):
-                counts[producer.id] = counts.get(producer.id, 0) + 1
-
-        for member in iteration_body_nodes(scope.iteration):
-            if member.id in self.plan.fused_ids:
-                continue  # never evaluated: fused into a chain interior
-            chain = self.plan.chains.get(member.id)
-            if chain is not None:
-                # a chain tail reads its head's inputs and union taps
-                reads = fusion.chain_reads(chain)
-            else:
-                reads = [
-                    p for p in member.inputs
-                    if p.contract is not Contract.SOLUTION_SET
-                ]
-            for producer in reads:
-                bump(producer)
-        # the executor reads iteration roots by name once per superstep
-        iteration = scope.iteration
-        if iteration.contract is Contract.BULK_ITERATION:
-            bump(iteration.body_output)
-            if iteration.termination is not None:
-                bump(iteration.termination)
-        else:
-            bump(iteration.delta_output)
-            bump(iteration.workset_output)
-        scope._refcount_template = counts
-        return counts
 
     def _compute(self, node, step_memo, scope):
         contract = node.contract
@@ -546,7 +467,6 @@ class Executor:
         def body(step):
             current = bindings[placeholder_id]
             step_memo = {}
-            scope.step_refcounts = dict(self._step_refcount_template(scope))
             new_parts = self._evaluate(node.body_output, step_memo, scope)
             stop = False
             if node.termination is not None:
@@ -572,8 +492,6 @@ class Executor:
                         "iteration:convergence", category="iteration",
                         stop=stop,
                     )
-            if self.telemetry is not None:
-                self._superstep_memo_nodes = len(step_memo)
             bindings[placeholder_id] = new_parts
             return stop, {"delta_size": sum(len(p) for p in new_parts)}
 
@@ -677,7 +595,6 @@ class Executor:
     def _delta_one_superstep(self, node, scope, index):
         """Evaluate Δ once: returns (next workset, applied delta count)."""
         step_memo = {}
-        scope.step_refcounts = dict(self._step_refcount_template(scope))
         delta_parts = self._evaluate(node.delta_output, step_memo, scope)
         # Stage the delta: place it on the solution key's partitions,
         # resolve collisions with the comparator, but do not mutate S
@@ -691,8 +608,6 @@ class Executor:
         step_memo[node.delta_output.id] = accepted_parts
         next_workset = self._evaluate(node.workset_output, step_memo, scope)
         applied = self._commit_delta(index, staged)
-        if self.telemetry is not None:
-            self._superstep_memo_nodes = len(step_memo)
         return next_workset, applied
 
     def _stage_delta(self, node, index, routed_parts):

@@ -34,21 +34,6 @@ from repro.dataflow.contracts import Contract
 from repro.runtime import drivers
 
 
-def chain_reads(chain):
-    """The producer nodes a fused chain evaluates when it runs.
-
-    These are the chain head's inputs plus every union tap — the edges
-    that still ship normally.  The executor's superstep-memo eviction
-    uses this to attribute the chain tail's reads to the right
-    producers (interior spine nodes are never read at all).
-    """
-    reads = list(chain.nodes[0].inputs)
-    for i, node in enumerate(chain.nodes[1:], start=1):
-        if node.contract is Contract.UNION:
-            reads.append(node.inputs[1 - chain.spine_inputs[i - 1]])
-    return reads
-
-
 def _compile_items(chain):
     """Split the spine into unions and maximal unary segments.
 

@@ -1,6 +1,7 @@
 """Shared fixtures: small graphs and environments used across the suite."""
 
 import contextlib
+import weakref
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro import ExecutionEnvironment
 from repro.common import columns
 from repro.graphs import Graph, erdos_renyi
 from repro.optimizer import chaining
+from repro.runtime.executor import Executor
 
 
 @contextlib.contextmanager
@@ -54,6 +56,21 @@ def env():
 def env_naive():
     """A 4-way environment using the rule-based (naive) planner."""
     return ExecutionEnvironment(parallelism=4, optimize=False)
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Weak references to every executor that runs a plan in this
+    process (the simulated backend's), in start order."""
+    refs = []
+    run = Executor.run
+
+    def spy(self, exec_plan):
+        refs.append(weakref.ref(self))
+        return run(self, exec_plan)
+
+    monkeypatch.setattr(Executor, "run", spy)
+    return refs
 
 
 @pytest.fixture

@@ -71,12 +71,40 @@ def test_plan_shipped_to_a_worker_dies_with_its_job(job, collector_off):
     assert [ref() for ref in sources] == [None] * len(sources)
 
 
-def test_a_dropped_simulated_env_dies(collector_off):
-    """The simulated executor keeps no reference to its environment, so
-    the environment's last executor does not make it cyclic garbage."""
+def test_a_dropped_simulated_env_dies(collector_off, executors):
+    """The simulated executor keeps no reference to its environment and
+    the environment keeps none to its executor, so neither becomes
+    cyclic garbage."""
     env = ExecutionEnvironment(2)
     pr.pagerank_bulk(env, erdos_renyi(300, 3.0, seed=5), 3)
-    assert env.last_executor is not None
+    assert env.iteration_summaries
+    assert [ref() for ref in executors] == [None]
     dropped = weakref.ref(env)
     del env
     assert dropped() is None
+
+
+class _Marker:
+    """A weakly referenceable payload created inside a job."""
+
+    live = weakref.WeakSet()
+
+    def __init__(self):
+        self.live.add(self)
+
+
+def test_a_finished_jobs_intermediates_die():
+    """Fails at the parent commit: the environment held its last
+    executor, whose memo kept the reduce's output (one marker per key)
+    alive until the next job."""
+    env = ExecutionEnvironment(2)
+    result = (
+        env.from_iterable([(i,) for i in range(1000)])
+        .map(lambda r: (r[0] % 10, _Marker()))
+        .reduce_by_key(0, lambda a, b: a)
+        .map(lambda r: (r[0],))
+        .collect()
+    )
+    assert sorted(result) == [(k,) for k in range(10)]
+    gc.collect()
+    assert len(_Marker.live) == 0

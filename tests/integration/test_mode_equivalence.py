@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro import ExecutionEnvironment
 from repro.graphs import Graph
+from repro.runtime.config import RuntimeConfig
 
 NUM_VERTICES = 14
 
@@ -88,8 +89,9 @@ class TestModeEquivalence:
         schedule irrelevant (Section 2.2)."""
         graph = Graph(NUM_VERTICES, edges)
         expected = reference_fixpoint(graph, labels)
-        env = ExecutionEnvironment(3)
-        env.async_poll_batch = batch
+        env = ExecutionEnvironment(
+            3, config=RuntimeConfig(async_poll_batch=batch)
+        )
         assert min_label_fixpoint(env, graph, labels, "async") == expected
 
     @settings(max_examples=15, deadline=None)

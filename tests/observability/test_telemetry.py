@@ -2,7 +2,6 @@
 
 import gc
 import json
-import weakref
 
 import pytest
 
@@ -307,14 +306,14 @@ def test_prometheus_text_carries_the_bill(backend):
     assert "repro_jobs 1" in text
 
 
-def test_probes_live_for_one_job_only():
+def test_probes_live_for_one_job_only(executors):
     """Fails at the parent commit: every job's executor left its probes
     in the session registry, so job N polled N sets (N samples per gauge
     per superstep) and each stale bound method pinned a finished
     executor with its whole memo."""
     env, _ = _run_cc("simulated", telemetry=True)
     graph = erdos_renyi(120, 2.5, seed=11)
-    finished = weakref.ref(env.last_executor)
+    (finished,) = executors
     for _ in range(3):
         cc.cc_incremental(env, graph, variant="cogroup", mode="superstep")
         assert env.telemetry._probes == []

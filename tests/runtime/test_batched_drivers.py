@@ -142,12 +142,20 @@ class TestConfigValidation:
             RuntimeConfig(batch_size="1024")
 
     def test_env_async_poll_batch_is_config_backed(self):
+        """The config is the one place to set the async drain: a smaller
+        drain per round takes more rounds to the same fixpoint."""
         from repro import ExecutionEnvironment
-        env = ExecutionEnvironment(2)
-        assert env.async_poll_batch == env.config.async_poll_batch
-        original = env.config
-        env.async_poll_batch = 5
-        assert env.config.async_poll_batch == 5
-        assert env.config is not original  # replaced, never mutated
-        with pytest.raises(TypeError):
-            env.async_poll_batch = True
+        from repro.algorithms import connected_components as cc
+        from repro.graphs import erdos_renyi
+        graph = erdos_renyi(60, 2.5, seed=3)
+        rounds, labels = {}, {}
+        for poll in (1, 64):
+            env = ExecutionEnvironment(
+                2, config=RuntimeConfig(async_poll_batch=poll)
+            )
+            labels[poll] = cc.cc_incremental(
+                env, graph, variant="match", mode="async"
+            )
+            rounds[poll] = env.iteration_summaries[0].supersteps
+        assert labels[1] == labels[64]
+        assert rounds[1] > rounds[64]

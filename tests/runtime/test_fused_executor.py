@@ -1,4 +1,4 @@
-"""Fused-chain execution semantics: results, counters, spans, eviction."""
+"""Fused-chain execution semantics: results, counters, spans."""
 
 import contextlib
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro import ExecutionEnvironment
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.executor import _IterationScope
 from repro.runtime.plan import FusedChain
 from tests.conftest import unfused
 
@@ -244,81 +243,6 @@ class TestChainSpans:
             [],
         )
         assert combine_children
-
-
-class TestStepMemoEviction:
-    def test_refcount_template_counts_reads(self):
-        env = _env()
-        result = _bulk_iterative(env)
-        env.collect(result)
-        executor = env.last_executor
-        iteration = result.node
-        scope = _IterationScope(iteration, bindings={})
-        template = executor._step_refcount_template(scope)
-        # chain tail (= body output): read once by the superstep loop
-        tail_id = iteration.body_output.id
-        assert template[tail_id] == 1
-        # the placeholder is read once, by the chain head's shipping
-        assert template[iteration.placeholder.id] == 1
-        # interior chain members never get a memo entry at all
-        for fused_id in executor.plan.fused_ids:
-            assert fused_id not in template
-
-    def test_last_read_evicts_the_memo_entry(self):
-        env = _env()
-        env.collect(_bulk_iterative(env))
-        executor = env.last_executor
-
-        class FakeScope:
-            step_refcounts = {42: 2}
-
-        class Node:
-            id = 42
-
-        step_memo = {42: ["partitions"]}
-        executor._note_step_read(Node, step_memo, FakeScope)
-        assert step_memo == {42: ["partitions"]}  # one reader left
-        executor._note_step_read(Node, step_memo, FakeScope)
-        assert step_memo == {}  # last reader: evicted
-        assert FakeScope.step_refcounts == {}
-
-    def test_unknown_nodes_and_plain_scopes_are_untouched(self):
-        env = _env()
-        env.collect(_bulk_iterative(env))
-        executor = env.last_executor
-
-        class Node:
-            id = 7
-
-        step_memo = {7: ["x"]}
-        executor._note_step_read(Node, step_memo, None)
-
-        class NoCountScope:
-            pass
-
-        executor._note_step_read(Node, step_memo, NoCountScope)
-        assert step_memo == {7: ["x"]}
-
-    def test_eviction_fires_during_iterative_runs(self, monkeypatch):
-        from repro.runtime.executor import Executor
-
-        evictions = []
-        original = Executor._note_step_read
-
-        def spy(self, node, step_memo, scope):
-            before = node.id in step_memo
-            original(self, node, step_memo, scope)
-            if before and node.id not in step_memo:
-                evictions.append(node.id)
-
-        monkeypatch.setattr(Executor, "_note_step_read", spy)
-        fused, fused_env = _run(True, "delta")
-        assert evictions  # partitions were dropped before the barrier
-        # and eviction never forces a recompute: counters stay identical
-        unfused, unfused_env = _run(False, "delta")
-        assert fused == unfused
-        assert fused_env.metrics.logical() == \
-            unfused_env.metrics.logical()
 
 
 class TestFusedChainStructure:
